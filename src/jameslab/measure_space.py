@@ -366,13 +366,13 @@ def check_identities(
     certified = max(fn.sup_norm() / 2**n for n, fn in enumerate(fs))
     continuity_ok = True
     cont_detail: dict[str, str] = {}
+    cases = [(eps / (certified * 2**n), fn.abs()) for n, fn in enumerate(fs)]
     for sigma in atom_subsets(K, seed):
         m = mu_of(model, sigma)
-        for n, fn in enumerate(fs):
-            if m < eps / (certified * 2**n):
-                if integrate_over(model, fn.abs(), sigma) >= eps:
-                    continuity_ok = False
-                    cont_detail[f"sigma_{sigma}_n_{n}"] = "integral too large"
+        for n, (threshold, fn_abs) in enumerate(cases):
+            if m < threshold and integrate_over(model, fn_abs, sigma) >= eps:
+                continuity_ok = False
+                cont_detail[f"sigma_{sigma}_n_{n}"] = "integral too large"
     entries.append(
         ReportEntry(
             "small_set_continuity",

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import add
 
 from .measure_space import (
     MeasureSpaceModel,
@@ -66,16 +69,27 @@ class IndexFunction:
 
 @dataclass(frozen=True)
 class SequenceOracle:
-    """Total rational sequence, constant beyond its tabulated horizon."""
+    """Total rational sequence, constant beyond its tabulated horizon.
 
-    values: tuple[Fraction, ...]
+    Values that are already ``int`` or ``Fraction`` are kept as given;
+    anything else is converted with ``Fraction()``.
+    """
+
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(
+            self,
+            "values",
+            tuple(
+                v if isinstance(v, (int, Fraction)) else Fraction(v)
+                for v in self.values
+            ),
+        )
         if not self.values:
             raise ValueError("sequence needs at least one tabulated value")
 
-    def __call__(self, n: int) -> Fraction:
+    def __call__(self, n: int) -> int | Fraction:
         if n < 0:
             raise IndexError(n)
         return self.values[min(n, len(self.values) - 1)]
@@ -91,13 +105,15 @@ class StableInterval:
 
 
 def monotonize(F: IndexFunction) -> IndexFunction:
-    """Running maximum; dominates F pointwise and is nondecreasing."""
-    table = []
-    running = 0
-    for v in F.table:
-        running = max(running, v)
-        table.append(running)
-    return IndexFunction(tuple(table), tail_floor=max(running, F.tail_floor))
+    """Running maximum; dominates F pointwise and is nondecreasing.
+
+    An F that is already its own running maximum is returned unchanged.
+    """
+    table = tuple(accumulate(F.table, max))  # entries are nonnegative
+    tail_floor = max(table[-1] if table else 0, F.tail_floor)
+    if table == F.table and tail_floor == F.tail_floor:
+        return F
+    return IndexFunction(table, tail_floor=tail_floor)
 
 
 def count_fluctuations(
@@ -168,32 +184,43 @@ def fluctuation_budget(B_hat: Fraction, eps: Fraction) -> int:
     return ceil_rational(8 * B_hat**2 * ceil_inverse(Fraction(eps)) ** 2)
 
 
-def _product_sequence(
-    model: MeasureSpaceModel,
-    sigma: tuple[int, ...],
-    mode: str,
-    fixed: int,
-    fs: list[StepFunction],
-    gs: list[StepFunction],
-) -> SequenceOracle:
-    """n -> integral over sigma of f_n g_p (fix_p) or p -> same (fix_n).
+def atom_products(model: MeasureSpaceModel) -> tuple[int, list[list[list[int]]]]:
+    """Per-atom contributions to the product integrals, over one denominator.
 
-    In the K-dimensional shadow d_n is constant from n = K on, while e*_p
-    vanishes for p > K, so both sequences are tabulated to eventual
-    constancy.
+    Returns (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
+    integer for 0 <= i, n, p <= K, where D is the lcm of the denominators of
+    those products.  The values come from the model's own f, g and mu, so
+    the integral of f_n g_p over an atom subset sigma is
+    subset_table(A, sigma)[n][p] / D, with no identity assumed.
     """
     K = model.K
-    if mode == "fix_p":
-        gp = gs[fixed]
-        vals = [integrate_over(model, fn * gp, sigma) for fn in fs]
-    elif mode == "fix_n":
-        fn = fs[fixed]
-        vals = [integrate_over(model, fn * gp, sigma) for gp in gs] + [
-            Fraction(0)
-        ]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return SequenceOracle(tuple(vals))
+    fs = [model.f(n).values for n in range(K + 1)]
+    gs = [model.g(p).values for p in range(K + 1)]
+    exact = [
+        [[fn[i] * gp[i] * model.mu[i] for gp in gs] for fn in fs]
+        for i in range(K + 1)
+    ]
+    D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
+    A = [
+        [[v.numerator * (D // v.denominator) for v in row] for row in atom]
+        for atom in exact
+    ]
+    return D, A
+
+
+def subset_table(
+    A: list[list[list[int]]], sigma: tuple[int, ...]
+) -> list[list[int]]:
+    """S[n][p] = sum of A[i][n][p] over the atoms i in sigma."""
+    K = len(A) - 1
+    if len(set(sigma)) != len(sigma):
+        raise ValueError(f"atom listed twice in {sigma}")
+    table = [[0] * (K + 1) for _ in range(K + 1)]
+    for i in sigma:
+        if not 0 <= i <= K:
+            raise IndexError(i)
+        table = [list(map(add, row, atom_row)) for row, atom_row in zip(table, A[i])]
+    return table
 
 
 def fluctuation_harness(
@@ -206,23 +233,43 @@ def fluctuation_harness(
 ) -> Report:
     """Run the stable-interval finder on every (sigma, fixed index) pair.
 
+    The sequences are n -> integral over sigma of f_n g_p for each fixed p
+    (mode "fix_p") and p -> the same integral for each fixed n, followed
+    by the 0 that e*_p gives beyond the top index (mode "fix_n").  In the
+    K-dimensional shadow d_n is constant from n = K on, so both are
+    tabulated to eventual constancy.  They are read off the integer table
+    D * S_sigma built from :func:`atom_products`, one sigma at a time, and
+    the finder runs at accuracy eps * D; its tests |a - b| >= eps/2 and
+    hi - lo < eps are homogeneous, so every interval is the one the exact
+    integrals give.  ``integrate_over`` on step-function products is the
+    test oracle for these tables.
+
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
     unconditionality bound that can only be certified from below.
     """
+    if mode not in ("fix_p", "fix_n"):
+        raise ValueError(f"unknown mode {mode!r}")
     budget = fluctuation_budget(B_hat, eps)
+    F = monotonize(F)
+    D, A = atom_products(model)
+    scaled_eps = Fraction(eps) * D
     failures: dict[str, str] = {}
     runs = 0
     max_used = 0
     worst_interval = ""
-    fs = [model.f(n) for n in range(model.K + 1)]
-    gs = [model.g(p) for p in range(model.K + 1)]
     for sigma in sigma_family:
-        for fixed in range(model.K + 1):
-            seq = _product_sequence(model, sigma, mode, fixed, fs, gs)
+        table = subset_table(A, sigma)
+        if mode == "fix_p":
+            sequences = list(zip(*table))
+        else:
+            sequences = [(*row, 0) for row in table]
+        for fixed, values in enumerate(sequences):
             runs += 1
             try:
-                interval = find_stable_interval(seq, eps, F, 0, budget)
+                interval = find_stable_interval(
+                    SequenceOracle(values), scaled_eps, F, 0, budget
+                )
                 if interval.fluctuations_used >= max_used:
                     max_used = interval.fluctuations_used
                     worst_interval = (
@@ -254,10 +301,16 @@ def hypothesis_report(
     Clauses: L1 bounds on the embedded d_n and e*_p, small-set continuity
     for both families, and bounded fluctuations of the product sequences
     (checked against a small family of index functions and every atom
-    subset at desk scale).
+    subset at desk scale).  The product sequences come from integer
+    per-atom tables (see :func:`fluctuation_harness`); ``integrate_over``
+    on step-function products is their test oracle.
     """
     B_hat = Fraction(B_hat)
     eps = Fraction(eps)
+    if B_hat <= 0:
+        raise ValueError("the stand-in bound must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     K = model.K
     entries: list[ReportEntry] = []
 
@@ -284,12 +337,12 @@ def hypothesis_report(
     sigmas = atom_subsets(K)
 
     def small_set_ok(hs: list[StepFunction]) -> bool:
+        cases = [(eps / (B_hat * 2**idx), h.abs()) for idx, h in enumerate(hs)]
         for sigma in sigmas:
             m = mu_of(model, sigma)
-            for idx, h in enumerate(hs):
-                if m < eps / (B_hat * 2**idx):
-                    if integrate_over(model, h.abs(), sigma) >= eps:
-                        return False
+            for threshold, h_abs in cases:
+                if m < threshold and integrate_over(model, h_abs, sigma) >= eps:
+                    return False
         return True
 
     entries.append(ReportEntry("small_set_continuity_f", small_set_ok(fs)))

@@ -14,6 +14,14 @@ from jameslab.james_core import (
     functional_from_certificate,
     james_norm_sq_upper_bound,
 )
+from jameslab.measure_space import MeasureSpaceModel, integrate_over
+from jameslab.metastability import (
+    BudgetExceeded,
+    IndexFunction,
+    SequenceOracle,
+    find_stable_interval,
+    fluctuation_budget,
+)
 from jameslab.scalars import ceil_sqrt_rational
 
 
@@ -65,3 +73,50 @@ def zigzag_functional(k: int, gap: Fraction) -> DualFunctional:
     for i in range(k):
         coeffs.append(gap if i % 2 == 0 else -gap)
     return DualFunctional.from_rationals(k, tuple(coeffs))
+
+
+def reference_fluctuation_details(
+    model: MeasureSpaceModel,
+    B_hat: Fraction,
+    eps: Fraction,
+    F: IndexFunction,
+    mode: str,
+    sigma_family: list[tuple[int, ...]],
+) -> dict[str, str]:
+    """Details dict of ``fluctuation_harness``, computed the slow way: each
+    sequence entry integrates a StepFunction product over sigma in
+    Fractions, and the finder runs at accuracy eps itself."""
+    budget = fluctuation_budget(B_hat, eps)
+    fs = [model.f(n) for n in range(model.K + 1)]
+    gs = [model.g(p) for p in range(model.K + 1)]
+    failures: dict[str, str] = {}
+    runs = 0
+    max_used = 0
+    worst_interval = ""
+    for sigma in sigma_family:
+        for fixed in range(model.K + 1):
+            if mode == "fix_p":
+                vals = [integrate_over(model, fn * gs[fixed], sigma) for fn in fs]
+            else:
+                vals = [integrate_over(model, fs[fixed] * gp, sigma) for gp in gs]
+                vals.append(Fraction(0))
+            runs += 1
+            try:
+                interval = find_stable_interval(
+                    SequenceOracle(tuple(vals)), eps, F, 0, budget
+                )
+                if interval.fluctuations_used >= max_used:
+                    max_used = interval.fluctuations_used
+                    worst_interval = (
+                        f"sigma={sigma} fixed={fixed} "
+                        f"[{interval.m}, {interval.end}] used={max_used}"
+                    )
+            except BudgetExceeded as exc:
+                failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
+    return {
+        "runs": str(runs),
+        "budget": str(budget),
+        "max_fluctuations_used": str(max_used),
+        "witness_interval": worst_interval,
+        **failures,
+    }

@@ -123,6 +123,21 @@ def test_b_below_one_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("refute", "--canonical", "3", "--B", "0"), "the stand-in bound must be positive"),
+        (("metastable", "--canonical", "3", "--B", "0"), "the stand-in bound must be positive"),
+        (("metastable", "--canonical", "3", "--eps", "0"), "eps must be positive"),
+    ],
+)
+def test_nonpositive_b_or_eps_is_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_basis_file_commands(tmp_path, capsys):
     basis = {"K": 1, "columns": [["1/1", "0/1"], ["1/2", "1/1"]]}
     path = tmp_path / "basis.json"

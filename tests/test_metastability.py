@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jameslab.basis_tools import Basis, random_invertible_basis
-from jameslab.measure_space import atom_subsets, build
+from jameslab.measure_space import atom_subsets, build, integrate_over
 from jameslab.metastability import (
     BudgetExceeded,
     FoundPair,
     IndexFunction,
     SequenceOracle,
     StableInterval,
+    atom_products,
     conclusion_search,
     count_fluctuations,
     find_stable_interval,
@@ -21,7 +22,10 @@ from jameslab.metastability import (
     fluctuation_harness,
     hypothesis_report,
     monotonize,
+    subset_table,
 )
+
+from helpers import reference_fluctuation_details
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +59,7 @@ def test_monotonize_dominates_and_idempotent(table):
         assert M(n) >= F(n)
         if n > 0:
             assert M(n) >= M(n - 1)
-    assert monotonize(M).table == M.table
-    assert monotonize(M).tail_floor == M.tail_floor
+    assert monotonize(M) is M
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,73 @@ def test_harness_exhaustive_small_dimension():
         assert report.entries[0].passed, report.entries[0].details
 
 
+def test_harness_rejects_unknown_mode_before_any_run():
+    model = build(Basis.canonical(2))
+    F = IndexFunction.from_callable(lambda n: n + 1, 16)
+    with pytest.raises(ValueError, match="unknown mode"):
+        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, "bogus", [])
+
+
+def _oracle_models():
+    rng = random.Random(204)
+    models = [
+        pytest.param(build(Basis.canonical(K)), id=f"canonical-K{K}") for K in range(5)
+    ]
+    for j, K in enumerate((1, 2, 3, 4, 4)):
+        basis = random_invertible_basis(K, rng)
+        models.append(pytest.param(build(basis), id=f"random{j}-K{K}"))
+    return models
+
+
+ORACLE_MODELS = _oracle_models()
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_subset_tables_match_step_function_integrals(model):
+    K = model.K
+    D, A = atom_products(model)
+    products = [[model.f(n) * model.g(p) for p in range(K + 1)] for n in range(K + 1)]
+    for sigma in atom_subsets(K):
+        table = subset_table(A, sigma)
+        for n in range(K + 1):
+            for p in range(K + 1):
+                assert Fraction(table[n][p], D) == integrate_over(
+                    model, products[n][p], sigma
+                )
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+@pytest.mark.parametrize(
+    "B_hat, eps",
+    [(Fraction(2), Fraction(1, 80)), (Fraction(1, 8), Fraction(1, 4))],
+    ids=["refutation-eps", "budget-2"],
+)
+def test_harness_matches_step_function_reference(model, B_hat, eps):
+    # the index functions and subset family of hypothesis_report; the
+    # second (B_hat, eps) gives a budget of 2, so failures are compared too
+    K = model.K
+    sigmas = atom_subsets(K)
+    for F in (
+        IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
+        IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
+    ):
+        for mode in ("fix_p", "fix_n"):
+            entry = fluctuation_harness(model, B_hat, eps, F, mode, sigmas).entries[0]
+            assert entry.details == reference_fluctuation_details(
+                model, B_hat, eps, F, mode, sigmas
+            )
+
+
+def test_subset_table_rejects_bad_atoms():
+    _, A = atom_products(build(Basis.canonical(2)))
+    with pytest.raises(IndexError):
+        subset_table(A, (3,))
+    with pytest.raises(IndexError):
+        subset_table(A, (-1,))
+    with pytest.raises(ValueError):
+        subset_table(A, (1, 1))
+
+
 def test_hypothesis_report_canonical_passes():
     model = build(Basis.canonical(3))
     report = hypothesis_report(model, Fraction(2), Fraction(1, 80))
@@ -248,6 +318,12 @@ def test_sequence_oracle_validation():
     assert seq(0) == 1 and seq(5) == 2
     with pytest.raises(IndexError):
         seq(-1)
+
+
+def test_sequence_oracle_keeps_exact_values():
+    seq = SequenceOracle((3, Fraction(1, 2), 0.25))
+    assert [type(v) for v in seq.values] == [int, Fraction, Fraction]
+    assert seq.values == (3, Fraction(1, 2), Fraction(1, 4))
 
 
 def test_count_fluctuations_range_validation():
