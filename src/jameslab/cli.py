@@ -58,15 +58,6 @@ from .reporting import Report, ReportEntry
 from .scalars import ceil_inverse, ceil_sqrt_rational, fmt_rational
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    K: int = 4
-    B: Fraction = Fraction(2)
-    output_format: str = "table"
-    budget: int = 2
-
-
 REFUTATION_EPS = Fraction(1, 80)
 
 
@@ -154,8 +145,8 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
 # Self-verification suite
 # ---------------------------------------------------------------------------
 
-def _check_oracle_equivalence(config: RunConfig, fault: str | None) -> ReportEntry:
-    rng = random.Random(f"{config.seed}:verify-norm")
+def _check_oracle_equivalence(seed: int, fault: str | None) -> ReportEntry:
+    rng = random.Random(f"{seed}:verify-norm")
     for K in range(2, 7):
         for _ in range(12):
             den = rng.randint(1, 6)
@@ -181,8 +172,8 @@ def _random_chain(rng: random.Random, top: int, length: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _check_chain_lemmas(config: RunConfig) -> list[ReportEntry]:
-    rng = random.Random(f"{config.seed}:verify-chains")
+def _check_chain_lemmas(seed: int) -> list[ReportEntry]:
+    rng = random.Random(f"{seed}:verify-chains")
     eps = Fraction(1, 2)
     k = 2 * ceil_inverse(eps) ** 2
     K = 40
@@ -210,14 +201,14 @@ def _check_chain_lemmas(config: RunConfig) -> list[ReportEntry]:
     ]
 
 
-def _check_measure_identities(config: RunConfig) -> ReportEntry:
-    rng = random.Random(f"{config.seed}:verify-measure")
+def _check_measure_identities(seed: int) -> ReportEntry:
+    rng = random.Random(f"{seed}:verify-measure")
     bases = [Basis.canonical(3)] + [
         random_invertible_basis(K, rng) for K in (2, 3, 4)
     ]
     for basis in bases:
         model = build(basis)
-        if not check_identities(model, 4, config.seed).all_passed:
+        if not check_identities(model, 4, seed).all_passed:
             return ReportEntry("measure identities", False)
         product_matrix(model)
         if conclusion_search(model, REFUTATION_EPS) is not None:
@@ -225,8 +216,8 @@ def _check_measure_identities(config: RunConfig) -> ReportEntry:
     return ReportEntry("measure identities", True)
 
 
-def _check_fluctuation_completeness(config: RunConfig) -> ReportEntry:
-    rng = random.Random(f"{config.seed}:verify-fluct")
+def _check_fluctuation_completeness(seed: int) -> ReportEntry:
+    rng = random.Random(f"{seed}:verify-fluct")
     F = IndexFunction.from_callable(lambda n: n + 3, 200)
     eps = Fraction(1, 2)
     for _ in range(25):
@@ -246,7 +237,7 @@ def _check_fluctuation_completeness(config: RunConfig) -> ReportEntry:
     return ReportEntry("fluctuation finder completeness", True)
 
 
-def _check_hierarchy(config: RunConfig) -> ReportEntry:
+def _check_hierarchy() -> ReportEntry:
     for n in range(13):
         if fgh_eval(0, n) != Exact(n + 1):
             return ReportEntry("hierarchy closed forms", False)
@@ -261,16 +252,16 @@ def _check_hierarchy(config: RunConfig) -> ReportEntry:
     return ReportEntry("hierarchy closed forms", True)
 
 
-def verify_suite(config: RunConfig, fault: str | None = None) -> tuple[int, Report]:
+def verify_suite(seed: int, fault: str | None = None) -> tuple[int, Report]:
     """Run every module's invariant suite; exit code 0 iff all pass.
 
     `fault` deliberately corrupts a named subsystem (test fixture only).
     """
-    entries = [_check_oracle_equivalence(config, fault)]
-    entries.extend(_check_chain_lemmas(config))
-    entries.append(_check_measure_identities(config))
-    entries.append(_check_fluctuation_completeness(config))
-    entries.append(_check_hierarchy(config))
+    entries = [_check_oracle_equivalence(seed, fault)]
+    entries.extend(_check_chain_lemmas(seed))
+    entries.append(_check_measure_identities(seed))
+    entries.append(_check_fluctuation_completeness(seed))
+    entries.append(_check_hierarchy())
     report = Report(tuple(entries))
     return (0 if report.all_passed else 1), report
 
@@ -283,12 +274,18 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
+    """Read ``path`` and parse it with ``cls.from_json_obj``; a file of the
+    wrong shape is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return cls.from_json_obj(obj)
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _basis_from_args(args: argparse.Namespace) -> Basis:
@@ -298,7 +295,7 @@ def _basis_from_args(args: argparse.Namespace) -> Basis:
         return Basis.canonical(args.canonical)
     if args.basis is None:
         raise InputError("provide --basis FILE or --canonical K")
-    return Basis.from_json_obj(_load_json(args.basis))
+    return _load_json(args.basis, Basis)
 
 
 def _emit(args: argparse.Namespace, obj: dict, table_lines: list[str]) -> None:
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    x = JVector.from_json_obj(_load_json(args.input))
+    x = _load_json(args.input, JVector)
     value, cert = james_norm_sq(x)
     obj = {
         "norm_sq": fmt_rational(value),
@@ -518,12 +515,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        output_format="json" if args.json else "table",
-        budget=args.budget,
-    )
-    code, report = verify_suite(config)
+    code, report = verify_suite(args.seed)
     lines = [f"{'PASS' if e.passed else 'FAIL'} {e.name}" for e in report.entries]
     failure = report.first_failure()
     if failure is not None:

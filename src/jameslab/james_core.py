@@ -258,42 +258,49 @@ def _scaled_int_coords(x: JVector) -> tuple[list[int], int]:
     return nums, den
 
 
-def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
-    """Exact squared James norm with an optimal-cycle certificate.
+def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
+    """Longest-path dynamic program over the index DAG of ``vals`` (ints or
+    floats, virtual zero already appended).
 
-    Longest-path dynamic program over the index DAG: for each start a the
-    table g[i] holds the best completion value (sum of squared differences,
-    wrap term included) of any increasing cycle that has reached i.  Ties
-    between optimal cycles are broken toward the lexicographically least
-    index tuple.  O(K^3) integer arithmetic after clearing denominators.
+    For each start a the table g[i] holds the best completion value (sum of
+    squared differences, wrap term back to a included) of any increasing
+    cycle from a that has reached i.  Returns the best g[a], the first start
+    a that reaches it, and that start's table.  O(len(vals)^3).
     """
-    nums, den = _scaled_int_coords(x)
-    T = len(nums)
-    best_val = 0
-    best_a = 0
-    best_g: list[int] | None = None
+    T = len(vals)
+    best, best_a, best_g = 0, 0, []
     for a in range(T):
-        base = nums[a]
+        base = vals[a]
         g = [0] * T
         for i in range(T - 1, a - 1, -1):
-            ni = nums[i]
-            d0 = ni - base
+            vi = vals[i]
+            d0 = vi - base
             bi = d0 * d0
             for j in range(i + 1, T):
-                d = ni - nums[j]
+                d = vi - vals[j]
                 v = d * d + g[j]
                 if v > bi:
                     bi = v
             g[i] = bi
-        if g[a] > best_val:
-            best_val = g[a]
-            best_a = a
-            best_g = g[:]
+        if g[a] > best:
+            best, best_a, best_g = g[a], a, g
+    return best, best_a, best_g
+
+
+def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
+    """Exact squared James norm with an optimal-cycle certificate.
+
+    Runs :func:`_longest_cycle_table` on integer numerators over a common
+    denominator, then walks the winning start's table forward.  Ties
+    between optimal cycles are broken toward the lexicographically least
+    index tuple.  O(K^3) integer arithmetic after clearing denominators.
+    """
+    nums, den = _scaled_int_coords(x)
+    best_val, a, g = _longest_cycle_table(nums)
     if best_val == 0:
         zero = Fraction(0)
         return zero, NormCertificate(Cycle((0,)), zero)
-    assert best_g is not None
-    a = best_a
+    T = len(nums)
     base = nums[a]
     path = [a]
     s = 0
@@ -304,7 +311,7 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
             break
         for j in range(i + 1, T):
             d = nums[i] - nums[j]
-            if s + d * d + best_g[j] == best_val:
+            if s + d * d + g[j] == best_val:
                 path.append(j)
                 s += d * d
                 i = j
@@ -317,23 +324,7 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
 
 def james_norm_sq_float(coords: list[float]) -> float:
     """Float analogue of the norm DP, for search heuristics only."""
-    vals = list(coords) + [0.0]
-    T = len(vals)
-    best = 0.0
-    for a in range(T):
-        base = vals[a]
-        g = [0.0] * T
-        for i in range(T - 1, a - 1, -1):
-            vi = vals[i]
-            bi = (vi - base) ** 2
-            for j in range(i + 1, T):
-                v = (vi - vals[j]) ** 2 + g[j]
-                if v > bi:
-                    bi = v
-            g[i] = bi
-        if g[a] > best:
-            best = g[a]
-    return best / 2.0
+    return _longest_cycle_table(list(coords) + [0.0])[0] / 2.0
 
 
 def james_norm_sq_oracle(x: JVector) -> Fraction:

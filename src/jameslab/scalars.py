@@ -74,14 +74,6 @@ class Root2Scalar:
     def zero(cls) -> Root2Scalar:
         return cls(0, 0)
 
-    @classmethod
-    def from_rational(cls, x: Fraction | int) -> Root2Scalar:
-        return cls(Fraction(x), 0)
-
-    @classmethod
-    def sqrt2_times(cls, x: Fraction | int) -> Root2Scalar:
-        return cls(0, Fraction(x))
-
     @staticmethod
     def _coerce(other: object) -> "Root2Scalar | None":
         if isinstance(other, Root2Scalar):

@@ -4,9 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jameslab.basis_tools import Basis
-from jameslab.cli import RunConfig, build_parser, main, run_refutation, verify_suite
+from jameslab.cli import build_parser, main, run_refutation, verify_suite
 
 
 def run_cli(capsys, *argv):
@@ -77,13 +78,13 @@ def test_run_refutation_api():
 # ---------------------------------------------------------------------------
 
 def test_verify_suite_passes():
-    code, report = verify_suite(RunConfig(seed=0))
+    code, report = verify_suite(0)
     assert code == 0
     assert report.all_passed
 
 
 def test_verify_suite_fault_injection():
-    code, report = verify_suite(RunConfig(seed=0), fault="norm_dp")
+    code, report = verify_suite(0, fault="norm_dp")
     assert code == 1
     failure = report.first_failure()
     assert failure is not None
@@ -160,6 +161,46 @@ def test_singular_basis_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(basis))
     code, _, err = run_cli(capsys, "space", "--basis", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("norm", '{"coeffs": ["1"]}'),
+        ("norm", "[1, 2]"),
+        ("norm", '{"K": 0, "coeffs": 5}'),
+        ("norm", '{"K": 0, "coeffs": [Infinity]}'),
+        ("refute", '{"K": 1}'),
+    ],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flag = "--input" if command == "norm" else "--basis"
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["K", "coeffs", "columns", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_JSON_OBJECTS = _JSON_VALUES | st.fixed_dictionaries(
+    {"K": _JSON_VALUES},
+    optional={"coeffs": _JSON_VALUES, "columns": _JSON_VALUES},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("norm", "--input"), ("space", "--basis")]), _JSON_OBJECTS)
+def test_json_loaders_exit_0_or_2(tmp_path_factory, command, value):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(value))
+    assert main([*command, str(path)]) in (0, 2)
 
 
 # ---------------------------------------------------------------------------

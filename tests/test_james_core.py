@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jameslab.james_core import (
     CertTerm,
@@ -28,6 +28,7 @@ from jameslab.james_core import (
     eval_functional,
     functional_from_certificate,
     james_norm_sq,
+    james_norm_sq_float,
     james_norm_sq_oracle,
     james_norm_sq_upper_bound,
     violation_to_witness,
@@ -192,6 +193,18 @@ def test_norm_homogeneity_and_symmetry(coeffs, c):
     base, _ = james_norm_sq(x)
     assert james_norm_sq(x.scale(c))[0] == c * c * base
     assert james_norm_sq(-x)[0] == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=11))
+@example([0])
+@example([7])
+@example([0] * 11)
+def test_float_norm_matches_exact_on_small_integers(cs):
+    # |c| <= 1000 and K <= 10 keep every difference, square and cycle sum far
+    # below 2^53, so the float DP makes no rounding error at all.
+    exact, _ = james_norm_sq(JVector(len(cs) - 1, tuple(cs)))
+    assert james_norm_sq_float([float(c) for c in cs]) == float(exact)
 
 
 def test_certificate_dominates_random_cycles():
