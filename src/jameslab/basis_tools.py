@@ -60,10 +60,32 @@ def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return inv
 
 
+@dataclass(frozen=True)
+class DualBasis:
+    """Rows g*_i over e*_j with g*_i(w_j) = 1 exactly when i == j."""
+
+    K: int
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    def coords_of(self, x: JVector) -> tuple[Fraction, ...]:
+        """Basis coordinates (g*_0(x), ..., g*_K(x))."""
+        if x.K != self.K:
+            raise DimensionMismatch((x.K, self.K))
+        return tuple(
+            sum((r * c for r, c in zip(row, x.coeffs)), Fraction(0))
+            for row in self.rows
+        )
+
+    def functional(self, i: int) -> DualFunctional:
+        return DualFunctional.from_rationals(self.K, self.rows[i])
+
+
 class Basis:
     """Basis (w_0..w_K) of J_K given by columns in canonical coordinates.
 
-    Invertibility is checked exactly at construction.
+    Invertibility is checked exactly at construction, which also builds
+    the dual basis ``self.dual`` from the exact inverse and re-verifies
+    its biorthogonality.
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -77,7 +99,13 @@ class Basis:
         rows = [
             [self.columns[i][j] for i in range(self.K + 1)] for j in range(self.K + 1)
         ]
-        self._inverse_rows = invert_rational_matrix(rows)
+        inverse = invert_rational_matrix(rows)
+        self.dual = DualBasis(self.K, tuple(tuple(row) for row in inverse))
+        for i in range(self.K + 1):
+            coords = self.dual.coords_of(self.vector(i))
+            for j, c in enumerate(coords):
+                if c != (1 if i == j else 0):
+                    raise SingularBasis("biorthogonality check failed")
 
     @classmethod
     def canonical(cls, K: int) -> Basis:
@@ -121,64 +149,28 @@ class Basis:
         )
 
 
-@dataclass(frozen=True)
-class DualBasis:
-    """Rows g*_i over e*_j with g*_i(w_j) = 1 exactly when i == j."""
-
-    K: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def coords_of(self, x: JVector) -> tuple[Fraction, ...]:
-        """Basis coordinates (g*_0(x), ..., g*_K(x))."""
-        if x.K != self.K:
-            raise DimensionMismatch((x.K, self.K))
-        return tuple(
-            sum((r * c for r, c in zip(row, x.coeffs)), Fraction(0))
-            for row in self.rows
-        )
-
-    def functional(self, i: int) -> DualFunctional:
-        return DualFunctional.from_rationals(self.K, self.rows[i])
-
-
-def dual_basis(basis: Basis) -> DualBasis:
-    """Exact inverse-transpose rows; biorthogonality is re-verified."""
-    rows = tuple(tuple(row) for row in basis._inverse_rows)
-    dual = DualBasis(basis.K, rows)
-    for i in range(basis.K + 1):
-        coords = dual.coords_of(basis.vector(i))
-        for j, c in enumerate(coords):
-            if c != (1 if i == j else 0):
-                raise SingularBasis("biorthogonality check failed")
-    return dual
-
-
-def modulus_vector(basis: Basis, x: JVector, dual: DualBasis | None = None) -> JVector:
+def modulus_vector(basis: Basis, x: JVector) -> JVector:
     """|x| = sum_i |g*_i(x)| w_i, exactly, in canonical coordinates."""
-    dual = dual or dual_basis(basis)
-    coords = dual.coords_of(x)
+    coords = basis.dual.coords_of(x)
     return basis.combine(tuple(abs(c) for c in coords))
 
 
-def modulus_functional(
-    basis: Basis, x_star: DualFunctional, dual: DualBasis | None = None
-) -> DualFunctional:
+def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
     """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j."""
     if x_star.K != basis.K:
         raise DimensionMismatch((x_star.K, basis.K))
-    dual = dual or dual_basis(basis)
     K = basis.K
     acc = DualFunctional.zero(K)
     for i in range(K + 1):
         v = abs(eval_functional(x_star, basis.vector(i)))
         if v == Root2Scalar.zero():
             continue
-        acc = acc + dual.functional(i).scale(v)
+        acc = acc + basis.dual.functional(i).scale(v)
     return acc
 
 
 def sign_align(
-    basis: Basis, x: JVector, x_star: DualFunctional, dual: DualBasis | None = None
+    basis: Basis, x: JVector, x_star: DualFunctional
 ) -> tuple[JVector, Root2Scalar]:
     """Flip basis coordinates of x so every term pairs nonnegatively.
 
@@ -187,8 +179,7 @@ def sign_align(
     """
     if x.K != basis.K or x_star.K != basis.K:
         raise DimensionMismatch((x.K, x_star.K, basis.K))
-    dual = dual or dual_basis(basis)
-    coords = dual.coords_of(x)
+    coords = basis.dual.coords_of(x)
     flipped = []
     for i, c in enumerate(coords):
         term = eval_functional(x_star, basis.vector(i)) * c

@@ -43,7 +43,7 @@ from .james_core import (
     james_norm_sq_oracle,
     james_norm_sq_upper_bound,
 )
-from .measure_space import build, check_identities, product_matrix
+from .measure_space import StructureViolation, build, check_identities, product_matrix
 from .metastability import (
     FoundPair,
     IndexFunction,
@@ -145,7 +145,7 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
 # Self-verification suite
 # ---------------------------------------------------------------------------
 
-def _check_oracle_equivalence(seed: int, fault: str | None) -> ReportEntry:
+def _check_oracle_equivalence(seed: int) -> ReportEntry:
     rng = random.Random(f"{seed}:verify-norm")
     for K in range(2, 7):
         for _ in range(12):
@@ -154,8 +154,6 @@ def _check_oracle_equivalence(seed: int, fault: str | None) -> ReportEntry:
                 K, tuple(Fraction(rng.randint(-6, 6), den) for _ in range(K + 1))
             )
             got, cert = james_norm_sq(x)
-            if fault == "norm_dp":
-                got = got + 1
             if got != james_norm_sq_oracle(x):
                 return ReportEntry(
                     "oracle equivalence",
@@ -252,12 +250,9 @@ def _check_hierarchy() -> ReportEntry:
     return ReportEntry("hierarchy closed forms", True)
 
 
-def verify_suite(seed: int, fault: str | None = None) -> tuple[int, Report]:
-    """Run every module's invariant suite; exit code 0 iff all pass.
-
-    `fault` deliberately corrupts a named subsystem (test fixture only).
-    """
-    entries = [_check_oracle_equivalence(seed, fault)]
+def verify_suite(seed: int) -> tuple[int, Report]:
+    """Run every module's invariant suite; exit code 0 iff all pass."""
+    entries = [_check_oracle_equivalence(seed)]
     entries.extend(_check_chain_lemmas(seed))
     entries.append(_check_measure_identities(seed))
     entries.append(_check_fluctuation_completeness(seed))
@@ -545,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except StructureViolation as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

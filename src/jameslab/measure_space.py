@@ -13,8 +13,9 @@ import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .basis_tools import Basis, DualBasis, dual_basis, modulus_functional, modulus_vector
+from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
 from .james_core import (
     DimensionMismatch,
     DualFunctional,
@@ -68,7 +69,6 @@ class StepFunction:
 @dataclass(frozen=True)
 class MeasureSpaceModel:
     basis: Basis
-    dual: DualBasis
     d: JVector
     d_star: DualFunctional
     d_star_d: Fraction
@@ -80,15 +80,21 @@ class MeasureSpaceModel:
     def K(self) -> int:
         return self.basis.K
 
-    def f(self, n: int) -> StepFunction:
-        """Embedded d_n; constant in n beyond the top index."""
-        return pi(self, canonical("d", min(n, self.K), self.K))
+    @property
+    def dual(self) -> DualBasis:
+        return self.basis.dual
 
-    def g(self, p: int) -> StepFunction:
-        """Embedded e*_p; identically zero once p exceeds the top index."""
-        if p > self.K:
-            return StepFunction((Fraction(0),) * (self.K + 1))
-        return pi_star(self, canonical("e_star", p, self.K))
+    @cached_property
+    def fs(self) -> tuple[StepFunction, ...]:
+        """f_0..f_K: the embedded d_n."""
+        return tuple(pi(self, canonical("d", n, self.K)) for n in range(self.K + 1))
+
+    @cached_property
+    def gs(self) -> tuple[StepFunction, ...]:
+        """g_0..g_K: the embedded e*_p."""
+        return tuple(
+            pi_star(self, canonical("e_star", p, self.K)) for p in range(self.K + 1)
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -108,18 +114,13 @@ def build(basis: Basis) -> MeasureSpaceModel:
     agrees with its expansion as the weighted double sum of |e*_j|(|d_j'|).
     """
     K = basis.K
-    dual = dual_basis(basis)
-
-    d_moduli = [
-        modulus_vector(basis, canonical("d", j, K), dual) for j in range(K + 1)
-    ]
+    d_moduli = [modulus_vector(basis, canonical("d", j, K)) for j in range(K + 1)]
     d = JVector.zero(K)
     for j, m in enumerate(d_moduli):
         d = d + m.scale(Fraction(1, 2 ** (j + 1)))
 
     e_star_moduli = [
-        modulus_functional(basis, canonical("e_star", j, K), dual)
-        for j in range(K + 1)
+        modulus_functional(basis, canonical("e_star", j, K)) for j in range(K + 1)
     ]
     d_star = DualFunctional.zero(K)
     for j, m in enumerate(e_star_moduli):
@@ -139,7 +140,7 @@ def build(basis: Basis) -> MeasureSpaceModel:
     if d_star_d < Fraction(1, 4):
         raise StructureViolation(f"d*(d) = {d_star_d} < 1/4")
 
-    gamma_d = dual.coords_of(d)
+    gamma_d = basis.dual.coords_of(d)
     d_star_atoms = tuple(
         eval_functional(d_star, basis.vector(i)).rational() for i in range(K + 1)
     )
@@ -157,7 +158,6 @@ def build(basis: Basis) -> MeasureSpaceModel:
 
     return MeasureSpaceModel(
         basis=basis,
-        dual=dual,
         d=d,
         d_star=d_star,
         d_star_d=d_star_d,
@@ -248,14 +248,11 @@ class ProductMatrix:
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
     """Integrate every product f_n * g_p and check the triangular structure."""
-    K = model.K
-    fs = [model.f(n) for n in range(K + 1)]
-    gs = [model.g(p) for p in range(K + 1)]
     entries = []
-    for n in range(K + 1):
+    for n, fn in enumerate(model.fs):
         row = []
-        for p in range(K + 1):
-            v = integrate(model, fs[n] * gs[p])
+        for p, gp in enumerate(model.gs):
+            v = integrate(model, fn * gp)
             expected = model.d_star_d if p <= n else Fraction(0)
             if v != expected:
                 raise StructureViolation(
@@ -284,7 +281,7 @@ def atom_subsets(
 
 def small_set_breaches(
     model: MeasureSpaceModel,
-    hs: list[StepFunction],
+    hs: tuple[StepFunction, ...],
     bound: Fraction,
     eps: Fraction,
     sigmas: Iterable[tuple[int, ...]],
@@ -343,12 +340,12 @@ def check_identities(
         rhs = eval_functional(x_star, x).rational() * model.d_star_d
         if lhs != rhs:
             pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
-        mod_x = modulus_vector(model.basis, x, model.dual)
+        mod_x = modulus_vector(model.basis, x)
         if l1_norm(model, pi(model, x)) != eval_functional(
             model.d_star, mod_x
         ).rational():
             l1_vec_fail[f"sample_{s}"] = "mismatch"
-        mod_star = modulus_functional(model.basis, x_star, model.dual)
+        mod_star = modulus_functional(model.basis, x_star)
         if l1_norm(model, pi_star(model, x_star)) != eval_functional(
             mod_star, model.d
         ).rational():
@@ -363,17 +360,15 @@ def check_identities(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
     )
 
-    fs = [model.f(n) for n in range(K + 1)]
     sup_details = {}
     sup_ok = True
     if B_hat is not None:
-        gs = [model.g(p) for p in range(K + 1)]
-        for n, fn in enumerate(fs):
+        for n, fn in enumerate(model.fs):
             bound = B_hat * 2**n
             sup_details[f"f_{n}_sup"] = fmt_rational(fn.sup_norm())
             if fn.sup_norm() > bound:
                 sup_ok = False
-        for p, gp in enumerate(gs):
+        for p, gp in enumerate(model.gs):
             bound = B_hat * 2**p
             sup_details[f"g_{p}_sup"] = fmt_rational(gp.sup_norm())
             if gp.sup_norm() > bound:
@@ -382,11 +377,11 @@ def check_identities(
         ReportEntry("sup_norm_bounds", sup_ok, advisory=True, details=sup_details)
     )
 
-    certified = max(fn.sup_norm() / 2**n for n, fn in enumerate(fs))
+    certified = max(fn.sup_norm() / 2**n for n, fn in enumerate(model.fs))
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for sigma, n in small_set_breaches(
-            model, fs, certified, eps, atom_subsets(K, seed)
+            model, model.fs, certified, eps, atom_subsets(K, seed)
         )
     }
     entries.append(

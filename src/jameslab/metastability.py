@@ -190,16 +190,13 @@ def atom_products(model: MeasureSpaceModel) -> tuple[int, list[list[list[int]]]]
 
     Returns (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
     integer for 0 <= i, n, p <= K, where D is the lcm of the denominators of
-    those products.  The values come from the model's own f, g and mu, so
+    those products.  The values come from the model's own fs, gs and mu, so
     the integral of f_n g_p over an atom subset sigma is
     subset_table(A, sigma)[n][p] / D, with no identity assumed.
     """
-    K = model.K
-    fs = [model.f(n).values for n in range(K + 1)]
-    gs = [model.g(p).values for p in range(K + 1)]
     exact = [
-        [[fn[i] * gp[i] * model.mu[i] for gp in gs] for fn in fs]
-        for i in range(K + 1)
+        [[fn.values[i] * gp.values[i] * mu for gp in model.gs] for fn in model.fs]
+        for i, mu in enumerate(model.mu)
     ]
     D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
     A = [
@@ -315,31 +312,22 @@ def hypothesis_report(
     K = model.K
     entries: list[ReportEntry] = []
 
-    fs = [model.f(n) for n in range(K + 1)]
-    gs = [model.g(p) for p in range(K + 1)]
-
-    l1_f = {f"f_{n}": fmt_rational(l1_norm(model, fn)) for n, fn in enumerate(fs)}
-    entries.append(
-        ReportEntry(
-            "l1_bound_f",
-            all(l1_norm(model, fn) <= B_hat for fn in fs),
-            details=l1_f,
+    families = (("f", model.fs), ("g", model.gs))
+    for name, hs in families:
+        norms = [l1_norm(model, h) for h in hs]
+        entries.append(
+            ReportEntry(
+                f"l1_bound_{name}",
+                all(v <= B_hat for v in norms),
+                details={f"{name}_{n}": fmt_rational(v) for n, v in enumerate(norms)},
+            )
         )
-    )
-    l1_g = {f"g_{p}": fmt_rational(l1_norm(model, gp)) for p, gp in enumerate(gs)}
-    entries.append(
-        ReportEntry(
-            "l1_bound_g",
-            all(l1_norm(model, gp) <= B_hat for gp in gs),
-            details=l1_g,
-        )
-    )
 
     sigmas = atom_subsets(K)
 
-    for name, hs in (("small_set_continuity_f", fs), ("small_set_continuity_g", gs)):
+    for name, hs in families:
         breach = next(small_set_breaches(model, hs, B_hat, eps, sigmas), None)
-        entries.append(ReportEntry(name, breach is None))
+        entries.append(ReportEntry(f"small_set_continuity_{name}", breach is None))
 
     index_functions = [
         IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),

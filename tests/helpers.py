@@ -87,8 +87,7 @@ def reference_fluctuation_details(
     sequence entry integrates a StepFunction product over sigma in
     Fractions, and the finder runs at accuracy eps itself."""
     budget = fluctuation_budget(B_hat, eps)
-    fs = [model.f(n) for n in range(model.K + 1)]
-    gs = [model.g(p) for p in range(model.K + 1)]
+    fs, gs = model.fs, model.gs
     failures: dict[str, str] = {}
     runs = 0
     max_used = 0

@@ -166,12 +166,8 @@ def test_criterion_4_measure_space_exactness(models):
             assert model.d_star_d >= Fraction(1, 4)
             pairings = [
                 eval_functional(
-                    modulus_functional(
-                        model.basis, canonical("e_star", j, model.K), model.dual
-                    ),
-                    modulus_vector(
-                        model.basis, canonical("d", jp, model.K), model.dual
-                    ),
+                    modulus_functional(model.basis, canonical("e_star", j, model.K)),
+                    modulus_vector(model.basis, canonical("d", jp, model.K)),
                 ).rational()
                 for j in range(model.K + 1)
                 for jp in range(model.K + 1)

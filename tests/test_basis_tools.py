@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from jameslab import basis_tools
 from jameslab.basis_tools import (
     Basis,
     SignPattern,
     SingularBasis,
     UCEstimate,
     ZeroVector,
-    dual_basis,
     invert_rational_matrix,
     modulus_functional,
     modulus_vector,
@@ -80,8 +80,7 @@ def test_invert_random_verifies_by_multiplication():
 # ---------------------------------------------------------------------------
 
 def test_dual_of_identity_basis_is_e_star():
-    basis = Basis.canonical(3)
-    dual = dual_basis(basis)
+    dual = Basis.canonical(3).dual
     for i in range(4):
         f = dual.functional(i)
         assert f.rational_coeffs() == tuple(
@@ -91,8 +90,10 @@ def test_dual_of_identity_basis_is_e_star():
 
 def test_dual_of_diagonal_basis_scales():
     basis = Basis(1, ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))))
-    dual = dual_basis(basis)
-    assert dual.rows == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    assert basis.dual.rows == (
+        (Fraction(1, 2), Fraction(0)),
+        (Fraction(0), Fraction(1, 2)),
+    )
 
 
 def test_dual_basis_biorthogonality_random():
@@ -100,11 +101,10 @@ def test_dual_basis_biorthogonality_random():
     rng = random.Random(33)
     for _ in range(8):
         basis = random_invertible_basis(3, rng)
-        dual = dual_basis(basis)
         for i in range(4):
             for j in range(4):
                 value = sum(
-                    r * c for r, c in zip(dual.rows[i], basis.columns[j])
+                    r * c for r, c in zip(basis.dual.rows[i], basis.columns[j])
                 )
                 assert value == (1 if i == j else 0)
 
@@ -113,6 +113,18 @@ def test_singular_basis_rejected():
     cols = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
     with pytest.raises(SingularBasis):
         Basis(1, cols)
+
+
+def test_basis_rejects_dual_failing_biorthogonality(monkeypatch):
+    # an inverse that is off in one entry must not become the basis's dual
+    def bad_inverse(rows):
+        inv = invert_rational_matrix(rows)
+        inv[0][0] += 1
+        return inv
+
+    monkeypatch.setattr(basis_tools, "invert_rational_matrix", bad_inverse)
+    with pytest.raises(SingularBasis, match="biorthogonality check failed"):
+        Basis.canonical(2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jameslab import cli
 from jameslab.basis_tools import Basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
+from jameslab.james_core import james_norm_sq
+from jameslab.measure_space import StructureViolation
 
 
 def run_cli(capsys, *argv):
@@ -83,8 +86,14 @@ def test_verify_suite_passes():
     assert report.all_passed
 
 
-def test_verify_suite_fault_injection():
-    code, report = verify_suite(0, fault="norm_dp")
+def test_verify_suite_fault_injection(monkeypatch):
+    # a norm DP that reports one too much must fail the oracle comparison
+    def faulty_norm_sq(x):
+        value, cert = james_norm_sq(x)
+        return value + 1, cert
+
+    monkeypatch.setattr(cli, "james_norm_sq", faulty_norm_sq)
+    code, report = verify_suite(0)
     assert code == 1
     failure = report.first_failure()
     assert failure is not None
@@ -137,6 +146,18 @@ def test_nonpositive_b_or_eps_is_input_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
+    def broken_build(basis):
+        raise StructureViolation("mu(Omega) != 1")
+
+    monkeypatch.setattr(cli, "build", broken_build)
+    code, out, err = run_cli(capsys, "refute", "--canonical", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "invariant failure: mu(Omega) != 1\n"
+    assert "Traceback" not in err
 
 
 def test_basis_file_commands(tmp_path, capsys):

@@ -82,8 +82,8 @@ def test_d_star_d_bounded_by_max_pairing():
         model = build(basis)
         pairings = [
             eval_functional(
-                modulus_functional(basis, canonical("e_star", j, 3), model.dual),
-                modulus_vector(basis, canonical("d", jp, 3), model.dual),
+                modulus_functional(basis, canonical("e_star", j, 3)),
+                modulus_vector(basis, canonical("d", jp, 3)),
             ).rational()
             for j in range(4)
             for jp in range(4)
@@ -125,9 +125,7 @@ def test_pi_l1_identity_random():
         model = build(basis)
         x = random_vector(rng, 3)
         lhs = l1_norm(model, pi(model, x))
-        rhs = eval_functional(
-            model.d_star, modulus_vector(basis, x, model.dual)
-        ).rational()
+        rhs = eval_functional(model.d_star, modulus_vector(basis, x)).rational()
         assert lhs == rhs
 
 
@@ -140,9 +138,7 @@ def test_pi_star_l1_identity_random():
             3, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
         )
         lhs = l1_norm(model, pi_star(model, x_star))
-        rhs = eval_functional(
-            modulus_functional(basis, x_star, model.dual), model.d
-        ).rational()
+        rhs = eval_functional(modulus_functional(basis, x_star), model.d).rational()
         assert lhs == rhs
 
 

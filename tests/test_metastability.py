@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jameslab.basis_tools import Basis, random_invertible_basis
-from jameslab.measure_space import atom_subsets, build, integrate_over
+from jameslab.james_core import canonical
+from jameslab.measure_space import atom_subsets, build, integrate_over, pi, pi_star
 from jameslab.metastability import (
     BudgetExceeded,
     FoundPair,
@@ -221,10 +222,21 @@ ORACLE_MODELS = _oracle_models()
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_model_families_are_the_embedded_d_and_e_star(model):
+    K = model.K
+    assert len(model.fs) == len(model.gs) == K + 1
+    for n in range(K + 1):
+        assert model.fs[n] == pi(model, canonical("d", n, K))
+    for p in range(K + 1):
+        assert model.gs[p] == pi_star(model, canonical("e_star", p, K))
+    assert model.fs is model.fs and model.gs is model.gs  # built once
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
 def test_subset_tables_match_step_function_integrals(model):
     K = model.K
     D, A = atom_products(model)
-    products = [[model.f(n) * model.g(p) for p in range(K + 1)] for n in range(K + 1)]
+    products = [[fn * gp for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
         table = subset_table(A, sigma)
         for n in range(K + 1):
