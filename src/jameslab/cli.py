@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import hierarchy
@@ -365,12 +366,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _approx_sqrt(value: Fraction) -> str:
+    """sqrt(value) to 12 significant digits, for display only.  A nonzero
+    value that overflows a float or underflows to 0.0 is rooted in Decimal."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = 0.0
+    if approx or not value:
+        return f"{approx ** 0.5:.12g}"
+    root = (Decimal(value.numerator) / Decimal(value.denominator)).sqrt()
+    return f"{root.normalize(Context(prec=12)):g}"
+
+
 def _cmd_norm(args: argparse.Namespace) -> int:
     x = _load_json(args.input, JVector)
     value, cert = james_norm_sq(x)
     obj = {
         "norm_sq": fmt_rational(value),
-        "norm_decimal_approx": f"{float(value) ** 0.5:.12g}",
+        "norm_decimal_approx": _approx_sqrt(value),
         "certificate": {
             "cycle": list(cert.cycle.indices),
             "value_sq": fmt_rational(cert.value_sq),
@@ -378,7 +392,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     }
     lines = [
         f"norm_sq = {fmt_rational(value)}",
-        f"norm ~ {float(value) ** 0.5:.12g} (approximate display)",
+        f"norm ~ {_approx_sqrt(value)} (approximate display)",
         f"optimal cycle = {list(cert.cycle.indices)}",
     ]
     if args.oracle:

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
 from .james_core import (
@@ -95,6 +96,47 @@ class MeasureSpaceModel:
         return tuple(
             pi_star(self, canonical("e_star", p, self.K)) for p in range(self.K + 1)
         )
+
+    @cached_property
+    def atom_products(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Per-atom contributions to the product integrals, over one
+        denominator.
+
+        (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
+        integer for 0 <= i, n, p <= K, where D is the lcm of the
+        denominators of those products.  The values come from the model's
+        own fs, gs and mu, so the integral of f_n g_p over an atom subset
+        sigma is the sum of A[i][n][p] over i in sigma, divided by D, with
+        no identity assumed.
+        """
+        exact = [
+            [[fn.values[i] * gp.values[i] * mu for gp in self.gs] for fn in self.fs]
+            for i, mu in enumerate(self.mu)
+        ]
+        D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
+        A = tuple(
+            tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in atom)
+            for atom in exact
+        )
+        return D, A
+
+    @cached_property
+    def product_matrix(self) -> ProductMatrix:
+        """Integrate every product f_n * g_p and check the triangular
+        structure."""
+        entries = []
+        for n, fn in enumerate(self.fs):
+            row = []
+            for p, gp in enumerate(self.gs):
+                v = integrate(self, fn * gp)
+                expected = self.d_star_d if p <= n else Fraction(0)
+                if v != expected:
+                    raise StructureViolation(
+                        f"M[{n}][{p}] = {v}, expected {expected}"
+                    )
+                row.append(v)
+            entries.append(tuple(row))
+        return ProductMatrix(tuple(entries), self.d_star_d)
 
     def to_json_obj(self) -> dict:
         return {
@@ -247,20 +289,9 @@ class ProductMatrix:
 
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """Integrate every product f_n * g_p and check the triangular structure."""
-    entries = []
-    for n, fn in enumerate(model.fs):
-        row = []
-        for p, gp in enumerate(model.gs):
-            v = integrate(model, fn * gp)
-            expected = model.d_star_d if p <= n else Fraction(0)
-            if v != expected:
-                raise StructureViolation(
-                    f"M[{n}][{p}] = {v}, expected {expected}"
-                )
-            row.append(v)
-        entries.append(tuple(row))
-    return ProductMatrix(tuple(entries), model.d_star_d)
+    """The model's product matrix: every f_n * g_p integrated, with the
+    triangular structure checked, on the first call for the model."""
+    return model.product_matrix
 
 
 def atom_subsets(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import add
 
 from .measure_space import (
@@ -185,29 +184,8 @@ def fluctuation_budget(B_hat: Fraction, eps: Fraction) -> int:
     return ceil_rational(8 * B_hat**2 * ceil_inverse(Fraction(eps)) ** 2)
 
 
-def atom_products(model: MeasureSpaceModel) -> tuple[int, list[list[list[int]]]]:
-    """Per-atom contributions to the product integrals, over one denominator.
-
-    Returns (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
-    integer for 0 <= i, n, p <= K, where D is the lcm of the denominators of
-    those products.  The values come from the model's own fs, gs and mu, so
-    the integral of f_n g_p over an atom subset sigma is
-    subset_table(A, sigma)[n][p] / D, with no identity assumed.
-    """
-    exact = [
-        [[fn.values[i] * gp.values[i] * mu for gp in model.gs] for fn in model.fs]
-        for i, mu in enumerate(model.mu)
-    ]
-    D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
-    A = [
-        [[v.numerator * (D // v.denominator) for v in row] for row in atom]
-        for atom in exact
-    ]
-    return D, A
-
-
 def subset_table(
-    A: list[list[list[int]]], sigma: tuple[int, ...]
+    A: tuple[tuple[tuple[int, ...], ...], ...], sigma: tuple[int, ...]
 ) -> list[list[int]]:
     """S[n][p] = sum of A[i][n][p] over the atoms i in sigma."""
     K = len(A) - 1
@@ -236,11 +214,11 @@ def fluctuation_harness(
     by the 0 that e*_p gives beyond the top index (mode "fix_n").  In the
     K-dimensional shadow d_n is constant from n = K on, so both are
     tabulated to eventual constancy.  They are read off the integer table
-    D * S_sigma built from :func:`atom_products`, one sigma at a time, and
-    the finder runs at accuracy eps * D; its tests |a - b| >= eps/2 and
-    hi - lo < eps are homogeneous, so every interval is the one the exact
-    integrals give.  ``integrate_over`` on step-function products is the
-    test oracle for these tables.
+    D * S_sigma summed from the model's ``atom_products``, one sigma at a
+    time, and the finder runs at accuracy eps * D; its tests
+    |a - b| >= eps/2 and hi - lo < eps are homogeneous, so every interval is
+    the one the exact integrals give.  ``integrate_over`` on step-function
+    products is the test oracle for these tables.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
@@ -250,7 +228,7 @@ def fluctuation_harness(
         raise ValueError(f"unknown mode {mode!r}")
     budget = fluctuation_budget(B_hat, eps)
     F = monotonize(F)
-    D, A = atom_products(model)
+    D, A = model.atom_products
     scaled_eps = Fraction(eps) * D
     failures: dict[str, str] = {}
     runs = 0

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jameslab import cli
+from jameslab import cli, measure_space
 from jameslab.basis_tools import Basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
-from jameslab.measure_space import StructureViolation
+from jameslab.measure_space import StructureViolation, build
+from jameslab.metastability import hypothesis_report
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,23 @@ def test_run_refutation_api():
     assert report.threshold_symbolic == "f_w(8589934597)"
 
 
+def test_refutation_integrates_the_product_matrix_once(monkeypatch):
+    integrals = []
+    real_integrate = measure_space.integrate
+
+    def counting_integrate(model, h):
+        integrals.append(h)
+        return real_integrate(model, h)
+
+    monkeypatch.setattr(measure_space, "integrate", counting_integrate)
+    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
+    report_integrals = len(integrals)
+    integrals.clear()
+    report = run_refutation(Basis.canonical(3), Fraction(2))
+    assert report.conclusion is None
+    assert len(integrals) == report_integrals + 4 * 4
+
+
 # ---------------------------------------------------------------------------
 # verify suite
 # ---------------------------------------------------------------------------
@@ -114,6 +132,33 @@ def test_norm_command_roundtrip(tmp_path, capsys):
     assert obj["norm_sq"] == "8/1"
     assert obj["oracle_agrees"] is True
     assert obj["certificate"]["cycle"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "coeffs, norm_sq, approx",
+    [
+        # past the float range both ways: exact lines as before, a finite
+        # display instead of an OverflowError or a displayed 0
+        (["1", "1e400", "2"], "1" + "0" * 800 + "/1", "1e+400"),
+        (["3e-400"], "9/1" + "0" * 800, "3e-400"),
+        # inside it the display is the float one, byte for byte
+        (["1", "-1", "1", "-1"], "8/1", f"{8.0 ** 0.5:.12g}"),
+        (["1/3", "1e150", "0"], "1" + "0" * 300 + "/1", f"{1e300 ** 0.5:.12g}"),
+    ],
+)
+def test_norm_display_for_any_magnitude(tmp_path, capsys, coeffs, norm_sq, approx):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"K": len(coeffs) - 1, "coeffs": coeffs}))
+    code, out, err = run_cli(capsys, "norm", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        f"norm_sq = {norm_sq}",
+        f"norm ~ {approx} (approximate display)",
+    ]
+    code, out, _ = run_cli(capsys, "--json", "norm", "--input", str(path))
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["norm_sq"], obj["norm_decimal_approx"]) == (norm_sq, approx)
 
 
 def test_norm_missing_file_is_input_error(capsys):

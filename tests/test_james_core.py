@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,8 @@ from jameslab.james_core import (
     james_norm_sq_oracle,
     james_norm_sq_upper_bound,
     violation_to_witness,
+    _envelope_cycle_table,
+    _longest_cycle_table,
 )
 from jameslab.scalars import Root2Scalar, ceil_inverse
 
@@ -205,6 +208,59 @@ def test_float_norm_matches_exact_on_small_integers(cs):
     # below 2^53, so the float DP makes no rounding error at all.
     exact, _ = james_norm_sq(JVector(len(cs) - 1, tuple(cs)))
     assert james_norm_sq_float([float(c) for c in cs]) == float(exact)
+
+
+# value lists as the exact norm sees them (virtual zero appended): tiny
+# alphabets give ties, plateaus and 0/1 blocks; the wide draws reach 10^30
+@st.composite
+def _kernel_values(draw):
+    if draw(st.booleans()):
+        alphabet = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        coords = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=41))
+    else:
+        bound = 10 ** draw(st.sampled_from([1, 3, 9, 30]))
+        coords = draw(
+            st.lists(st.integers(min_value=-bound, max_value=bound), min_size=1, max_size=41)
+        )
+    return coords + [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_values())
+@example([7] * 40 + [0])
+@example([1, 0] * 20 + [0])
+def test_envelope_kernel_matches_cubic_table(vals):
+    assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
+
+
+@pytest.mark.parametrize(
+    "vals, best, start",
+    [
+        ([0], 0, 0),  # a single point closes no cycle
+        ([0, 0, 0, 0], 0, 0),  # all zero: no cycle has a positive sum
+        ([4, 0], 32, 0),  # one value against the virtual zero: 2 * 4^2
+        ([3, 3, 3, 0], 18, 0),  # all equal: still 2 * 3^2, first start wins
+    ],
+)
+def test_envelope_kernel_degenerate_inputs(vals, best, start):
+    table = _envelope_cycle_table(vals)
+    assert table == _longest_cycle_table(vals)
+    assert table[:2] == (best, start)
+
+
+def test_envelope_kernel_matches_cubic_table_exhaustively_at_small_k():
+    # every start that can win is run: repeated values must not skip one
+    for K in range(4):
+        for coords in product(range(-3, 4), repeat=K + 1):
+            vals = [*coords, 0]
+            assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
+
+
+def test_envelope_kernel_matches_cubic_table_at_k120():
+    rng = random.Random(120)
+    vals = [rng.choice((-5, -1, 0, 0, 1, 2, 7)) * rng.randint(1, 3) for _ in range(121)]
+    vals.append(0)
+    assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
 
 
 def test_certificate_dominates_random_cycles():

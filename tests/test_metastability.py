@@ -15,7 +15,6 @@ from jameslab.metastability import (
     IndexFunction,
     SequenceOracle,
     StableInterval,
-    atom_products,
     conclusion_search,
     count_fluctuations,
     find_stable_interval,
@@ -235,7 +234,8 @@ def test_model_families_are_the_embedded_d_and_e_star(model):
 @pytest.mark.parametrize("model", ORACLE_MODELS)
 def test_subset_tables_match_step_function_integrals(model):
     K = model.K
-    D, A = atom_products(model)
+    D, A = model.atom_products
+    assert model.atom_products is model.atom_products  # built once
     products = [[fn * gp for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
         table = subset_table(A, sigma)
@@ -269,7 +269,7 @@ def test_harness_matches_step_function_reference(model, B_hat, eps):
 
 
 def test_subset_table_rejects_bad_atoms():
-    _, A = atom_products(build(Basis.canonical(2)))
+    _, A = build(Basis.canonical(2)).atom_products
     with pytest.raises(IndexError):
         subset_table(A, (3,))
     with pytest.raises(IndexError):
