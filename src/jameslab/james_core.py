@@ -265,15 +265,23 @@ def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
     For each start a the table g[i] holds the best completion value (sum of
     squared differences, wrap term back to a included) of any increasing
     cycle from a that has reached i.  Returns the best g[a], the first start
-    a that reaches it, and that start's table.  O(len(vals)^3).  It is the
-    kernel of the float norm, where the expanded line form of
-    :func:`_envelope_cycle_table` would cancel, and the test oracle for that
-    exact kernel.
+    a that reaches it, and that start's table.
+
+    Only the first start with each value is run.  If a < b and v_a = v_b,
+    the tables of a and b agree from b on, so g_a[a] >= g_a[b] = g_b[b]:
+    start b cannot strictly beat the best found by then, and it would not
+    be the first start reaching the maximum.  That holds in floats too, as
+    the two tables are the same float computations.  O(U * len(vals)^2)
+    for U distinct values.
     """
     T = len(vals)
     best, best_a, best_g = 0, 0, []
+    seen = set()
     for a in range(T):
         base = vals[a]
+        if base in seen:
+            continue
+        seen.add(base)
         g = [0] * T
         for i in range(T - 1, a - 1, -1):
             vi = vals[i]
@@ -290,110 +298,18 @@ def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
     return best, best_a, best_g
 
 
-def _envelope_cycle_table(vals: list[int]) -> tuple[int, int, list[int]]:
-    """The (best, start, table) of :func:`_longest_cycle_table`, entry for
-    entry, on ints, in O(U T log U) for T = len(vals) and U distinct values.
-
-    Each candidate of g[i] is a line evaluated at v_i, plus v_i^2:
-    (v_i - v_j)^2 + g[j] = v_i^2 + (-2 v_j) v_i + (v_j^2 + g[j]), and the
-    wrap term back to the start a is the line (-2 v_a, v_a^2).  So for each
-    start a, g[i] = v_i^2 + (upper envelope of the lines at v_i), with the
-    line of i inserted once g[i] is known.  The envelope is a Li Chao tree
-    whose leaves are the sorted distinct values (padded to a power of two
-    with larger integers), the only points ever queried: every node holds
-    one line, and a point's envelope value is the max over the nodes on its
-    leaf-to-root path.  All arithmetic is exact, so every table equals the
-    cubic DP's.
-
-    Only the first start with each value is run.  If a < b and v_a = v_b,
-    swapping b for a in a cycle (b, i_2, ..., i_m) keeps it increasing and
-    keeps every difference, so g_a[a] >= g_b[b]: start b cannot strictly
-    beat the best found by then, and the cubic DP, which keeps the first
-    start reaching the maximum, would not have taken it either.
-    """
-    T = len(vals)
-    xs = sorted(set(vals))
-    U = len(xs)
-    size = 1 << (U - 1).bit_length()
-    xs += range(xs[-1] + 1, xs[-1] + 1 + size - U)
-    # heap-ordered nodes: node n covers the points lo[n]..hi[n], and mid[n]
-    # is the last point of its left child
-    lo, hi, mid = [0], [0], [0]
-    w = size
-    while w > 1:
-        lo += xs[::w]
-        hi += xs[w - 1 :: w]
-        mid += xs[(w >> 1) - 1 :: w]
-        w >>= 1
-    lo += xs
-    hi += xs
-    leaf_of = {x: k for k, x in enumerate(xs, size)}
-    leaf = [leaf_of[v] for v in vals]
-    nodes = 2 * size
-    best, best_a, best_g = 0, 0, []
-    seen = set()
-    for a in range(T):
-        va = vals[a]
-        if va in seen:
-            continue
-        seen.add(va)
-        M = [-2 * va] * nodes  # every node starts with the wrap line
-        B = [va * va] * nodes
-        g = [0] * T
-        for i in range(T - 1, a - 1, -1):
-            vi = vals[i]
-            k = leaf[i]
-            q = M[k] * vi + B[k]
-            k >>= 1
-            while k:
-                t = M[k] * vi + B[k]
-                if t > q:
-                    q = t
-                k >>= 1
-            sq = vi * vi
-            g[i] = sq + q
-            # insert the line of i: keep the better line at each node and
-            # push the other toward the side where it still wins
-            m = -2 * vi
-            b = sq + g[i]
-            n = 1
-            while True:
-                cm = M[n]
-                cb = B[n]
-                xl = lo[n]
-                xr = hi[n]
-                left_wins = m * xl + b > cm * xl + cb
-                if left_wins == (m * xr + b > cm * xr + cb):
-                    if left_wins:
-                        M[n] = m
-                        B[n] = b
-                    break
-                xm = mid[n]
-                if m * xm + b > cm * xm + cb:
-                    M[n] = m
-                    B[n] = b
-                    m = cm
-                    b = cb
-                    n = 2 * n + 1 if left_wins else 2 * n
-                else:
-                    n = 2 * n if left_wins else 2 * n + 1
-        if g[a] > best:
-            best, best_a, best_g = g[a], a, g
-    return best, best_a, best_g
-
-
 def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     """Exact squared James norm with an optimal-cycle certificate.
 
-    Runs :func:`_envelope_cycle_table` on integer numerators over a common
+    Runs :func:`_longest_cycle_table` on integer numerators over a common
     denominator, then walks the winning start's table forward.  Ties
     between optimal cycles are broken toward the lexicographically least
-    index tuple.  O(U K log U) integer arithmetic for the table after
-    clearing denominators, with U <= K + 2 distinct values, plus O(K^2)
-    for the walk.
+    index tuple.  O(U K^2) integer arithmetic for the table after clearing
+    denominators, with U <= K + 2 distinct values, plus O(K^2) for the
+    walk.
     """
     nums, den = _scaled_int_coords(x)
-    best_val, a, g = _envelope_cycle_table(nums)
+    best_val, a, g = _longest_cycle_table(nums)
     if best_val == 0:
         zero = Fraction(0)
         return zero, NormCertificate(Cycle((0,)), zero)

@@ -34,6 +34,22 @@ def random_vector(
     )
 
 
+def every_start_cycle_table(vals: list) -> tuple:
+    """The norm DP's (best, first best start, table), running every start:
+    the reference for the start skipping of ``_longest_cycle_table``."""
+    T = len(vals)
+    best, best_a, best_g = 0, 0, []
+    for a in range(T):
+        g = [0] * T
+        for i in range(T - 1, a - 1, -1):
+            ds = [vals[i] - vals[a]] + [vals[i] - vals[j] for j in range(i + 1, T)]
+            ws = [0] + g[i + 1 :]
+            g[i] = max(d * d + w for d, w in zip(ds, ws))
+        if g[a] > best:
+            best, best_a, best_g = g[a], a, g
+    return best, best_a, best_g
+
+
 def random_chain(rng: random.Random, top: int, length: int) -> tuple[int, ...]:
     """Strictly increasing indices drawn from 0..top."""
     chosen: set[int] = set()

@@ -145,6 +145,7 @@ def test_norm_command_roundtrip(tmp_path, capsys):
         (["1", "-1", "1", "-1"], "8/1", f"{8.0 ** 0.5:.12g}"),
         (["1/3", "1e150", "0"], "1" + "0" * 300 + "/1", f"{1e300 ** 0.5:.12g}"),
     ],
+    ids=["overflow", "underflow", "small", "large"],
 )
 def test_norm_display_for_any_magnitude(tmp_path, capsys, coeffs, norm_sq, approx):
     path = tmp_path / "vec.json"

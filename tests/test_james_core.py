@@ -33,12 +33,12 @@ from jameslab.james_core import (
     james_norm_sq_oracle,
     james_norm_sq_upper_bound,
     violation_to_witness,
-    _envelope_cycle_table,
     _longest_cycle_table,
 )
 from jameslab.scalars import Root2Scalar, ceil_inverse
 
 from helpers import (
+    every_start_cycle_table,
     planted_violator,
     random_chain,
     random_vector,
@@ -210,7 +210,7 @@ def test_float_norm_matches_exact_on_small_integers(cs):
     assert james_norm_sq_float([float(c) for c in cs]) == float(exact)
 
 
-# value lists as the exact norm sees them (virtual zero appended): tiny
+# value lists as the norm DP sees them (virtual zero appended): tiny
 # alphabets give ties, plateaus and 0/1 blocks; the wide draws reach 10^30
 @st.composite
 def _kernel_values(draw):
@@ -229,8 +229,20 @@ def _kernel_values(draw):
 @given(_kernel_values())
 @example([7] * 40 + [0])
 @example([1, 0] * 20 + [0])
-def test_envelope_kernel_matches_cubic_table(vals):
-    assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
+def test_value_skip_keeps_every_start_table(vals):
+    assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_values(), st.sampled_from([1.0, 0.1, 1e-20]))
+def test_value_skip_keeps_every_start_table_in_floats(vals, scale):
+    fvals = [v * scale for v in vals]
+    assert _longest_cycle_table(fvals) == every_start_cycle_table(fvals)
+
+
+def test_value_skip_treats_signed_zeros_as_one_value():
+    vals = [-0.0, 1.5, 0.0, -2.0, -0.0, 0.0]
+    assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
 
 
 @pytest.mark.parametrize(
@@ -242,25 +254,25 @@ def test_envelope_kernel_matches_cubic_table(vals):
         ([3, 3, 3, 0], 18, 0),  # all equal: still 2 * 3^2, first start wins
     ],
 )
-def test_envelope_kernel_degenerate_inputs(vals, best, start):
-    table = _envelope_cycle_table(vals)
-    assert table == _longest_cycle_table(vals)
+def test_norm_table_degenerate_inputs(vals, best, start):
+    table = _longest_cycle_table(vals)
+    assert table == every_start_cycle_table(vals)
     assert table[:2] == (best, start)
 
 
-def test_envelope_kernel_matches_cubic_table_exhaustively_at_small_k():
+def test_value_skip_keeps_every_start_table_exhaustively_at_small_k():
     # every start that can win is run: repeated values must not skip one
     for K in range(4):
         for coords in product(range(-3, 4), repeat=K + 1):
             vals = [*coords, 0]
-            assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
+            assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
 
 
-def test_envelope_kernel_matches_cubic_table_at_k120():
+def test_value_skip_keeps_every_start_table_at_k120():
     rng = random.Random(120)
     vals = [rng.choice((-5, -1, 0, 0, 1, 2, 7)) * rng.randint(1, 3) for _ in range(121)]
     vals.append(0)
-    assert _envelope_cycle_table(vals) == _longest_cycle_table(vals)
+    assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
 
 
 def test_certificate_dominates_random_cycles():

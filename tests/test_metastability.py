@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jameslab.basis_tools import Basis, random_invertible_basis
+from jameslab import measure_space
 from jameslab.james_core import canonical
 from jameslab.measure_space import atom_subsets, build, integrate_over, pi, pi_star
 from jameslab.metastability import (
@@ -235,7 +236,6 @@ def test_model_families_are_the_embedded_d_and_e_star(model):
 def test_subset_tables_match_step_function_integrals(model):
     K = model.K
     D, A = model.atom_products
-    assert model.atom_products is model.atom_products  # built once
     products = [[fn * gp for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
         table = subset_table(A, sigma)
@@ -266,6 +266,20 @@ def test_harness_matches_step_function_reference(model, B_hat, eps):
             assert entry.details == reference_fluctuation_details(
                 model, B_hat, eps, F, mode, sigmas
             )
+
+
+def test_hypothesis_report_builds_the_atom_tables_once(monkeypatch):
+    # the common denominator D is taken once per build of the tables
+    builds = []
+    real_lcm = measure_space.lcm
+
+    def counting_lcm(*args):
+        builds.append(args)
+        return real_lcm(*args)
+
+    monkeypatch.setattr(measure_space, "lcm", counting_lcm)
+    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
+    assert len(builds) == 1
 
 
 def test_subset_table_rejects_bad_atoms():
