@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .james_core import (
     DimensionMismatch,
@@ -20,7 +21,7 @@ from .james_core import (
     james_norm_sq,
     james_norm_sq_float,
 )
-from .scalars import Root2Scalar, fmt_rational
+from .scalars import Root2Scalar, fmt_rational, integer_rows
 
 
 class SingularBasis(ValueError):
@@ -36,28 +37,39 @@ class DimensionTooLargeForPatterns(ValueError):
 
 
 def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan over the rationals; pivot on the first nonzero entry."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss
+    1968); pivot on the first nonzero entry.
+
+    The rows are scaled by the lcm D of their denominators to an integer
+    matrix M = D * A, and [M | I] is reduced in integers: each step on a
+    pivot p replaces every other row by (p * row - f * pivot_row) / prev,
+    where prev is the previous pivot.  Every entry is then a minor of
+    [M | I] (Sylvester's identity), so the divisions are exact and the
+    zero entries are those of rational Gauss-Jordan, which picks the same
+    pivots.  The left block ends as det * I and the right one as
+    det * M^-1, so A^-1 = D * (right block) / det.
+    """
     n = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    D, m = integer_rows(a)
+    for i, row in enumerate(m):
+        row.extend(int(i == j) for j in range(n))
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             raise SingularBasis(f"no pivot in column {col}")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [v / p for v in a[col]]
-        inv[col] = [v / p for v in inv[col]]
+        m[col], m[pivot] = m[pivot], m[col]
+        pivot_row = m[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], pivot_row)]
+        prev = p
+    return [[Fraction(D * v, prev) for v in row[n:]] for row in m]
 
 
 @dataclass(frozen=True)
@@ -101,10 +113,12 @@ class Basis:
         ]
         inverse = invert_rational_matrix(rows)
         self.dual = DualBasis(self.K, tuple(tuple(row) for row in inverse))
-        for i in range(self.K + 1):
-            coords = self.dual.coords_of(self.vector(i))
-            for j, c in enumerate(coords):
-                if c != (1 if i == j else 0):
+        # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned
+        E, dual_rows = integer_rows(self.dual.rows)
+        F, columns = integer_rows(self.columns)
+        for i, g in enumerate(dual_rows):
+            for j, w in enumerate(columns):
+                if sum(map(mul, g, w)) != (E * F if i == j else 0):
                     raise SingularBasis("biorthogonality check failed")
 
     @classmethod
@@ -156,17 +170,24 @@ def modulus_vector(basis: Basis, x: JVector) -> JVector:
 
 
 def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
-    """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j."""
+    """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j.
+
+    With v_i = |x*(w_i)| = a_i + b_i sqrt(2), coefficient k is
+    sum_i a_i W^-1[i][k] + sqrt(2) sum_i b_i W^-1[i][k]; both sums are
+    taken in plain rationals, for rational and sqrt(2) functionals alike.
+    """
     if x_star.K != basis.K:
         raise DimensionMismatch((x_star.K, basis.K))
     K = basis.K
-    acc = DualFunctional.zero(K)
-    for i in range(K + 1):
+    a = [Fraction(0)] * (K + 1)
+    b = [Fraction(0)] * (K + 1)
+    for i, row in enumerate(basis.dual.rows):
         v = abs(eval_functional(x_star, basis.vector(i)))
-        if v == Root2Scalar.zero():
-            continue
-        acc = acc + basis.dual.functional(i).scale(v)
-    return acc
+        if v.a:
+            a = [s + v.a * g for s, g in zip(a, row)]
+        if v.b:
+            b = [s + v.b * g for s, g in zip(b, row)]
+    return DualFunctional(K, tuple(map(Root2Scalar, a, b)))
 
 
 def sign_align(

@@ -28,6 +28,7 @@ from .hierarchy import (
     EvalBudget,
     Exact,
     HierarchyExpr,
+    UndecidedComparison,
     fgh_eval,
     format_value,
     threshold_arg,
@@ -554,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except StructureViolation as exc:
+    except (StructureViolation, UndecidedComparison) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,11 @@ from .scalars import ceil_inverse, ceil_rational
 OMEGA = "omega"
 
 
+class UndecidedComparison(AssertionError):
+    """:func:`fgh_compare` used up its budgets without a certificate either
+    way; its budgets are chosen so that this does not happen."""
+
+
 @dataclass(frozen=True)
 class EvalBudget:
     max_digits: int = 10**6
@@ -238,7 +243,8 @@ def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
 
     Order: first the conservative monotonicity certificate (which can
     prove only >=), then budgeted partial evaluation whose digit budget
-    is pinned just above N so a breach itself certifies >=.
+    is pinned just above N so a breach itself certifies >=.  Raises
+    :class:`UndecidedComparison` when neither yields a certificate.
     """
     if N < 0:
         raise ValueError("comparison target must be nonnegative")
@@ -248,7 +254,7 @@ def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
     if exact_arg is None:
         # the argument alone already breached a budget pinned above N,
         # yet the floor certificate failed: only tiny targets reach here
-        raise AssertionError("indeterminate comparison; argument not resolvable")
+        raise UndecidedComparison("indeterminate comparison; argument not resolvable")
     result = _compare_eval(HierarchyExpr(expr.level, exact_arg), N)
     if isinstance(result, Exact):
         return (
@@ -258,7 +264,7 @@ def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
         )
     if result.certified_lower_bound >= N:
         return CompareResult.GREATER_OR_EQUAL
-    raise AssertionError("comparison budgets exhausted without a certificate")
+    raise UndecidedComparison("comparison budgets exhausted without a certificate")
 
 
 def format_value(x: int) -> str:

@@ -14,18 +14,19 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
 from .james_core import (
     DimensionMismatch,
     DualFunctional,
     JVector,
-    canonical,
     eval_functional,
 )
 from .reporting import Report, ReportEntry
-from .scalars import fmt_rational
+from .scalars import ceil_rational, fmt_rational, integer_rows
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
 
@@ -87,14 +88,22 @@ class MeasureSpaceModel:
 
     @cached_property
     def fs(self) -> tuple[StepFunction, ...]:
-        """f_0..f_K: the embedded d_n."""
-        return tuple(pi(self, canonical("d", n, self.K)) for n in range(self.K + 1))
+        """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n)."""
+        scales = [self.d_star_d / g for g in self.gamma_d]
+        gamma = [list(accumulate(row)) for row in self.dual.rows]  # g*_i(d_n)
+        return tuple(
+            StepFunction(tuple(s * row[n] for s, row in zip(scales, gamma)))
+            for n in range(self.K + 1)
+        )
 
     @cached_property
     def gs(self) -> tuple[StepFunction, ...]:
-        """g_0..g_K: the embedded e*_p."""
+        """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i]."""
+        scales = [self.d_star_d / v for v in self.d_star_atoms]
+        columns = self.basis.columns
         return tuple(
-            pi_star(self, canonical("e_star", p, self.K)) for p in range(self.K + 1)
+            StepFunction(tuple(s * col[p] for s, col in zip(scales, columns)))
+            for p in range(self.K + 1)
         )
 
     @cached_property
@@ -151,61 +160,65 @@ class MeasureSpaceModel:
 def build(basis: Basis) -> MeasureSpaceModel:
     """Construct the measure space for a basis, verifying its invariants.
 
-    mu({w_i}) = g*_i(d)/d*(d) * d*(w_i).  Before returning, checks exactly
-    that mu is a probability measure, that d*(d) >= 1/4, and that d*(d)
-    agrees with its expansion as the weighted double sum of |e*_j|(|d_j'|).
+    mu({w_i}) = g*_i(d)/d*(d) * d*(w_i).  With W[j][i] = coordinate j of
+    w_i and Gamma[i][j] = g*_i(d_j), the moduli are |d_j| = sum_i
+    |Gamma[i][j]| w_i and |e*_j| = sum_i |W[j][i]| g*_i, so
+    d = W c and d* = r W^-1 with c_i = sum_j 2^-(j+1) |Gamma[i][j]| and
+    r_i = sum_j 2^-(j+1) |W[j][i]|, and d*(d) is their dot product.  W
+    and W^-1 are taken as integers over one denominator each, so every
+    sum below is an integer dot product.
+
+    Before returning, checks exactly that mu is a probability measure,
+    that d*(d) >= 1/4, and that d*(d) agrees with the weighted double sum
+    of |e*_j|(|d_j'|), which is sum_i r_i c_i because g*_i(w_k) = [i == k].
+    These checks do not rest on the closed forms: the double sum tests
+    W^-1 W = I along (r, c), and g*_i(d) = W^-1 d and d*(w_i), hence mu,
+    are products with the computed d and d*.
     """
     K = basis.K
-    d_moduli = [modulus_vector(basis, canonical("d", j, K)) for j in range(K + 1)]
-    d = JVector.zero(K)
-    for j, m in enumerate(d_moduli):
-        d = d + m.scale(Fraction(1, 2 ** (j + 1)))
+    E, inv = integer_rows(basis.dual.rows)  # E * W^-1, row i = E * g*_i
+    F, cols = integer_rows(basis.columns)  # F * W, column i = F * w_i
+    P = 2 ** (K + 1)
+    halving = [2 ** (K - j) for j in range(K + 1)]  # P * 2^-(j+1)
 
-    e_star_moduli = [
-        modulus_functional(basis, canonical("e_star", j, K)) for j in range(K + 1)
-    ]
-    d_star = DualFunctional.zero(K)
-    for j, m in enumerate(e_star_moduli):
-        d_star = d_star + m.scale(Fraction(1, 2 ** (j + 1)))
-    if not d_star.has_rational_coeffs:
-        raise StructureViolation("d* must have rational coefficients")
+    # c_i = C_i / (E P) and r_i = R_i / (F P)
+    C = [sum(h * abs(v) for h, v in zip(halving, accumulate(row))) for row in inv]
+    R = [sum(h * abs(v) for h, v in zip(halving, col)) for col in cols]
+    # d = W c and d* = r W^-1, both over Q = F E P
+    Q = F * E * P
+    d_num = [sum(map(mul, row, C)) for row in zip(*cols)]
+    d_star_num = [sum(map(mul, R, col)) for col in zip(*inv)]
+    S = sum(map(mul, d_star_num, d_num))  # d*(d) = S / Q^2
 
-    d_star_d = eval_functional(d_star, d).rational()
-
-    double_sum = Fraction(0)
-    for j in range(K + 1):
-        for jp in range(K + 1):
-            pairing = eval_functional(e_star_moduli[j], d_moduli[jp]).rational()
-            double_sum += Fraction(1, 2 ** (j + jp + 2)) * pairing
-    if double_sum != d_star_d:
+    if sum(map(mul, R, C)) * F * E != S:
         raise StructureViolation("d*(d) does not match its double-sum expansion")
+    d_star_d = Fraction(S, Q * Q)
     if d_star_d < Fraction(1, 4):
         raise StructureViolation(f"d*(d) = {d_star_d} < 1/4")
 
-    gamma_d = basis.dual.coords_of(d)
-    d_star_atoms = tuple(
-        eval_functional(d_star, basis.vector(i)).rational() for i in range(K + 1)
-    )
+    # g*_i(d) = G_i / (E Q) and d*(w_i) = A_i / (Q F)
+    G = [sum(map(mul, row, d_num)) for row in inv]
+    A = [sum(map(mul, d_star_num, col)) for col in cols]
     for i in range(K + 1):
-        if gamma_d[i] == 0 or d_star_atoms[i] == 0:
+        if G[i] == 0 or A[i] == 0:
             raise DegenerateAtom(f"atom {i} has zero weight ingredient")
 
-    mu = tuple(
-        gamma_d[i] / d_star_d * d_star_atoms[i] for i in range(K + 1)
-    )
-    if any(m <= 0 for m in mu):
+    # mu_i = G_i A_i / (E F S)
+    if any(g * a <= 0 for g, a in zip(G, A)):
         raise DegenerateAtom("nonpositive atom weight")
-    if sum(mu, Fraction(0)) != 1:
+    if sum(map(mul, G, A)) != E * F * S:
         raise StructureViolation("mu(Omega) != 1")
 
     return MeasureSpaceModel(
         basis=basis,
-        d=d,
-        d_star=d_star,
+        d=JVector(K, tuple(Fraction(v, Q) for v in d_num)),
+        d_star=DualFunctional.from_rationals(
+            K, tuple(Fraction(v, Q) for v in d_star_num)
+        ),
         d_star_d=d_star_d,
-        mu=mu,
-        gamma_d=gamma_d,
-        d_star_atoms=d_star_atoms,
+        mu=tuple(Fraction(g * a, E * F * S) for g, a in zip(G, A)),
+        gamma_d=tuple(Fraction(g, E * Q) for g in G),
+        d_star_atoms=tuple(Fraction(a, Q * F) for a in A),
     )
 
 
@@ -319,13 +332,41 @@ def small_set_breaches(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield each (sigma, n), sigma-major, that breaks small-set continuity:
     mu(sigma) < eps / (bound * 2^n) while the integral of |h_n| over sigma
-    is at least eps.  Integrals are taken lazily, only for small sigma."""
-    cases = [(eps / (bound * 2**n), h.abs()) for n, h in enumerate(hs)]
+    is at least eps.
+
+    mu and each |h_n| * mu are put over one denominator per call, so both
+    tests compare integer subset sums with integer thresholds (an integer
+    s is below a rational x exactly when it is below ceil(x)).  Integrals
+    are summed only for small sigma, whose atoms are checked as
+    ``integrate_over`` checks them.
+    """
+    K = model.K
+    bound, eps = Fraction(bound), Fraction(eps)
+    D_mu, (mu,) = integer_rows([model.mu])
+    cases = []
+    for n, h in enumerate(hs):
+        if len(h.values) != K + 1:
+            raise DimensionMismatch((len(h.values), K + 1))
+        D, (weighted,) = integer_rows([map(mul, h.abs().values, model.mu)])
+        mu_limit = ceil_rational(eps * D_mu / (bound * 2**n))
+        cases.append((mu_limit, ceil_rational(eps * D), weighted))
+    widest = max((mu_limit for mu_limit, _, _ in cases), default=0)
     for sigma in sigmas:
-        m = mu_of(model, sigma)
-        for n, (threshold, h_abs) in enumerate(cases):
-            if m < threshold and integrate_over(model, h_abs, sigma) >= eps:
+        s = sum(map(mu.__getitem__, sigma))
+        if s >= widest:
+            continue
+        _check_atoms(sigma, K)
+        for n, (mu_limit, h_limit, weighted) in enumerate(cases):
+            if s < mu_limit and sum(map(weighted.__getitem__, sigma)) >= h_limit:
                 yield sigma, n
+
+
+def _check_atoms(sigma: tuple[int, ...], K: int) -> None:
+    if len(set(sigma)) != len(sigma):
+        raise ValueError(f"atom listed twice in {sigma}")
+    for i in sigma:
+        if not 0 <= i <= K:
+            raise IndexError(i)
 
 
 def _random_vector(rng: random.Random, K: int) -> JVector:

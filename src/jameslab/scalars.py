@@ -8,9 +8,10 @@ exactly afterwards.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import isqrt, lcm
 
 Rational = Fraction
 
@@ -23,9 +24,37 @@ SQRT2_LOWER = Fraction(_SQRT2_NUM, _SQRT2_DEN)
 SQRT2_UPPER = Fraction(_SQRT2_NUM + 1, _SQRT2_DEN)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.
+
+    Python refuses to convert ints with more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default); such an int is
+    split at a power of ten into two halves that are converted alone, so
+    the process-wide limit is left as it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def fmt_rational(x: Fraction) -> str:
     """Render a rational as a lossless "p/q" string."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def integer_rows(
+    rows: Iterable[Iterable[Fraction]],
+) -> tuple[int, list[list[int]]]:
+    """(D, D * rows): rows of rationals over one denominator D, the lcm of
+    all their denominators, as lists of integers."""
+    rows = [list(row) for row in rows]
+    D = lcm(*(v.denominator for row in rows for v in row))
+    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
 def parse_rational(s: str) -> Fraction:
@@ -64,8 +93,9 @@ class Root2Scalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Fraction | int, b: Fraction | int = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # a Fraction is immutable, so one is kept as given, not copied
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Root2Scalar is immutable")

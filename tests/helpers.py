@@ -5,16 +5,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from jameslab.basis_tools import Basis, SingularBasis, modulus_vector
 from jameslab.james_core import (
     CertTerm,
     Cycle,
     DualBallCertificate,
     DualFunctional,
     JVector,
+    canonical,
+    eval_functional,
     functional_from_certificate,
     james_norm_sq_upper_bound,
 )
-from jameslab.measure_space import MeasureSpaceModel, integrate_over
+from jameslab.measure_space import (
+    DegenerateAtom,
+    MeasureSpaceModel,
+    StructureViolation,
+    integrate_over,
+    mu_of,
+)
 from jameslab.metastability import (
     BudgetExceeded,
     IndexFunction,
@@ -22,7 +31,7 @@ from jameslab.metastability import (
     find_stable_interval,
     fluctuation_budget,
 )
-from jameslab.scalars import ceil_sqrt_rational
+from jameslab.scalars import Root2Scalar, ceil_sqrt_rational
 
 
 def random_vector(
@@ -135,3 +144,118 @@ def reference_fluctuation_details(
         "witness_interval": worst_interval,
         **failures,
     }
+
+
+def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Rational Gauss-Jordan, pivoting on the first nonzero entry: the
+    reference for the fraction-free ``invert_rational_matrix``."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularBasis(f"no pivot in column {col}")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = a[col][col]
+        a[col] = [v / p for v in a[col]]
+        inv[col] = [v / p for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+def reference_modulus_functional(
+    basis: Basis, x_star: DualFunctional
+) -> DualFunctional:
+    """|x*| as a sum of the scaled dual functionals |x*(w_i)| g*_i, added
+    in Q(sqrt(2)) arithmetic."""
+    acc = DualFunctional.zero(basis.K)
+    for i in range(basis.K + 1):
+        v = abs(eval_functional(x_star, basis.vector(i)))
+        if v == Root2Scalar.zero():
+            continue
+        acc = acc + basis.dual.functional(i).scale(v)
+    return acc
+
+
+def reference_build(basis: Basis) -> MeasureSpaceModel:
+    """The measure space built the long way, from the moduli |d_j| and
+    |e*_j|: d and d* as weighted sums of them, d*(d) and the atom values
+    by evaluating functionals, with every check of ``build``."""
+    K = basis.K
+    d_moduli = [modulus_vector(basis, canonical("d", j, K)) for j in range(K + 1)]
+    d = JVector.zero(K)
+    for j, m in enumerate(d_moduli):
+        d = d + m.scale(Fraction(1, 2 ** (j + 1)))
+
+    e_star_moduli = [
+        reference_modulus_functional(basis, canonical("e_star", j, K))
+        for j in range(K + 1)
+    ]
+    d_star = DualFunctional.zero(K)
+    for j, m in enumerate(e_star_moduli):
+        d_star = d_star + m.scale(Fraction(1, 2 ** (j + 1)))
+    if not d_star.has_rational_coeffs:
+        raise StructureViolation("d* must have rational coefficients")
+
+    d_star_d = eval_functional(d_star, d).rational()
+
+    double_sum = Fraction(0)
+    for j in range(K + 1):
+        for jp in range(K + 1):
+            pairing = eval_functional(e_star_moduli[j], d_moduli[jp]).rational()
+            double_sum += Fraction(1, 2 ** (j + jp + 2)) * pairing
+    if double_sum != d_star_d:
+        raise StructureViolation("d*(d) does not match its double-sum expansion")
+    if d_star_d < Fraction(1, 4):
+        raise StructureViolation(f"d*(d) = {d_star_d} < 1/4")
+
+    gamma_d = basis.dual.coords_of(d)
+    d_star_atoms = tuple(
+        eval_functional(d_star, basis.vector(i)).rational() for i in range(K + 1)
+    )
+    for i in range(K + 1):
+        if gamma_d[i] == 0 or d_star_atoms[i] == 0:
+            raise DegenerateAtom(f"atom {i} has zero weight ingredient")
+
+    mu = tuple(gamma_d[i] / d_star_d * d_star_atoms[i] for i in range(K + 1))
+    if any(m <= 0 for m in mu):
+        raise DegenerateAtom("nonpositive atom weight")
+    if sum(mu, Fraction(0)) != 1:
+        raise StructureViolation("mu(Omega) != 1")
+
+    return MeasureSpaceModel(
+        basis=basis,
+        d=d,
+        d_star=d_star,
+        d_star_d=d_star_d,
+        mu=mu,
+        gamma_d=gamma_d,
+        d_star_atoms=d_star_atoms,
+    )
+
+
+def reference_small_set_breaches(
+    model: MeasureSpaceModel,
+    hs: tuple,
+    bound: Fraction,
+    eps: Fraction,
+    sigmas: list[tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], int]]:
+    """The (sigma, n) pairs of ``small_set_breaches``, sigma-major, with mu
+    and the integrals summed in Fractions."""
+    out = []
+    for sigma in sigmas:
+        m = mu_of(model, sigma)
+        for n, h in enumerate(hs):
+            if m < eps / (bound * 2**n) and integrate_over(model, h.abs(), sigma) >= eps:
+                out.append((sigma, n))
+    return out

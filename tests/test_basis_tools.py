@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jameslab import basis_tools
 from jameslab.basis_tools import (
@@ -29,7 +30,7 @@ from jameslab.james_core import (
 )
 from jameslab.scalars import Root2Scalar
 
-from helpers import random_vector
+from helpers import gauss_jordan_inverse, random_vector, reference_modulus_functional
 
 
 def frac_matrix(rows):
@@ -73,6 +74,36 @@ def test_invert_random_verifies_by_multiplication():
             for j in range(n):
                 prod = sum(rows[i][t] * inv[t][j] for t in range(n))
                 assert prod == (1 if i == j else 0)
+
+
+def _inverse_or_error(invert, rows):
+    try:
+        return invert(rows)
+    except SingularBasis as exc:
+        return f"SingularBasis: {exc}"
+
+
+_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@example(frac_matrix([[1, 2], [2, 4]]))
+@example(frac_matrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]))
+@example(frac_matrix([[1, 1, 1], [1, 1, 2], [2, 2, 3]]))
+@example(frac_matrix([[0, 1], [1, 0]]))
+@example([[2, 1], [1, 1]])
+def test_fraction_free_inverse_matches_gauss_jordan(rows):
+    # same inverse, or the same SingularBasis message for the same column
+    assert _inverse_or_error(invert_rational_matrix, rows) == _inverse_or_error(
+        gauss_jordan_inverse, rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +166,27 @@ def test_modulus_vector_canonical_componentwise():
     basis = Basis.canonical(2)
     x = JVector(2, (Fraction(1), Fraction(-2), Fraction(3)))
     assert modulus_vector(basis, x).coeffs == (1, 2, 3)
+
+
+def test_modulus_functional_matches_the_q_sqrt2_sum():
+    rng = random.Random(46)
+    for K in range(6):
+        basis = random_invertible_basis(K, rng)
+        for _ in range(3):
+            parts = [
+                Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(2 * K + 2)
+            ]
+            rational = DualFunctional.from_rationals(K, tuple(parts[: K + 1]))
+            mixed = DualFunctional(
+                K, tuple(map(Root2Scalar, parts[: K + 1], parts[K + 1 :]))
+            )
+            pure_sqrt2 = DualFunctional(
+                K, tuple(Root2Scalar(0, b) for b in parts[K + 1 :])
+            )
+            for x_star in (rational, mixed, pure_sqrt2):
+                assert modulus_functional(basis, x_star) == (
+                    reference_modulus_functional(basis, x_star)
+                )
 
 
 def test_modulus_vector_idempotent():

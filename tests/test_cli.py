@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jameslab import cli, measure_space
+from jameslab import cli, hierarchy, measure_space
 from jameslab.basis_tools import Basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
@@ -144,8 +144,11 @@ def test_norm_command_roundtrip(tmp_path, capsys):
         # inside it the display is the float one, byte for byte
         (["1", "-1", "1", "-1"], "8/1", f"{8.0 ** 0.5:.12g}"),
         (["1/3", "1e150", "0"], "1" + "0" * 300 + "/1", f"{1e300 ** 0.5:.12g}"),
+        # exact lines longer than the interpreter's int-to-str digit limit
+        (["1e5000"], "1" + "0" * 10000 + "/1", "1e+5000"),
+        (["-1e-5000", "0"], "1/1" + "0" * 10000, "1e-5000"),
     ],
-    ids=["overflow", "underflow", "small", "large"],
+    ids=["overflow", "underflow", "small", "large", "huge", "tiny"],
 )
 def test_norm_display_for_any_magnitude(tmp_path, capsys, coeffs, norm_sq, approx):
     path = tmp_path / "vec.json"
@@ -203,6 +206,20 @@ def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "invariant failure: mu(Omega) != 1\n"
+    assert "Traceback" not in err
+
+
+def test_undecided_comparison_is_invariant_failure(monkeypatch, capsys):
+    # no command compares hierarchy values yet; threshold stands in for one
+    monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)
+    expr = hierarchy.HierarchyExpr(3, 3)
+    monkeypatch.setattr(cli, "threshold_arg", lambda B: hierarchy.fgh_compare(expr, 100))
+    code, out, err = run_cli(capsys, "threshold", "--B", "2/1")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "invariant failure: comparison budgets exhausted without a certificate\n"
+    )
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jameslab import hierarchy
 from jameslab.hierarchy import (
     OMEGA,
     CompareResult,
@@ -11,6 +12,7 @@ from jameslab.hierarchy import (
     Exact,
     ExceedsBudget,
     HierarchyExpr,
+    UndecidedComparison,
     eval_expr,
     fgh_compare,
     fgh_eval,
@@ -184,6 +186,16 @@ def test_compare_nested_expression():
     assert fgh_compare(expr, 2048) == CompareResult.GREATER_OR_EQUAL
     assert fgh_compare(expr, 2049) == CompareResult.LESS
     assert eval_expr(expr) == Exact(2048)
+
+
+def test_compare_without_a_certificate_is_undecided(monkeypatch):
+    # one evaluation step and no floor certificate leave both raise sites
+    monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)
+    monkeypatch.setattr(hierarchy, "_certified_floor", lambda level, arg_lb, N: False)
+    with pytest.raises(UndecidedComparison, match="argument not resolvable"):
+        fgh_compare(HierarchyExpr(2, HierarchyExpr(3, 3)), 100)
+    with pytest.raises(UndecidedComparison, match="budgets exhausted"):
+        fgh_compare(HierarchyExpr(3, 3), 100)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from jameslab.basis_tools import Basis, random_invertible_basis
+from jameslab.basis_tools import Basis, SingularBasis, random_invertible_basis
 from jameslab.james_core import (
     DualFunctional,
     JVector,
@@ -25,11 +26,12 @@ from jameslab.measure_space import (
     pi,
     pi_star,
     product_matrix,
+    small_set_breaches,
 )
 from jameslab.basis_tools import modulus_functional, modulus_vector
 from jameslab.scalars import Root2Scalar
 
-from helpers import random_vector
+from helpers import random_vector, reference_build, reference_small_set_breaches
 
 
 def d_star_d_oracle(K: int) -> Fraction:
@@ -89,6 +91,45 @@ def test_d_star_d_bounded_by_max_pairing():
             for jp in range(4)
         ]
         assert model.d_star_d <= max(pairings)
+
+
+# entries as the benchmark's random_basis_columns draws them, and wider ones
+_BENCH_ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+_WIDE_ENTRIES = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def invertible_bases(draw, max_K: int = 6) -> Basis:
+    K = draw(st.integers(0, max_K))
+    entries = draw(st.sampled_from((_BENCH_ENTRIES, _WIDE_ENTRIES)))
+    column = st.tuples(*[entries] * (K + 1))
+    columns = draw(st.tuples(*[column] * (K + 1)))
+    try:
+        return Basis(K, columns)
+    except SingularBasis:
+        assume(False)
+
+
+def assert_build_matches_reference(basis: Basis) -> None:
+    model, ref = build(basis), reference_build(basis)
+    for field in ("d", "d_star", "d_star_d", "mu", "gamma_d", "d_star_atoms"):
+        assert getattr(model, field) == getattr(ref, field), field
+    K = basis.K
+    assert model.fs == tuple(pi(ref, canonical("d", n, K)) for n in range(K + 1))
+    assert model.gs == tuple(
+        pi_star(ref, canonical("e_star", p, K)) for p in range(K + 1)
+    )
+
+
+def test_build_matches_reference_on_canonical_bases():
+    for K in range(9):
+        assert_build_matches_reference(Basis.canonical(K))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_bases())
+def test_build_matches_reference_on_random_bases(basis):
+    assert_build_matches_reference(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +283,56 @@ def test_sup_norm_entry_is_advisory():
     assert sup.advisory
     assert not sup.passed
     assert report.all_passed
+
+
+def test_small_set_breaches_match_the_fraction_reference():
+    rng = random.Random(109)
+    models = [build(Basis.canonical(K)) for K in range(6)]
+    models += [build(random_invertible_basis(K, rng)) for K in (1, 2, 3, 4)]
+    found = 0
+    for model in models:
+        sigmas = atom_subsets(model.K)
+        for hs in (model.fs, model.gs):
+            for bound, eps in (
+                (Fraction(1, 8), Fraction(1, 4)),
+                (Fraction(1, 2), Fraction(1, 16)),
+                (Fraction(1), Fraction(1, 10)),
+                (Fraction(2), Fraction(1, 80)),
+            ):
+                breaches = list(small_set_breaches(model, hs, bound, eps, sigmas))
+                assert breaches == reference_small_set_breaches(
+                    model, hs, bound, eps, sigmas
+                )
+                found += len(breaches)
+    assert found > 0
+
+
+def test_small_set_breaches_at_exact_thresholds():
+    # eps equal to an integral over a subset, and bounds that put mu of a
+    # subset exactly on the threshold: both comparisons meet equality
+    model = build(random_invertible_basis(3, random.Random(110)))
+    sigmas = atom_subsets(3)
+    for hs in (model.fs, model.gs):
+        for sigma in sigmas[1::3]:
+            for n in (0, 2):
+                eps = integrate_over(model, hs[n].abs(), sigma)
+                if eps == 0:
+                    continue
+                for tau in sigmas[1::5]:
+                    bound = eps / (mu_of(model, tau) * 2**n)
+                    assert list(small_set_breaches(model, hs, bound, eps, sigmas)) == (
+                        reference_small_set_breaches(model, hs, bound, eps, sigmas)
+                    )
+
+
+def test_small_set_breaches_check_the_atoms_they_integrate():
+    # a tiny bound makes every subset small, so each one is integrated
+    model = build(Basis.canonical(2))
+    tiny = Fraction(1, 10**6)
+    with pytest.raises(ValueError):
+        list(small_set_breaches(model, model.fs, tiny, Fraction(1), [(0, 0)]))
+    with pytest.raises(IndexError):
+        list(small_set_breaches(model, model.fs, tiny, Fraction(1), [(-1,)]))
 
 
 def test_atom_subsets_enumeration():

@@ -1,5 +1,6 @@
 """Exactness of the Q(sqrt(2)) scalar field."""
 
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -121,6 +122,37 @@ def test_serialization_roundtrip():
     x = Root2Scalar(Fraction(-3, 7), Fraction(5, 2))
     assert Root2Scalar.from_pair(x.to_pair()) == x
     assert x.to_pair() == ["-3/7", "5/2"]
+
+
+def test_root2_scalar_keeps_fractions_and_converts_ints():
+    third = Fraction(1, 3)
+    x = Root2Scalar(third, third)
+    assert x.a is third and x.b is third
+    y = Root2Scalar(2, -1)
+    assert type(y.a) is Fraction and type(y.b) is Fraction
+    assert repr(y) == "Root2Scalar(Fraction(2, 1), Fraction(-1, 1))"
+    assert str(y) == "2 + -1*sqrt(2)"
+
+
+def test_fmt_rational_beyond_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert fmt_rational(Fraction(-(10**5000 + 7), 3)) == "-1" + "0" * 4999 + "7/3"
+    assert fmt_rational(Fraction(1, 10**9000)) == "1/1" + "0" * 9000
+    assert sys.get_int_max_str_digits() == limit
+
+
+@given(st.integers(1, 12000), st.integers(), st.booleans())
+def test_fmt_rational_of_long_numerators_is_exact(digits, seed, negative):
+    n = (10 ** (digits - 1) + abs(seed)) * (-1 if negative else 1)
+    num, den = fmt_rational(Fraction(n)).split("/")
+    assert den == "1"
+    assert Decimal(num) == Decimal(n)  # Decimal reads ints with no digit limit
+    assert num.lstrip("-")[0] != "0"
+
+
+@given(rationals)
+def test_fmt_rational_is_numerator_slash_denominator(x):
+    assert fmt_rational(x) == f"{x.numerator}/{x.denominator}"
 
 
 def test_rational_helpers():
