@@ -57,7 +57,7 @@ from .metastability import (
     hypothesis_report,
 )
 from .reporting import Report, ReportEntry
-from .scalars import ceil_inverse, ceil_sqrt_rational, fmt_rational
+from .scalars import _decimal, ceil_inverse, ceil_sqrt_rational, fmt_rational
 
 
 REFUTATION_EPS = Fraction(1, 80)
@@ -95,7 +95,7 @@ class RefutationReport:
                 }
             ),
             "verdict": self.verdict,
-            "threshold_argument": str(self.threshold_argument),
+            "threshold_argument": _decimal(self.threshold_argument),
             "threshold_symbolic": self.threshold_symbolic,
         }
 
@@ -469,7 +469,7 @@ def _cmd_fgh(args: argparse.Namespace) -> int:
     expr = HierarchyExpr(level, args.arg)
     result = hierarchy.eval_expr(expr, budget)
     if isinstance(result, Exact):
-        obj = {"expr": expr.render(), "exact": str(result.value)}
+        obj = {"expr": expr.render(), "exact": _decimal(result.value)}
         lines = [f"{expr.render()} = {format_value(result.value)}"]
     else:
         obj = {
@@ -491,18 +491,18 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     expr = HierarchyExpr(OMEGA, t)
     obj = {
         "B": fmt_rational(B),
-        "threshold_argument": str(t),
+        "threshold_argument": _decimal(t),
         "threshold_symbolic": expr.render(),
     }
     lines = [
-        f"threshold argument = {t}",
+        f"threshold argument = {_decimal(t)}",
         f"K >= {expr.render()} required for the unconditionality lower bound",
     ]
     if args.eps is not None:
         tc = threshold_arg_with_eps(B, Fraction(args.eps))
-        obj["eps_threshold_argument"] = str(tc)
+        obj["eps_threshold_argument"] = _decimal(tc)
         obj["eps_threshold_symbolic"] = HierarchyExpr(OMEGA, tc).render()
-        lines.append(f"accuracy-dependent threshold argument = {tc}")
+        lines.append(f"accuracy-dependent threshold argument = {_decimal(tc)}")
     _emit(args, obj, lines)
     return 0
 

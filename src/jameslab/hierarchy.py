@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .scalars import ceil_inverse, ceil_rational
+from .scalars import _decimal, ceil_inverse, ceil_rational
 
 OMEGA = "omega"
 
@@ -64,7 +64,7 @@ class HierarchyExpr:
         arg = (
             self.argument.render()
             if isinstance(self.argument, HierarchyExpr)
-            else str(self.argument)
+            else _decimal(self.argument)
         )
         return f"{name}({arg})"
 
@@ -234,7 +234,7 @@ def _resolve_argument(
 
 
 def _compare_eval(expr: HierarchyExpr, N: int) -> Exact | ExceedsBudget:
-    digits = len(str(N)) + 2
+    digits = len(_decimal(N)) + 2
     return eval_expr(expr, EvalBudget(max_digits=digits, max_steps=_COMPARE_STEPS))
 
 
@@ -270,7 +270,7 @@ def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
 def format_value(x: int) -> str:
     """Decimal for small values, scientific rendering for large ones."""
     if x.bit_length() <= 20000:
-        s = str(x)
+        s = _decimal(x)
         if len(s) <= 40:
             return s
         return f"~{s[0]}.{s[1:4]}e+{len(s) - 1}"

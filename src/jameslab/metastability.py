@@ -11,8 +11,9 @@ one exact consequence the product matrix rules out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import add
 
@@ -66,6 +67,16 @@ class IndexFunction:
     def from_callable(cls, fn, horizon: int) -> IndexFunction:
         return cls(tuple(int(fn(n)) for n in range(horizon + 1)))
 
+    @cached_property
+    def running_max(self) -> IndexFunction:
+        """Running maximum, computed once per index function; see
+        :func:`monotonize`."""
+        table = tuple(accumulate(self.table, max))  # entries are nonnegative
+        tail_floor = max(table[-1] if table else 0, self.tail_floor)
+        if table == self.table and tail_floor == self.tail_floor:
+            return self
+        return IndexFunction(table, tail_floor=tail_floor)
+
 
 @dataclass(frozen=True)
 class SequenceOracle:
@@ -108,12 +119,9 @@ def monotonize(F: IndexFunction) -> IndexFunction:
     """Running maximum; dominates F pointwise and is nondecreasing.
 
     An F that is already its own running maximum is returned unchanged.
+    The result is cached on F, so repeated calls cost one lookup.
     """
-    table = tuple(accumulate(F.table, max))  # entries are nonnegative
-    tail_floor = max(table[-1] if table else 0, F.tail_floor)
-    if table == F.table and tail_floor == F.tail_floor:
-        return F
-    return IndexFunction(table, tail_floor=tail_floor)
+    return F.running_max
 
 
 def count_fluctuations(
@@ -137,7 +145,7 @@ def count_fluctuations(
 
 def find_stable_interval(
     seq: SequenceOracle,
-    eps: Fraction,
+    eps: int | Fraction,
     F: IndexFunction,
     n: int,
     budget: int,
@@ -149,26 +157,38 @@ def find_stable_interval(
     re-anchors there) or declares the window stable.  A returned interval
     is re-verified by direct scan: any two values in it differ by less
     than eps.  Raises :class:`BudgetExceeded` after `budget` re-anchorings.
+
+    The deviation test is written 2*|s(j) - anchor| >= eps, which for
+    rationals is the same statement as |s(j) - anchor| >= eps/2, so no
+    half is ever formed.  An int eps is kept as an int (anything else is
+    converted with ``Fraction()``): on an integer sequence with an integer
+    accuracy both tests then run on ints, and scaling a rational sequence
+    and eps by one positive common denominator leaves every comparison,
+    and so every interval and every exception, as it was.
     """
-    eps = Fraction(eps)
+    if not isinstance(eps, int):
+        eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     F = monotonize(F)
-    half = eps / 2
+    values = seq.values
+    last = len(values) - 1
     m = n
     for used in range(budget + 1):
         top = max(F(m), m)
-        anchor = seq(m)
+        # s(j) for j in [m, top]; past the horizon s repeats s(last), which
+        # the window already holds whenever it reaches that far
+        window = values[min(m, last) : min(top, last) + 1]
+        anchor = window[0]
         deviation = None
-        for j in range(m + 1, top + 1):
-            if abs(seq(j) - anchor) >= half:
-                deviation = j
+        for k, v in enumerate(window):
+            if 2 * abs(v - anchor) >= eps:
+                deviation = m + k
                 break
         if deviation is None:
-            lo = min(seq(j) for j in range(m, top + 1))
-            hi = max(seq(j) for j in range(m, top + 1))
+            lo, hi = min(window), max(window)
             if not hi - lo < eps:  # pragma: no cover - implied by the chase
                 raise AssertionError("stable interval failed direct verification")
             return StableInterval(m=m, end=top, fluctuations_used=used)
@@ -199,6 +219,72 @@ def subset_table(
     return table
 
 
+FLUCTUATION_MODES = ("fix_p", "fix_n")
+
+
+@dataclass
+class _FluctuationTally:
+    """What one (mode, index function) run over a sigma family found."""
+
+    runs: int = 0
+    max_used: int = 0
+    witness_interval: str = ""
+    failures: dict[str, str] = field(default_factory=dict)
+
+
+def _fluctuation_tallies(
+    model: MeasureSpaceModel,
+    budget: int,
+    eps: Fraction,
+    index_functions: tuple[IndexFunction, ...],
+    modes: tuple[str, ...],
+    sigma_family: list[tuple[int, ...]],
+) -> dict[tuple[str, int], _FluctuationTally]:
+    """Run the finder for every mode and index function in one pass over
+    sigma_family, keyed by (mode, position in index_functions).
+
+    Each sigma's table is summed once, and each of its sequences is built
+    once per mode and chased under every index function.  The atom tables
+    are scaled by the denominator of eps * D once, so the table entries
+    and the accuracy are both ints.
+    """
+    D, A = model.atom_products
+    accuracy = Fraction(eps) * D
+    scale = accuracy.denominator
+    if scale != 1:
+        A = tuple(tuple(tuple(scale * v for v in row) for row in atom) for atom in A)
+    accuracy = accuracy.numerator
+    tallies = {
+        (mode, fi): _FluctuationTally()
+        for mode in modes
+        for fi in range(len(index_functions))
+    }
+    for sigma in sigma_family:
+        table = subset_table(A, sigma)
+        for mode in modes:
+            if mode == "fix_p":
+                sequences = zip(*table)
+            else:
+                sequences = ((*row, 0) for row in table)
+            for fixed, values in enumerate(sequences):
+                seq = SequenceOracle(values)
+                for fi, F in enumerate(index_functions):
+                    tally = tallies[mode, fi]
+                    tally.runs += 1
+                    try:
+                        interval = find_stable_interval(seq, accuracy, F, 0, budget)
+                    except BudgetExceeded as exc:
+                        tally.failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
+                        continue
+                    if interval.fluctuations_used >= tally.max_used:
+                        tally.max_used = interval.fluctuations_used
+                        tally.witness_interval = (
+                            f"sigma={sigma} fixed={fixed} "
+                            f"[{interval.m}, {interval.end}] used={tally.max_used}"
+                        )
+    return tallies
+
+
 def fluctuation_harness(
     model: MeasureSpaceModel,
     B_hat: Fraction,
@@ -215,55 +301,34 @@ def fluctuation_harness(
     K-dimensional shadow d_n is constant from n = K on, so both are
     tabulated to eventual constancy.  They are read off the integer table
     D * S_sigma summed from the model's ``atom_products``, one sigma at a
-    time, and the finder runs at accuracy eps * D; its tests
-    |a - b| >= eps/2 and hi - lo < eps are homogeneous, so every interval is
-    the one the exact integrals give.  ``integrate_over`` on step-function
-    products is the test oracle for these tables.
+    time.  With eps * D = a/b in lowest terms, the table is scaled by b
+    and the finder runs at the int accuracy a: its tests
+    2*|x - y| >= a and hi - lo < a are the tests 2*|s - t| >= eps and
+    hi - lo < eps on the exact integrals, multiplied through by b * D > 0,
+    so every interval and every failure is the one the exact integrals
+    give, and no Fraction enters the chase.  ``integrate_over`` on
+    step-function products is the test oracle for these tables.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
     unconditionality bound that can only be certified from below.
     """
-    if mode not in ("fix_p", "fix_n"):
+    if mode not in FLUCTUATION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     budget = fluctuation_budget(B_hat, eps)
-    F = monotonize(F)
-    D, A = model.atom_products
-    scaled_eps = Fraction(eps) * D
-    failures: dict[str, str] = {}
-    runs = 0
-    max_used = 0
-    worst_interval = ""
-    for sigma in sigma_family:
-        table = subset_table(A, sigma)
-        if mode == "fix_p":
-            sequences = list(zip(*table))
-        else:
-            sequences = [(*row, 0) for row in table]
-        for fixed, values in enumerate(sequences):
-            runs += 1
-            try:
-                interval = find_stable_interval(
-                    SequenceOracle(values), scaled_eps, F, 0, budget
-                )
-                if interval.fluctuations_used >= max_used:
-                    max_used = interval.fluctuations_used
-                    worst_interval = (
-                        f"sigma={sigma} fixed={fixed} "
-                        f"[{interval.m}, {interval.end}] used={max_used}"
-                    )
-            except BudgetExceeded as exc:
-                failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
+    tally = _fluctuation_tallies(model, budget, eps, (F,), (mode,), sigma_family)[
+        mode, 0
+    ]
     entry = ReportEntry(
         name=f"bounded_fluctuations_{mode}",
-        passed=not failures,
+        passed=not tally.failures,
         advisory=True,
         details={
-            "runs": str(runs),
+            "runs": str(tally.runs),
             "budget": str(budget),
-            "max_fluctuations_used": str(max_used),
-            "witness_interval": worst_interval,
-            **failures,
+            "max_fluctuations_used": str(tally.max_used),
+            "witness_interval": tally.witness_interval,
+            **tally.failures,
         },
     )
     return Report((entry,))
@@ -278,8 +343,9 @@ def hypothesis_report(
     for both families, and bounded fluctuations of the product sequences
     (checked against a small family of index functions and every atom
     subset at desk scale).  The product sequences come from integer
-    per-atom tables (see :func:`fluctuation_harness`); ``integrate_over``
-    on step-function products is their test oracle.
+    per-atom tables (see :func:`fluctuation_harness`), in one pass over
+    the atom subsets for both modes and both index functions;
+    ``integrate_over`` on step-function products is their test oracle.
     """
     B_hat = Fraction(B_hat)
     eps = Fraction(eps)
@@ -307,21 +373,29 @@ def hypothesis_report(
         breach = next(small_set_breaches(model, hs, B_hat, eps, sigmas), None)
         entries.append(ReportEntry(f"small_set_continuity_{name}", breach is None))
 
-    index_functions = [
+    index_functions = (
         IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
         IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
-    ]
-    for mode in ("fix_p", "fix_n"):
-        ok = True
-        details: dict[str, str] = {}
-        for fi, F in enumerate(index_functions):
-            sub = fluctuation_harness(model, B_hat, eps, F, mode, sigmas)
-            details[f"index_function_{fi}"] = (
-                "pass" if sub.entries[0].passed else "fail"
-            )
-            ok = ok and sub.entries[0].passed
+    )
+    tallies = _fluctuation_tallies(
+        model,
+        fluctuation_budget(B_hat, eps),
+        eps,
+        index_functions,
+        FLUCTUATION_MODES,
+        sigmas,
+    )
+    for mode in FLUCTUATION_MODES:
+        passed = [not tallies[mode, fi].failures for fi in range(len(index_functions))]
         entries.append(
-            ReportEntry(f"bounded_fluctuations_{mode}", ok, details=details)
+            ReportEntry(
+                f"bounded_fluctuations_{mode}",
+                all(passed),
+                details={
+                    f"index_function_{fi}": "pass" if ok else "fail"
+                    for fi, ok in enumerate(passed)
+                },
+            )
         )
     return Report(tuple(entries))
 

@@ -27,8 +27,7 @@ from jameslab.measure_space import (
 from jameslab.metastability import (
     BudgetExceeded,
     IndexFunction,
-    SequenceOracle,
-    find_stable_interval,
+    StableInterval,
     fluctuation_budget,
 )
 from jameslab.scalars import Root2Scalar, ceil_sqrt_rational
@@ -100,6 +99,33 @@ def zigzag_functional(k: int, gap: Fraction) -> DualFunctional:
     return DualFunctional.from_rationals(k, tuple(coeffs))
 
 
+def reference_stable_interval(
+    values: tuple, eps: Fraction, F: IndexFunction, n: int, budget: int
+) -> StableInterval:
+    """The deviation chase of ``find_stable_interval`` in plain Fractions,
+    as its definition reads: the sequence is constant past its last
+    value, the window at m is [m, max(F(0..m) + [m])], and the chase
+    re-anchors at the least j in it with |s(j) - s(m)| >= eps/2.  Raises
+    ``BudgetExceeded(budget, m)`` with the anchor it stopped at."""
+    eps = Fraction(eps)
+    half = eps / 2
+
+    def s(j: int) -> Fraction:
+        return Fraction(values[min(j, len(values) - 1)])
+
+    m = n
+    for used in range(budget + 1):
+        top = max([F(i) for i in range(m + 1)] + [m])
+        anchor = s(m)
+        deviation = next(
+            (j for j in range(m + 1, top + 1) if abs(s(j) - anchor) >= half), None
+        )
+        if deviation is None:
+            return StableInterval(m=m, end=top, fluctuations_used=used)
+        m = deviation
+    raise BudgetExceeded(budget, m)
+
+
 def reference_fluctuation_details(
     model: MeasureSpaceModel,
     B_hat: Fraction,
@@ -110,7 +136,8 @@ def reference_fluctuation_details(
 ) -> dict[str, str]:
     """Details dict of ``fluctuation_harness``, computed the slow way: each
     sequence entry integrates a StepFunction product over sigma in
-    Fractions, and the finder runs at accuracy eps itself."""
+    Fractions, and :func:`reference_stable_interval` chases it at
+    accuracy eps itself."""
     budget = fluctuation_budget(B_hat, eps)
     fs, gs = model.fs, model.gs
     failures: dict[str, str] = {}
@@ -126,9 +153,7 @@ def reference_fluctuation_details(
                 vals.append(Fraction(0))
             runs += 1
             try:
-                interval = find_stable_interval(
-                    SequenceOracle(tuple(vals)), eps, F, 0, budget
-                )
+                interval = reference_stable_interval(tuple(vals), eps, F, 0, budget)
                 if interval.fluctuations_used >= max_used:
                     max_used = interval.fluctuations_used
                     worst_interval = (

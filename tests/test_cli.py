@@ -1,7 +1,10 @@
 """CLI surface: determinism, exit codes, and the serialized formats."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +305,60 @@ def test_threshold_command_with_eps(capsys):
     code, out, _ = run_cli(capsys, "--json", "threshold", "--B", "1/1", "--eps", "1/80")
     obj = json.loads(out)
     assert obj["eps_threshold_argument"] == str(2**22 * 80**4 + 5)
+
+
+def _long_decimal_value(s: str) -> int:
+    # int() refuses strings past the int-to-str digit limit as well
+    head, tail = s[:-4000], s[-4000:]
+    return int(head) * 10**4000 + int(tail) if head else int(tail)
+
+
+def test_threshold_prints_arguments_past_the_int_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--B", "1e1100", "--eps", "1/3")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    # ceil(2^29 * B^4) + 5 and ceil(2^22 * B^4 * 3^4) + 5 with B^4 = 10^4400
+    t = "536870912" + "0" * 4399 + "5"
+    tc = str(2**22 * 81) + "0" * 4399 + "5"
+    assert lines == [
+        f"threshold argument = {t}",
+        f"K >= f_w({t}) required for the unconditionality lower bound",
+        f"accuracy-dependent threshold argument = {tc}",
+    ]
+    code, out, _ = run_cli(capsys, "--json", "threshold", "--B", "1e1100")
+    assert code == 0
+    assert json.loads(out)["threshold_argument"] == t
+
+
+def test_fgh_prints_values_past_the_int_digit_limit(capsys):
+    argv = ["fgh", "--level", "2", "--arg", "15000", "--max-steps", "100000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "f_2(15000) = ~4.226e+4519\n"
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == 0
+    exact = json.loads(out)["exact"]
+    assert len(exact) == 4520
+    assert _long_decimal_value(exact) == 15000 * 2**15000  # f_2(n) = n * 2^n
+
+
+def test_refute_prints_a_threshold_past_the_int_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "--json", "refute", "--canonical", "1", "--B", "1e1100")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["threshold_argument"] == "536870912" + "0" * 4399 + "5"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "jameslab", "--help"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: jameslab")
 
 
 def test_matrix_csv(capsys):

@@ -221,3 +221,14 @@ def test_format_value():
     assert format_value(10**60).startswith("~1.000e+60")
     big = 7 * 10**3000
     assert format_value(big) == "~7.000e+3000"
+
+
+def test_values_past_the_int_digit_limit():
+    # Python's int-to-str conversion refuses more than 4,300 digits by
+    # default; rendering, formatting and comparing must not depend on it
+    assert HierarchyExpr(OMEGA, 10**5000).render() == "f_w(1" + "0" * 5000 + ")"
+    assert format_value(15000 * 2**15000) == "~4.226e+4519"
+    assert format_value(7 * 10**5000) == "~7.000e+5000"
+    f_2 = HierarchyExpr(2, 15000)  # 15000 * 2^15000, about 4.2e4519
+    assert fgh_compare(f_2, 10**4600) is CompareResult.LESS
+    assert fgh_compare(f_2, 4 * 10**4519) is CompareResult.GREATER_OR_EQUAL

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jameslab.basis_tools import Basis, random_invertible_basis
-from jameslab import measure_space
+from jameslab import measure_space, metastability
 from jameslab.james_core import canonical
 from jameslab.measure_space import atom_subsets, build, integrate_over, pi, pi_star
 from jameslab.metastability import (
@@ -26,7 +27,7 @@ from jameslab.metastability import (
     subset_table,
 )
 
-from helpers import reference_fluctuation_details
+from helpers import reference_fluctuation_details, reference_stable_interval
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,28 @@ def test_monotonize_dominates_and_idempotent(table):
         if n > 0:
             assert M(n) >= M(n - 1)
     assert monotonize(M) is M
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_monotonize_takes_the_running_max_once(monkeypatch):
+    maxima = _counting(monkeypatch, metastability, "accumulate")
+    F = IndexFunction((5, 3, 7))
+    M = monotonize(F)
+    assert monotonize(F) is M and F.running_max is M
+    assert len(maxima) == 1
+    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
+    assert len(maxima) == 1 + 2  # once per index function of the report
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +174,60 @@ def test_stable_interval_respects_iterated_bound():
     for _ in range(budget):
         bound = max(F(bound), bound)
     assert interval.m <= bound
+
+
+def _chase_outcome(finder, *args):
+    try:
+        return finder(*args)
+    except BudgetExceeded as exc:
+        return ("budget exceeded", exc.iterations, exc.last_anchor)
+
+
+@st.composite
+def _chase_inputs(draw):
+    """A sequence and eps where ties 2*|s(j) - s(m)| = eps are common:
+    entries are drawn from multiples of eps/2 as well as freely."""
+    eps = draw(st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12))
+    entry = st.one_of(
+        st.integers(min_value=-6, max_value=6).map(lambda k: k * eps / 2),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    )
+    return draw(st.lists(entry, min_size=1, max_size=12)), eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    chase=_chase_inputs(),
+    table=st.lists(st.integers(min_value=0, max_value=16), max_size=10),
+    tail_floor=st.integers(min_value=0, max_value=16),
+    monotone=st.booleans(),
+    n=st.integers(min_value=0, max_value=14),
+    budget=st.integers(min_value=0, max_value=3),
+    extra=st.integers(min_value=1, max_value=5),
+)
+def test_integer_chase_matches_the_fraction_oracle(
+    chase, table, tail_floor, monotone, n, budget, extra
+):
+    # scaling the sequence and eps by a common denominator (times any
+    # positive int) gives an int chase with the outcome of the Fraction one
+    values, eps = chase
+    if monotone:
+        table = sorted(table)
+        tail_floor = max([tail_floor, *table])
+    F = IndexFunction(tuple(table), tail_floor=tail_floor)
+    assert (monotonize(F) is F) or not monotone
+    scale = extra * lcm(eps.denominator, *(v.denominator for v in values))
+    int_values = tuple(int(v * scale) for v in values)
+    int_eps = int(eps * scale)
+    assert all(v * scale == iv for v, iv in zip(values, int_values))
+    assert eps * scale == int_eps
+    expected = _chase_outcome(reference_stable_interval, tuple(values), eps, F, n, budget)
+    assert _chase_outcome(
+        find_stable_interval, SequenceOracle(int_values), int_eps, F, n, budget
+    ) == expected
+    assert _chase_outcome(
+        find_stable_interval, SequenceOracle(tuple(values)), eps, F, n, budget
+    ) == expected
 
 
 def test_find_stable_interval_monotonizes_internally():
@@ -249,12 +326,18 @@ def test_subset_tables_match_step_function_integrals(model):
 @pytest.mark.parametrize("model", ORACLE_MODELS)
 @pytest.mark.parametrize(
     "B_hat, eps",
-    [(Fraction(2), Fraction(1, 80)), (Fraction(1, 8), Fraction(1, 4))],
-    ids=["refutation-eps", "budget-2"],
+    [
+        (Fraction(2), Fraction(1, 80)),
+        (Fraction(1, 8), Fraction(1, 4)),
+        (Fraction(1, 8), Fraction(2, 7)),
+    ],
+    ids=["refutation-eps", "budget-2", "budget-2-odd-eps"],
 )
 def test_harness_matches_step_function_reference(model, B_hat, eps):
     # the index functions and subset family of hypothesis_report; the
-    # second (B_hat, eps) gives a budget of 2, so failures are compared too
+    # second and third (B_hat, eps) give a budget of 2, so failures are
+    # compared too, and at eps = 2/7 the table is scaled by 7 before the
+    # integer chase
     K = model.K
     sigmas = atom_subsets(K)
     for F in (
@@ -280,6 +363,45 @@ def test_hypothesis_report_builds_the_atom_tables_once(monkeypatch):
     monkeypatch.setattr(measure_space, "lcm", counting_lcm)
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     assert len(builds) == 1
+
+
+def test_hypothesis_report_sums_each_subset_table_once(monkeypatch):
+    # both modes and both index functions share one table per atom subset
+    tables = _counting(monkeypatch, metastability, "subset_table")
+    K = 3
+    hypothesis_report(build(Basis.canonical(K)), Fraction(2), Fraction(1, 80))
+    assert len(tables) == 2 ** (K + 1)
+    assert sorted(sigma for _, sigma in tables) == sorted(atom_subsets(K))
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+@pytest.mark.parametrize(
+    "B_hat, eps",
+    [
+        (Fraction(2), Fraction(1, 80)),
+        (Fraction(1, 8), Fraction(1, 4)),
+        (Fraction(1, 8), Fraction(2, 7)),
+    ],
+    ids=["refutation-eps", "budget-2", "budget-2-odd-eps"],
+)
+def test_hypothesis_report_fluctuation_clauses_match_the_reference(model, B_hat, eps):
+    K = model.K
+    sigmas = atom_subsets(K)
+    entries = {e.name: e for e in hypothesis_report(model, B_hat, eps).entries}
+    for mode in ("fix_p", "fix_n"):
+        expected = {}
+        for fi, F in enumerate(
+            (
+                IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
+                IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
+            )
+        ):
+            details = reference_fluctuation_details(model, B_hat, eps, F, mode, sigmas)
+            failed = any(key.startswith("sigma_") for key in details)
+            expected[f"index_function_{fi}"] = "fail" if failed else "pass"
+        entry = entries[f"bounded_fluctuations_{mode}"]
+        assert entry.details == expected
+        assert entry.passed == ("fail" not in expected.values())
 
 
 def test_subset_table_rejects_bad_atoms():
