@@ -17,8 +17,8 @@ from .james_core import (
     DimensionMismatch,
     DualFunctional,
     JVector,
+    cycle_sum_max,
     eval_functional,
-    james_norm_sq,
     james_norm_sq_float,
 )
 from .scalars import Root2Scalar, fmt_rational, integer_rows
@@ -97,7 +97,9 @@ class Basis:
 
     Invertibility is checked exactly at construction, which also builds
     the dual basis ``self.dual`` from the exact inverse and re-verifies
-    its biorthogonality.
+    its biorthogonality.  The integer columns of that check are kept as
+    ``self.int_columns``: column i is D * w_i, for the lcm D of all the
+    column denominators.
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -116,6 +118,7 @@ class Basis:
         # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned
         E, dual_rows = integer_rows(self.dual.rows)
         F, columns = integer_rows(self.columns)
+        self.int_columns = tuple(map(tuple, columns))
         for i, g in enumerate(dual_rows):
             for j, w in enumerate(columns):
                 if sum(map(mul, g, w)) != (E * F if i == j else 0):
@@ -247,16 +250,27 @@ def ratio_sq(
     basis: Basis, eps: SignPattern, alpha: tuple[Fraction, ...]
 ) -> Fraction:
     """Exact squared norm ratio of the sign-flipped combination to the
-    original combination."""
+    original combination.
+
+    alpha is scaled to integers over the lcm of its denominators, and both
+    combinations are integer dot products with ``basis.int_columns``.  The
+    two scales are common to both norms and cancel in the ratio, so the
+    value-only DP (:func:`cycle_sum_max`) on the integers gives it exactly.
+    """
     if len(eps.entries) != basis.K + 1 or len(alpha) != basis.K + 1:
         raise DimensionMismatch("sign pattern and alpha must match the basis")
-    base = basis.combine(tuple(alpha))
-    if base.is_zero():
+    _, (scaled,) = integer_rows([alpha])
+    base = [0] * (basis.K + 2)
+    flipped = [0] * (basis.K + 2)
+    for e, a, col in zip(eps.entries, scaled, basis.int_columns):
+        if a:  # the last entry of base and flipped stays the virtual zero
+            ea = e * a
+            for j, w in enumerate(col):
+                base[j] += a * w
+                flipped[j] += ea * w
+    if not any(base):
         raise ZeroVector("denominator combination is zero")
-    flipped = basis.combine(tuple(e * a for e, a in zip(eps.entries, alpha)))
-    num, _ = james_norm_sq(flipped)
-    den, _ = james_norm_sq(base)
-    return num / den
+    return Fraction(cycle_sum_max(flipped), cycle_sum_max(base))
 
 
 EXHAUSTIVE_MAX_DIMENSION = 12
@@ -265,15 +279,23 @@ EXHAUSTIVE_MAX_DIMENSION = 12
 def _ascend_alpha(
     cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
 ) -> list[float]:
-    """Coordinate ascent on the float norm ratio; heuristic only."""
+    """Coordinate ascent on the float norm ratio; heuristic only.
+
+    The combinations skip the zero entries of each column: a coordinate
+    starts at +0.0 and so never becomes -0.0, which makes adding the
+    skipped +-0.0 products a no-op, and the floats are those of the dense
+    sum, still accumulated in ascending i.  (``sum``, ``math.fsum`` and
+    ``math.sumprod`` would round differently.)  On the canonical basis a
+    combination is a copy of its scales.
+    """
     K = len(alpha) - 1
+    nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
 
     def combine(scales: list[float]) -> list[float]:
         out = [0.0] * (K + 1)
-        for i, s in enumerate(scales):
-            col = cols_float[i]
-            for j in range(K + 1):
-                out[j] += s * col[j]
+        for s, entries in zip(scales, nonzero):
+            for j, c in entries:
+                out[j] += s * c
         return out
 
     def objective(a: list[float]) -> float:
@@ -316,23 +338,11 @@ def uc_lower_bound(
     candidate is snapped to rationals and replayed exactly, so the result
     is always a valid lower bound and is nondecreasing in `budget`.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     K = basis.K
+    patterns = uc_sign_patterns(K, strategy, budget, seed)
     ones = SignPattern((1,) * (K + 1))
     alpha0 = (Fraction(1),) + (Fraction(0),) * K
     best = UCEstimate(ratio_sq(basis, ones, alpha0), ones, alpha0)
-
-    if strategy == "exhaustive":
-        if K > EXHAUSTIVE_MAX_DIMENSION:
-            raise DimensionTooLargeForPatterns(
-                f"exhaustive sign enumeration limited to K <= {EXHAUSTIVE_MAX_DIMENSION}"
-            )
-        patterns = _all_patterns(K)
-    elif strategy == "anneal":
-        patterns = _sampled_patterns(K, seed, 2 ** min(K + 1, 7))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     cols_float = [[float(v) for v in col] for col in basis.columns]
 
@@ -357,6 +367,26 @@ def uc_lower_bound(
             )
             consider(eps, snapped)
     return best
+
+
+def uc_sign_patterns(
+    K: int, strategy: str, budget: int, seed: int = 0
+) -> list[tuple[int, ...]]:
+    """Check the arguments of :func:`uc_lower_bound` and return the sign
+    patterns it searches: all 2^(K+1) ("exhaustive", K <= 12) or
+    2^min(K+1, 7) seeded samples ("anneal").  Each pattern costs
+    1 + budget exact replays."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if strategy == "exhaustive":
+        if K > EXHAUSTIVE_MAX_DIMENSION:
+            raise DimensionTooLargeForPatterns(
+                f"exhaustive sign enumeration limited to K <= {EXHAUSTIVE_MAX_DIMENSION}"
+            )
+        return _all_patterns(K)
+    if strategy == "anneal":
+        return _sampled_patterns(K, seed, 2 ** min(K + 1, 7))
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _all_patterns(K: int) -> list[tuple[int, ...]]:

@@ -22,6 +22,7 @@ from .basis_tools import (
     random_invertible_basis,
     ratio_sq,
     uc_lower_bound,
+    uc_sign_patterns,
 )
 from .hierarchy import (
     OMEGA,
@@ -410,6 +411,12 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 def _cmd_uc(args: argparse.Namespace) -> int:
     basis = _basis_from_args(args)
+    patterns = uc_sign_patterns(basis.K, args.strategy, args.budget, args.seed)
+    print(
+        f"uc: searching {len(patterns)} sign patterns, "
+        f"{1 + args.budget} exact replays each",
+        file=sys.stderr,
+    )
     est = uc_lower_bound(basis, args.strategy, args.budget, args.seed)
     replay = ratio_sq(basis, est.sign_pattern, est.alpha)
     obj = est.to_json_obj()

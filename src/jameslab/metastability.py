@@ -83,20 +83,20 @@ class SequenceOracle:
     """Total rational sequence, constant beyond its tabulated horizon.
 
     Values that are already ``int`` or ``Fraction`` are kept as given;
-    anything else is converted with ``Fraction()``.
+    anything else is converted with ``Fraction()``.  Values of exactly
+    those two types, as the fluctuation loop passes, skip the per-value
+    check.
     """
 
     values: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "values",
-            tuple(
-                v if isinstance(v, (int, Fraction)) else Fraction(v)
-                for v in self.values
-            ),
-        )
+        values = tuple(self.values)
+        if not set(map(type, values)) <= {int, Fraction}:
+            values = tuple(
+                v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values
+            )
+        object.__setattr__(self, "values", values)
         if not self.values:
             raise ValueError("sequence needs at least one tabulated value")
 

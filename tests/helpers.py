@@ -5,16 +5,27 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jameslab.basis_tools import Basis, SingularBasis, modulus_vector
+from jameslab.basis_tools import (
+    Basis,
+    SignPattern,
+    SingularBasis,
+    UCEstimate,
+    ZeroVector,
+    modulus_vector,
+    uc_sign_patterns,
+)
 from jameslab.james_core import (
     CertTerm,
     Cycle,
+    DimensionMismatch,
     DualBallCertificate,
     DualFunctional,
     JVector,
+    _longest_cycle_table,
     canonical,
     eval_functional,
     functional_from_certificate,
+    james_norm_sq,
     james_norm_sq_upper_bound,
 )
 from jameslab.measure_space import (
@@ -284,3 +295,93 @@ def reference_small_set_breaches(
             if m < eps / (bound * 2**n) and integrate_over(model, h.abs(), sigma) >= eps:
                 out.append((sigma, n))
     return out
+
+
+def full_float_norm_sq(coords: list[float]) -> float:
+    """The float norm DP on every coordinate, with no turning-point pass."""
+    return _longest_cycle_table(list(coords) + [0.0])[0] / 2.0
+
+
+def reference_ratio_sq(
+    basis: Basis, eps: SignPattern, alpha: tuple[Fraction, ...]
+) -> Fraction:
+    """``ratio_sq`` in Fractions: both combinations through
+    ``Basis.combine`` and both norms from the certificate DP."""
+    if len(eps.entries) != basis.K + 1 or len(alpha) != basis.K + 1:
+        raise DimensionMismatch("sign pattern and alpha must match the basis")
+    base = basis.combine(tuple(alpha))
+    if base.is_zero():
+        raise ZeroVector("denominator combination is zero")
+    flipped = basis.combine(tuple(e * a for e, a in zip(eps.entries, alpha)))
+    num, _ = james_norm_sq(flipped)
+    den, _ = james_norm_sq(base)
+    return num / den
+
+
+def reference_ascend_alpha(
+    cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
+) -> list[float]:
+    """``_ascend_alpha`` with dense combinations (every column entry added,
+    zeros included) and the float norm on every coordinate."""
+    K = len(alpha) - 1
+
+    def combine(scales: list[float]) -> list[float]:
+        out = [0.0] * (K + 1)
+        for i, s in enumerate(scales):
+            for j in range(K + 1):
+                out[j] += s * cols_float[i][j]
+        return out
+
+    def objective(a: list[float]) -> float:
+        den = full_float_norm_sq(combine(a))
+        if den <= 1e-12:
+            return 0.0
+        return full_float_norm_sq(combine([e * v for e, v in zip(eps, a)])) / den
+
+    best = objective(alpha)
+    for _sweep in range(4):
+        improved = False
+        for i in range(K + 1):
+            base = alpha[i]
+            for delta in (-0.6, -0.15, 0.15, 0.6):
+                alpha[i] = base + delta
+                obj = objective(alpha)
+                if obj > best * (1 + 1e-12):
+                    best = obj
+                    base = alpha[i]
+                    improved = True
+            alpha[i] = base
+        if not improved:
+            break
+    return alpha
+
+
+def reference_uc_lower_bound(
+    basis: Basis, strategy: str, budget: int, seed: int
+) -> UCEstimate:
+    """``uc_lower_bound`` with :func:`reference_ascend_alpha` for the search
+    and :func:`reference_ratio_sq` for the exact replays."""
+    K = basis.K
+    patterns = uc_sign_patterns(K, strategy, budget, seed)
+    ones = SignPattern((1,) * (K + 1))
+    alpha0 = (Fraction(1),) + (Fraction(0),) * K
+    best = UCEstimate(reference_ratio_sq(basis, ones, alpha0), ones, alpha0)
+    cols_float = [[float(v) for v in col] for col in basis.columns]
+    for p_index, entries in enumerate(patterns):
+        eps = SignPattern(entries)
+        candidates = [(Fraction(1),) * (K + 1)]
+        for restart in range(budget):
+            rng = random.Random(f"{seed}:{p_index}:{restart}")
+            start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+            tuned = reference_ascend_alpha(cols_float, entries, start)
+            candidates.append(
+                tuple(Fraction(v).limit_denominator(10**6) for v in tuned)
+            )
+        for alpha in candidates:
+            try:
+                r = reference_ratio_sq(basis, eps, alpha)
+            except ZeroVector:
+                continue
+            if r > best.lower_bound_sq:
+                best = UCEstimate(r, eps, alpha)
+    return best

@@ -20,8 +20,10 @@ from jameslab.basis_tools import (
     ratio_sq,
     sign_align,
     uc_lower_bound,
+    uc_sign_patterns,
 )
 from jameslab.james_core import (
+    DimensionMismatch,
     DualFunctional,
     JVector,
     canonical,
@@ -30,7 +32,14 @@ from jameslab.james_core import (
 )
 from jameslab.scalars import Root2Scalar
 
-from helpers import gauss_jordan_inverse, random_vector, reference_modulus_functional
+from helpers import (
+    gauss_jordan_inverse,
+    random_vector,
+    reference_ascend_alpha,
+    reference_modulus_functional,
+    reference_ratio_sq,
+    reference_uc_lower_bound,
+)
 
 
 def frac_matrix(rows):
@@ -306,6 +315,86 @@ def test_ratio_zero_vector_rejected():
     basis = Basis.canonical(1)
     with pytest.raises(ZeroVector):
         ratio_sq(basis, SignPattern((1, -1)), (Fraction(0), Fraction(0)))
+
+
+def _random_alpha(rng: random.Random, K: int) -> tuple[Fraction, ...]:
+    if rng.random() < 0.1:
+        return (Fraction(0),) * (K + 1)
+    return tuple(
+        Fraction(0) if rng.random() < 0.3
+        else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        for _ in range(K + 1)
+    )
+
+
+def test_ratio_matches_the_fraction_reference():
+    rng = random.Random(7070)
+    zero_cases = 0
+    for _ in range(400):
+        K = rng.randint(0, 6)
+        basis = random_invertible_basis(K, rng) if rng.random() < 0.8 else Basis.canonical(K)
+        eps = SignPattern(tuple(rng.choice((-1, 1)) for _ in range(K + 1)))
+        alpha = _random_alpha(rng, K)
+        try:
+            expected = reference_ratio_sq(basis, eps, alpha)
+        except ZeroVector:
+            zero_cases += 1
+            with pytest.raises(ZeroVector):
+                ratio_sq(basis, eps, alpha)
+            continue
+        assert ratio_sq(basis, eps, alpha) == expected
+    assert zero_cases > 0
+
+
+def test_ratio_rejects_mismatched_lengths():
+    with pytest.raises(DimensionMismatch):
+        ratio_sq(Basis.canonical(2), SignPattern((1, 1)), (Fraction(1),) * 3)
+    with pytest.raises(DimensionMismatch):
+        ratio_sq(Basis.canonical(2), SignPattern((1, 1, 1)), (Fraction(1),) * 2)
+
+
+def test_sparse_ascent_matches_the_dense_reference():
+    rng = random.Random(8080)
+    for _ in range(30):
+        K = rng.randint(0, 6)
+        basis = random_invertible_basis(K, rng) if rng.random() < 0.7 else Basis.canonical(K)
+        cols_float = [[float(v) for v in col] for col in basis.columns]
+        eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
+        start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+        expected = reference_ascend_alpha(cols_float, eps, list(start))
+        assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
+
+
+def _uc_cases():
+    rng = random.Random(9090)
+    for K in range(5):
+        bases = {"canonical": Basis.canonical(K), "random": random_invertible_basis(K, rng)}
+        for kind, basis in bases.items():
+            for strategy in ("exhaustive", "anneal"):
+                for budget in (1, 2):
+                    yield pytest.param(
+                        basis, strategy, budget, id=f"{kind}-K{K}-{strategy}-budget{budget}"
+                    )
+
+
+@pytest.mark.parametrize("basis, strategy, budget", list(_uc_cases()))
+def test_uc_lower_bound_matches_the_reference_search(basis, strategy, budget):
+    seed = basis.K + budget
+    expected = reference_uc_lower_bound(basis, strategy, budget, seed)
+    assert uc_lower_bound(basis, strategy, budget, seed) == expected
+
+
+def test_uc_sign_patterns_counts_and_checks():
+    assert len(uc_sign_patterns(3, "exhaustive", 1)) == 16
+    assert len(uc_sign_patterns(12, "exhaustive", 1)) == 2**13
+    assert len(uc_sign_patterns(3, "anneal", 1, seed=4)) == 16
+    assert len(uc_sign_patterns(20, "anneal", 1, seed=4)) == 128
+    with pytest.raises(ValueError, match="budget"):
+        uc_sign_patterns(13, "exhaustive", 0)
+    with pytest.raises(basis_tools.DimensionTooLargeForPatterns):
+        uc_sign_patterns(13, "exhaustive", 1)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        uc_sign_patterns(2, "greedy", 1)
 
 
 def test_uc_lower_bound_k0_is_one():

@@ -406,6 +406,39 @@ def test_uc_command(capsys):
     assert obj["replay_matches"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["uc", "--canonical", "3"], "uc: searching 16 sign patterns, 3 exact replays each"),
+        (
+            ["--budget", "1", "uc", "--canonical", "6", "--strategy", "anneal"],
+            "uc: searching 128 sign patterns, 2 exact replays each",
+        ),
+    ],
+    ids=["exhaustive", "anneal"],
+)
+def test_uc_states_its_search_size_on_stderr(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == [line]
+    assert "sign patterns" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--budget", "0", "uc", "--canonical", "2"], "budget must be positive"),
+        (["uc", "--canonical", "13"], "exhaustive sign enumeration limited to K <= 12"),
+    ],
+    ids=["budget", "dimension"],
+)
+def test_uc_refused_search_prints_only_the_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -1,5 +1,6 @@
 """Norm computation, dual-ball soundness, and the chain-stability lemmas."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ from jameslab.james_core import (
     canonical,
     chain_stability_check,
     coordinate_chain_check,
+    cycle_sum_max,
     cycle_value,
     dual_ball_sample,
     dual_norm_lower_bound,
@@ -34,11 +36,13 @@ from jameslab.james_core import (
     james_norm_sq_upper_bound,
     violation_to_witness,
     _longest_cycle_table,
+    _turning_points,
 )
 from jameslab.scalars import Root2Scalar, ceil_inverse
 
 from helpers import (
     every_start_cycle_table,
+    full_float_norm_sq,
     planted_violator,
     random_chain,
     random_vector,
@@ -275,6 +279,88 @@ def test_value_skip_keeps_every_start_table_at_k120():
     assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
 
 
+# ---------------------------------------------------------------------------
+# turning points
+# ---------------------------------------------------------------------------
+
+# coordinates of length 1-14 built from runs, so plateaus (at either end
+# too), all-equal vectors and monotone stretches are common; negatives in
+@st.composite
+def _run_coords(draw):
+    alphabet = draw(
+        st.sampled_from(
+            [st.integers(-3, 3), st.integers(-50, 50), st.integers(-10**12, 10**12)]
+        )
+    )
+    coords = []
+    for value, length in draw(st.lists(st.tuples(alphabet, st.integers(1, 4)), min_size=1)):
+        coords.extend([value] * length)
+    return coords[: draw(st.integers(1, 14))]
+
+
+@pytest.mark.parametrize(
+    "vals, kept",
+    [
+        ([0], [0]),
+        ([0, 0], [0]),  # a zero before the virtual zero: one value left
+        ([3, 3, 3, 0], [3, 0]),  # all equal
+        ([1, 2, 3, 0], [1, 3, 0]),  # interior of a rising run
+        ([3, 2, 1, 0], [3, 0]),  # the first value stays
+        ([2, 2, 5, 5, 1, 1, 0], [2, 5, 0]),  # plateaus at the turns
+        ([1, -1, 1, -1, 0], [1, -1, 1, -1, 0]),  # nothing to drop
+    ],
+)
+def test_turning_points_examples(vals, kept):
+    assert _turning_points(vals) == kept
+
+
+@settings(max_examples=400, deadline=None)
+@given(_run_coords())
+@example([5])
+@example([0])
+@example([4] * 14)
+@example([0] * 14)
+@example([2, 2, 2, 1, 1, 5])
+@example([-3, 1, 1, 1])
+def test_turning_points_keep_the_norm(coords):
+    vals = coords + [0]
+    assert _longest_cycle_table(_turning_points(vals))[0] == _longest_cycle_table(vals)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_coords())
+@example([4] * 14)
+@example([-2, -2, 3, 3, 3, 1, 0, 0])
+def test_turning_points_match_the_oracle(coords):
+    x = JVector(len(coords) - 1, tuple(coords))
+    assert Fraction(cycle_sum_max(coords + [0]), 2) == james_norm_sq_oracle(x)
+
+
+_finite = st.floats(min_value=-1e100, max_value=1e100).map(
+    lambda v: v if abs(v) >= 1e-100 else 0.0  # no squares below the normal range
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_finite, min_size=1, max_size=14),
+        _run_coords().map(lambda cs: [c * 0.37 for c in cs]),
+    )
+)
+def test_float_norm_on_turning_points_is_close(coords):
+    assert math.isclose(
+        james_norm_sq_float(coords), full_float_norm_sq(coords), rel_tol=1e-12
+    )
+
+
+def test_float_norm_on_turning_points_is_exact_on_uniform_draws():
+    rng = random.Random(4242)
+    for _ in range(20000):
+        coords = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 11))]
+        assert james_norm_sq_float(coords) == full_float_norm_sq(coords)
+
+
 def test_certificate_dominates_random_cycles():
     rng = random.Random(2002)
     x = random_vector(rng, 9)
@@ -437,6 +523,20 @@ def test_dual_norm_lower_bound_is_valid_bound():
             norm_sq, _ = james_norm_sq(witness)
             exact = eval_functional(y, witness).square()
             assert Root2Scalar(lb * norm_sq) <= exact
+
+
+def test_dual_norm_lower_bound_matches_the_certificate_norm():
+    # the value-only norm of the witness is the certificate DP's, exactly
+    rng = random.Random(6116)
+    for trial in range(8):
+        K = rng.randint(0, 6)
+        y, _ = dual_ball_sample(seed=2000 + trial, K=K, num_terms=rng.randint(1, 4))
+        lb, witness = dual_norm_lower_bound(y, budget=2)
+        if witness.is_zero():
+            continue
+        norm_sq, _ = james_norm_sq(witness)
+        exact = eval_functional(y, witness).square().rational_lower_bound()
+        assert lb == exact / norm_sq
 
 
 # ---------------------------------------------------------------------------

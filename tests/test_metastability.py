@@ -87,6 +87,42 @@ def test_monotonize_takes_the_running_max_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sequence oracles
+# ---------------------------------------------------------------------------
+
+def _converted_per_value(values):
+    return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values)
+
+
+class _Half(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (3, -1, 0, 10**40),  # ints, as the fluctuation loop passes them
+        (Fraction(1, 3), 2, Fraction(-5, 7), 0),  # ints and Fractions mixed
+        (True, 2, False),  # bool is kept as given, through the per-value path
+        (0.5, 1, Fraction(1, 4)),  # floats are converted
+        ("1/3", 2),  # strings are converted
+        (_Half(1, 2), 1),  # a Fraction subclass is kept as given
+    ],
+)
+def test_sequence_oracle_values(values):
+    expected = _converted_per_value(values)
+    got = SequenceOracle(values).values
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+def test_sequence_oracle_accepts_any_iterable():
+    assert SequenceOracle(iter([1, Fraction(1, 2), "3"])).values == (1, Fraction(1, 2), 3)
+    with pytest.raises(ValueError):
+        SequenceOracle(())
+
+
+# ---------------------------------------------------------------------------
 # fluctuation counting
 # ---------------------------------------------------------------------------
 
