@@ -105,6 +105,9 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     """Build the measure space, test the theorem's hypotheses, and show the
     conclusion is exactly impossible at epsilon = 1/80.
 
+    The products f_n g_p mu are formed once, in the model's atom tables;
+    the only integrals are the hypothesis report's L1 norms.
+
     The gap between the zero entries and the d*(d) entries of the product
     matrix is at least 1/4 = 20*epsilon, so no basis whose unconditional
     constant is at most B can satisfy the fluctuation theorem at this K.

@@ -18,13 +18,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .scalars import (
     Root2Scalar,
     ceil_inverse,
     ceil_sqrt_rational,
     fmt_rational,
+    integer_rows,
 )
 
 ORACLE_MAX_DIMENSION = 14
@@ -252,8 +252,7 @@ def cycle_value(x: JVector, c: Cycle) -> Fraction:
 
 def _scaled_int_coords(x: JVector) -> tuple[list[int], int]:
     """Integer numerators over a common denominator, virtual zero appended."""
-    den = lcm(*(c.denominator for c in x.coeffs)) if x.coeffs else 1
-    nums = [int(c * den) for c in x.coeffs]
+    den, (nums,) = integer_rows([x.coeffs])
     nums.append(0)
     return nums, den
 
@@ -341,6 +340,12 @@ def cycle_sum_max(vals: list) -> int | float:
     appended), for callers that need no certificate: the norm DP on
     :func:`_turning_points` of the values."""
     return _longest_cycle_table(_turning_points(vals))[0]
+
+
+def _norm_sq_value(x: JVector) -> Fraction:
+    """Exact squared James norm, value only (:func:`cycle_sum_max`)."""
+    nums, den = _scaled_int_coords(x)
+    return Fraction(cycle_sum_max(nums), 2 * den * den)
 
 
 def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
@@ -563,10 +568,8 @@ def dual_norm_lower_bound(
         nonlocal best_lb, best_w
         if w.is_zero():
             return
-        nums, den = _scaled_int_coords(w)
-        norm_sq = Fraction(cycle_sum_max(nums), 2 * den * den)
         val_sq = eval_functional(y, w).square()
-        lb = val_sq.rational_lower_bound() / norm_sq
+        lb = val_sq.rational_lower_bound() / _norm_sq_value(w)
         if lb > best_lb:
             best_lb = lb
             best_w = w
@@ -715,7 +718,7 @@ def violation_to_witness(
             coeffs[j] += 1
     xhat = JVector(y.K, tuple(coeffs))
     lhs_sq = eval_functional(y, xhat).square()
-    rhs_sq, _ = james_norm_sq(xhat)
+    rhs_sq = _norm_sq_value(xhat)
     if not lhs_sq > Root2Scalar(rhs_sq):
         raise WitnessUnsound(
             f"witness inequality failed: {lhs_sq} <= {rhs_sq}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
 from .james_core import (
@@ -109,7 +109,7 @@ class MeasureSpaceModel:
     @cached_property
     def atom_products(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
         """Per-atom contributions to the product integrals, over one
-        denominator.
+        denominator: the only place the products f_n g_p mu are formed.
 
         (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
         integer for 0 <= i, n, p <= K, where D is the lcm of the
@@ -118,9 +118,11 @@ class MeasureSpaceModel:
         sigma is the sum of A[i][n][p] over i in sigma, divided by D, with
         no identity assumed.
         """
+        f_at = zip(*(fn.values for fn in self.fs))  # f_at[i][n] = f_n(w_i)
+        g_at = zip(*(gp.values for gp in self.gs))  # g_at[i][p] = g_p(w_i)
         exact = [
-            [[fn.values[i] * gp.values[i] * mu for gp in self.gs] for fn in self.fs]
-            for i, mu in enumerate(self.mu)
+            [[f_mu * g for g in g_i] for f_mu in [f * mu for f in f_i]]
+            for f_i, g_i, mu in zip(f_at, g_at, self.mu)
         ]
         D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
         A = tuple(
@@ -131,21 +133,21 @@ class MeasureSpaceModel:
 
     @cached_property
     def product_matrix(self) -> ProductMatrix:
-        """Integrate every product f_n * g_p and check the triangular
-        structure."""
-        entries = []
-        for n, fn in enumerate(self.fs):
-            row = []
-            for p, gp in enumerate(self.gs):
-                v = integrate(self, fn * gp)
+        """M[n][p] = integral of f_n * g_p, the atom tables summed over all
+        atoms; the triangular structure is checked row-major."""
+        D, A = self.atom_products
+        entries = tuple(
+            tuple(Fraction(v, D) for v in row)
+            for row in subset_table(A, tuple(range(self.K + 1)))
+        )
+        for n, row in enumerate(entries):
+            for p, v in enumerate(row):
                 expected = self.d_star_d if p <= n else Fraction(0)
                 if v != expected:
                     raise StructureViolation(
                         f"M[{n}][{p}] = {v}, expected {expected}"
                     )
-                row.append(v)
-            entries.append(tuple(row))
-        return ProductMatrix(tuple(entries), self.d_star_d)
+        return ProductMatrix(entries, self.d_star_d)
 
     def to_json_obj(self) -> dict:
         return {
@@ -302,9 +304,21 @@ class ProductMatrix:
 
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """The model's product matrix: every f_n * g_p integrated, with the
+    """The model's product matrix, summed from its atom tables with the
     triangular structure checked, on the first call for the model."""
     return model.product_matrix
+
+
+def subset_table(
+    A: tuple[tuple[tuple[int, ...], ...], ...], sigma: tuple[int, ...]
+) -> list[list[int]]:
+    """S[n][p] = sum of A[i][n][p] over the atoms i in sigma."""
+    K = len(A) - 1
+    _check_atoms(sigma, K)
+    table = [[0] * (K + 1) for _ in range(K + 1)]
+    for i in sigma:
+        table = [list(map(add, row, atom_row)) for row, atom_row in zip(table, A[i])]
+    return table
 
 
 def atom_subsets(
@@ -408,19 +422,16 @@ def check_identities(
     for s in range(sample_count):
         x = _random_vector(rng, K)
         x_star = _random_rational_functional(rng, K)
-        lhs = integrate(model, pi_star(model, x_star) * pi(model, x))
+        px_star, px = pi_star(model, x_star), pi(model, x)
+        lhs = integrate(model, px_star * px)
         rhs = eval_functional(x_star, x).rational() * model.d_star_d
         if lhs != rhs:
             pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
         mod_x = modulus_vector(model.basis, x)
-        if l1_norm(model, pi(model, x)) != eval_functional(
-            model.d_star, mod_x
-        ).rational():
+        if l1_norm(model, px) != eval_functional(model.d_star, mod_x).rational():
             l1_vec_fail[f"sample_{s}"] = "mismatch"
         mod_star = modulus_functional(model.basis, x_star)
-        if l1_norm(model, pi_star(model, x_star)) != eval_functional(
-            mod_star, model.d
-        ).rational():
+        if l1_norm(model, px_star) != eval_functional(mod_star, model.d).rational():
             l1_fun_fail[f"sample_{s}"] = "mismatch"
     entries.append(
         ReportEntry("pairing_identity", not pairing_fail, details=pairing_fail)
@@ -435,16 +446,11 @@ def check_identities(
     sup_details = {}
     sup_ok = True
     if B_hat is not None:
-        for n, fn in enumerate(model.fs):
-            bound = B_hat * 2**n
-            sup_details[f"f_{n}_sup"] = fmt_rational(fn.sup_norm())
-            if fn.sup_norm() > bound:
-                sup_ok = False
-        for p, gp in enumerate(model.gs):
-            bound = B_hat * 2**p
-            sup_details[f"g_{p}_sup"] = fmt_rational(gp.sup_norm())
-            if gp.sup_norm() > bound:
-                sup_ok = False
+        for name, hs in (("f", model.fs), ("g", model.gs)):
+            for n, h in enumerate(hs):
+                sup_details[f"{name}_{n}_sup"] = fmt_rational(h.sup_norm())
+                if h.sup_norm() > B_hat * 2**n:
+                    sup_ok = False
     entries.append(
         ReportEntry("sup_norm_bounds", sup_ok, advisory=True, details=sup_details)
     )

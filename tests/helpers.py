@@ -31,12 +31,15 @@ from jameslab.james_core import (
 from jameslab.measure_space import (
     DegenerateAtom,
     MeasureSpaceModel,
+    ProductMatrix,
     StructureViolation,
+    integrate,
     integrate_over,
     mu_of,
 )
 from jameslab.metastability import (
     BudgetExceeded,
+    FoundPair,
     IndexFunction,
     StableInterval,
     fluctuation_budget,
@@ -180,6 +183,41 @@ def reference_fluctuation_details(
         "witness_interval": worst_interval,
         **failures,
     }
+
+
+def reference_product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
+    """``product_matrix`` the long way: each StepFunction product f_n * g_p
+    integrated over all atoms in Fractions, with the same row-major
+    structure check and ``StructureViolation`` message."""
+    entries = []
+    for n, fn in enumerate(model.fs):
+        row = []
+        for p, gp in enumerate(model.gs):
+            v = integrate(model, fn * gp)
+            expected = model.d_star_d if p <= n else Fraction(0)
+            if v != expected:
+                raise StructureViolation(f"M[{n}][{p}] = {v}, expected {expected}")
+            row.append(v)
+        entries.append(tuple(row))
+    return ProductMatrix(tuple(entries), model.d_star_d)
+
+
+def reference_conclusion_search(
+    model: MeasureSpaceModel, eps: Fraction
+) -> FoundPair | None:
+    """``conclusion_search`` by scanning every m < s and q < l of
+    :func:`reference_product_matrix` in lexicographic order."""
+    M = reference_product_matrix(model).entries
+    K = model.K
+    threshold = 20 * Fraction(eps)
+    for m in range(K + 1):
+        for s in range(m + 1, K + 1):
+            for q in range(K + 1):
+                for l in range(q + 1, K + 1):
+                    gap = abs(M[m][s] - M[l][q])
+                    if gap < threshold:
+                        return FoundPair(m=m, s=s, q=q, l=l, gap=gap)
+    return None
 
 
 def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:

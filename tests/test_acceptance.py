@@ -164,13 +164,20 @@ def test_criterion_4_measure_space_exactness(models):
         for model in models:
             assert sum(model.mu) == 1
             assert model.d_star_d >= Fraction(1, 4)
-            pairings = [
-                eval_functional(
-                    modulus_functional(model.basis, canonical("e_star", j, model.K)),
-                    modulus_vector(model.basis, canonical("d", jp, model.K)),
-                ).rational()
+            # the K + 1 moduli of each family once per model, then the same
+            # (K + 1)^2 pairings
+            e_star_moduli = [
+                modulus_functional(model.basis, canonical("e_star", j, model.K))
                 for j in range(model.K + 1)
+            ]
+            d_moduli = [
+                modulus_vector(model.basis, canonical("d", jp, model.K))
                 for jp in range(model.K + 1)
+            ]
+            pairings = [
+                eval_functional(e_mod, d_mod).rational()
+                for e_mod in e_star_moduli
+                for d_mod in d_moduli
             ]
             assert model.d_star_d <= max(pairings)
             report = check_identities(model, 2, seed=rng.randrange(2**32))

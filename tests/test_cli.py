@@ -81,20 +81,32 @@ def test_run_refutation_api():
 
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
+    # the products f_n g_p mu are formed once, in the atom tables (one
+    # common denominator taken), and the product matrix is summed from
+    # them: refute integrates only what the hypothesis report integrates
     integrals = []
     real_integrate = measure_space.integrate
+    tables = []
+    real_lcm = measure_space.lcm
 
     def counting_integrate(model, h):
         integrals.append(h)
         return real_integrate(model, h)
 
+    def counting_lcm(*args):
+        tables.append(args)
+        return real_lcm(*args)
+
     monkeypatch.setattr(measure_space, "integrate", counting_integrate)
+    monkeypatch.setattr(measure_space, "lcm", counting_lcm)
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     report_integrals = len(integrals)
     integrals.clear()
+    tables.clear()
     report = run_refutation(Basis.canonical(3), Fraction(2))
     assert report.conclusion is None
-    assert len(integrals) == report_integrals + 4 * 4
+    assert len(integrals) == report_integrals
+    assert len(tables) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from jameslab.james_core import (
     james_norm_sq_upper_bound,
     violation_to_witness,
     _longest_cycle_table,
+    _norm_sq_value,
     _turning_points,
 )
 from jameslab.scalars import Root2Scalar, ceil_inverse
@@ -648,6 +649,36 @@ def test_witness_from_scaled_dual_ball_sample():
         assert isinstance(violation, Violation)
         w = violation_to_witness(y, eps, chain, violation)
         assert w.lhs_sq > Root2Scalar(w.rhs_sq)
+
+
+def test_witness_norm_is_the_certificate_dp_value():
+    # rhs_sq comes from the value-only DP; it equals the certificate DP's
+    # value and the brute-force norm on planted and random witnesses
+    rng = random.Random(8010)
+    eps = Fraction(1, 2)
+    k = 2 * ceil_inverse(eps) ** 2
+    cases = []
+    for _ in range(10):
+        chain = random_chain(rng, 14, k + 1)
+        y, _cert, _scale = planted_violator(chain, eps)
+        cases.append((y, chain))
+    for _ in range(20):
+        chain = random_chain(rng, 14, k + 1)
+        coeffs = [Fraction(0)] * (chain[-1] + 1)
+        for n in chain[1:]:  # each chain gap is one coefficient, above eps
+            stretch = 1 + Fraction(rng.randint(1, 20), 10)
+            coeffs[n] = rng.choice((-1, 1)) * eps * stretch
+        cases.append((DualFunctional.from_rationals(chain[-1], tuple(coeffs)), chain))
+    for y, chain in cases:
+        violation = chain_stability_check(y, eps, chain)
+        assert isinstance(violation, Violation)
+        w = violation_to_witness(y, eps, chain, violation)
+        assert w.rhs_sq == james_norm_sq(w.xhat)[0] == james_norm_sq_oracle(w.xhat)
+    # witnesses have integer coordinates; the shared helper also clears
+    # denominators
+    for _ in range(20):
+        x = random_vector(rng, rng.randint(0, 8))
+        assert _norm_sq_value(x) == james_norm_sq(x)[0] == james_norm_sq_oracle(x)
 
 
 def test_witness_precondition_k():

@@ -10,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab import measure_space, metastability
 from jameslab.james_core import canonical
-from jameslab.measure_space import atom_subsets, build, integrate_over, pi, pi_star
+from jameslab.measure_space import (
+    StepFunction,
+    StructureViolation,
+    atom_subsets,
+    build,
+    integrate_over,
+    pi,
+    pi_star,
+    product_matrix,
+)
 from jameslab.metastability import (
     BudgetExceeded,
     FoundPair,
@@ -27,7 +36,12 @@ from jameslab.metastability import (
     subset_table,
 )
 
-from helpers import reference_fluctuation_details, reference_stable_interval
+from helpers import (
+    reference_conclusion_search,
+    reference_fluctuation_details,
+    reference_product_matrix,
+    reference_stable_interval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +464,58 @@ def test_subset_table_rejects_bad_atoms():
         subset_table(A, (1, 1))
 
 
+def test_subset_table_keeps_its_bad_atom_errors_in_measure_space():
+    # one copy of the table sum, bound in metastability as before
+    assert metastability.subset_table is measure_space.subset_table
+    _, A = build(Basis.canonical(2)).atom_products
+    with pytest.raises(ValueError, match=r"^atom listed twice in \(3, 3\)$"):
+        subset_table(A, (3, 3))  # a repeated atom is reported before its range
+    with pytest.raises(IndexError) as exc:
+        subset_table(A, (0, 5, -1))
+    assert exc.value.args == (5,)
+
+
+@pytest.mark.parametrize(
+    "model",
+    ORACLE_MODELS
+    + [
+        pytest.param(build(Basis.canonical(K)), id=f"canonical-K{K}")
+        for K in range(5, 9)
+    ],
+)
+def test_product_matrix_matches_the_step_function_reference(model):
+    assert product_matrix(model) == reference_product_matrix(model)
+
+
+@pytest.mark.parametrize(
+    "basis, perturbed",
+    [
+        (Basis.canonical(2), {"fs": (1, 1)}),
+        (Basis.canonical(3), {"fs": (0, 2)}),
+        (random_invertible_basis(3, random.Random(206)), {"fs": (2, 0)}),
+        (random_invertible_basis(4, random.Random(207)), {"fs": (4, 3)}),
+        # M[1][3] and M[2][0] both break: the row-major first is reported
+        (Basis.canonical(3), {"fs": (1, 3), "gs": (0, 2)}),
+    ],
+)
+def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
+    basis, perturbed
+):
+    model = build(basis)
+    assert "atom_products" not in vars(model)
+    for family, (n, i) in perturbed.items():
+        hs = list(getattr(model, family))
+        values = list(hs[n].values)
+        values[i] += Fraction(1, 7)
+        hs[n] = StepFunction(tuple(values))
+        vars(model)[family] = tuple(hs)  # set before the atom tables are built
+    with pytest.raises(StructureViolation) as expected:
+        reference_product_matrix(model)
+    with pytest.raises(StructureViolation) as got:
+        product_matrix(model)
+    assert str(got.value) == str(expected.value)
+
+
 def test_hypothesis_report_canonical_passes():
     model = build(Basis.canonical(3))
     report = hypothesis_report(model, Fraction(2), Fraction(1, 80))
@@ -493,6 +559,28 @@ def test_conclusion_found_at_coarse_accuracy():
 def test_conclusion_vacuous_at_k0():
     model = build(Basis.canonical(0))
     assert conclusion_search(model, Fraction(1)) is None
+
+
+def test_conclusion_search_matches_the_four_loop_reference():
+    rng = random.Random(208)
+    found = 0
+    for K in range(7):
+        for basis in (Basis.canonical(K), random_invertible_basis(K, rng)):
+            model = build(basis)
+            boundary = model.d_star_d / 20  # gap == 20 * eps: no candidate
+            for eps in (
+                Fraction(1, 80),
+                Fraction(1, 4),
+                Fraction(1),
+                Fraction(10),
+                boundary,
+                boundary + Fraction(1, 10**9),
+            ):
+                result = conclusion_search(model, eps)
+                assert result == reference_conclusion_search(model, eps)
+                found += result is not None
+            assert conclusion_search(model, boundary) is None
+    assert found > 0
 
 
 def test_sequence_oracle_validation():
