@@ -9,14 +9,17 @@ candidate is snapped back to rationals and replayed exactly.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .james_core import (
     DimensionMismatch,
     DualFunctional,
     JVector,
+    _coordinate_ascent,
     cycle_sum_max,
     eval_functional,
     james_norm_sq_float,
@@ -72,6 +75,23 @@ def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(D * v, prev) for v in row[n:]] for row in m]
 
 
+def _dots(v: Iterable[Fraction], D: int, lines: Iterable) -> tuple[Fraction, ...]:
+    """(line . v) / D for each integer line, v rational: v is scaled once
+    to integers over its lcm denominator S, then each value is one
+    integer dot product over D * S."""
+    S, (scaled,) = integer_rows([v])
+    den = D * S
+    return tuple(Fraction(sum(map(mul, line, scaled)), den) for line in lines)
+
+
+def _dots_root2(v: tuple, D: int, lines: Iterable) -> tuple[Root2Scalar, ...]:
+    """:func:`_dots` in Q(sqrt(2)), applied to the a and b parts of v."""
+    lines = list(lines)
+    a = _dots([c.a for c in v], D, lines)
+    b = _dots([c.b for c in v], D, lines) if any(c.b for c in v) else (0,) * len(a)
+    return tuple(map(Root2Scalar, a, b))
+
+
 @dataclass(frozen=True)
 class DualBasis:
     """Rows g*_i over e*_j with g*_i(w_j) = 1 exactly when i == j."""
@@ -79,27 +99,33 @@ class DualBasis:
     K: int
     rows: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def int_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(E, rows of E * W^-1), E the lcm of the row denominators: row i
+        is E * g*_i in integers.  Derived once per dual basis."""
+        E, rows = integer_rows(self.rows)
+        return E, tuple(map(tuple, rows))
+
     def coords_of(self, x: JVector) -> tuple[Fraction, ...]:
-        """Basis coordinates (g*_0(x), ..., g*_K(x))."""
+        """Basis coordinates (g*_0(x), ..., g*_K(x)) = W^-1 x."""
         if x.K != self.K:
             raise DimensionMismatch((x.K, self.K))
-        return tuple(
-            sum((r * c for r, c in zip(row, x.coeffs)), Fraction(0))
-            for row in self.rows
-        )
+        E, rows = self.int_rows
+        return _dots(x.coeffs, E, rows)
 
     def functional(self, i: int) -> DualFunctional:
         return DualFunctional.from_rationals(self.K, self.rows[i])
 
 
 class Basis:
-    """Basis (w_0..w_K) of J_K given by columns in canonical coordinates.
+    """Basis (w_0..w_K) of J_K given by the columns w_i of W.
 
     Invertibility is checked exactly at construction, which also builds
-    the dual basis ``self.dual`` from the exact inverse and re-verifies
-    its biorthogonality.  The integer columns of that check are kept as
-    ``self.int_columns``: column i is D * w_i, for the lcm D of all the
-    column denominators.
+    the dual basis ``self.dual`` (the rows of W^-1) and re-verifies
+    biorthogonality on the package's only integer forms of W and W^-1:
+    ``self.int_columns`` = (F, the columns of F * W), F the lcm of their
+    denominators, and ``self.dual.int_rows``.  Every map between
+    canonical and basis coordinates is a product with one of them.
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -109,16 +135,13 @@ class Basis:
             len(col) != self.K + 1 for col in self.columns
         ):
             raise DimensionMismatch("basis must be a (K+1) x (K+1) matrix")
-        # rows[j][i] = canonical coordinate j of w_i
-        rows = [
-            [self.columns[i][j] for i in range(self.K + 1)] for j in range(self.K + 1)
-        ]
-        inverse = invert_rational_matrix(rows)
+        # row j of W = canonical coordinate j of each w_i
+        inverse = invert_rational_matrix(list(zip(*self.columns)))
         self.dual = DualBasis(self.K, tuple(tuple(row) for row in inverse))
         # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned
-        E, dual_rows = integer_rows(self.dual.rows)
+        E, dual_rows = self.dual.int_rows
         F, columns = integer_rows(self.columns)
-        self.int_columns = tuple(map(tuple, columns))
+        self.int_columns = (F, tuple(map(tuple, columns)))
         for i, g in enumerate(dual_rows):
             for j, w in enumerate(columns):
                 if sum(map(mul, g, w)) != (E * F if i == j else 0):
@@ -140,17 +163,18 @@ class Basis:
         return JVector(self.K, self.columns[i])
 
     def combine(self, alpha: tuple[Fraction, ...]) -> JVector:
-        """The vector sum_i alpha_i * w_i in canonical coordinates."""
+        """The vector sum_i alpha_i * w_i = W alpha in canonical coordinates."""
         if len(alpha) != self.K + 1:
             raise DimensionMismatch("one coefficient per basis vector required")
-        coeffs = [Fraction(0)] * (self.K + 1)
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            col = self.columns[i]
-            for j in range(self.K + 1):
-                coeffs[j] += a * col[j]
-        return JVector(self.K, tuple(coeffs))
+        F, columns = self.int_columns
+        return JVector(self.K, _dots(alpha, F, zip(*columns)))
+
+    def functional_values(self, x_star: DualFunctional) -> tuple[Root2Scalar, ...]:
+        """(x*(w_0), ..., x*(w_K)) = x* W, exactly in Q(sqrt(2))."""
+        if x_star.K != self.K:
+            raise DimensionMismatch((x_star.K, self.K))
+        F, columns = self.int_columns
+        return _dots_root2(x_star.coeffs, F, columns)
 
     def to_json_obj(self) -> dict:
         return {
@@ -173,24 +197,11 @@ def modulus_vector(basis: Basis, x: JVector) -> JVector:
 
 
 def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
-    """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j.
-
-    With v_i = |x*(w_i)| = a_i + b_i sqrt(2), coefficient k is
-    sum_i a_i W^-1[i][k] + sqrt(2) sum_i b_i W^-1[i][k]; both sums are
-    taken in plain rationals, for rational and sqrt(2) functionals alike.
-    """
-    if x_star.K != basis.K:
-        raise DimensionMismatch((x_star.K, basis.K))
-    K = basis.K
-    a = [Fraction(0)] * (K + 1)
-    b = [Fraction(0)] * (K + 1)
-    for i, row in enumerate(basis.dual.rows):
-        v = abs(eval_functional(x_star, basis.vector(i)))
-        if v.a:
-            a = [s + v.a * g for s, g in zip(a, row)]
-        if v.b:
-            b = [s + v.b * g for s, g in zip(b, row)]
-    return DualFunctional(K, tuple(map(Root2Scalar, a, b)))
+    """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j:
+    the row of absolute values times W^-1, in Q(sqrt(2))."""
+    values = tuple(map(abs, basis.functional_values(x_star)))
+    E, rows = basis.dual.int_rows
+    return DualFunctional(basis.K, _dots_root2(values, E, zip(*rows)))
 
 
 def sign_align(
@@ -204,10 +215,10 @@ def sign_align(
     if x.K != basis.K or x_star.K != basis.K:
         raise DimensionMismatch((x.K, x_star.K, basis.K))
     coords = basis.dual.coords_of(x)
-    flipped = []
-    for i, c in enumerate(coords):
-        term = eval_functional(x_star, basis.vector(i)) * c
-        flipped.append(-c if term.sign() < 0 else c)
+    flipped = [
+        -c if v.sign() * c < 0 else c
+        for v, c in zip(basis.functional_values(x_star), coords)
+    ]
     x_prime = basis.combine(tuple(flipped))
     pairing = eval_functional(x_star, x_prime)
     return x_prime, pairing
@@ -262,7 +273,7 @@ def ratio_sq(
     _, (scaled,) = integer_rows([alpha])
     base = [0] * (basis.K + 2)
     flipped = [0] * (basis.K + 2)
-    for e, a, col in zip(eps.entries, scaled, basis.int_columns):
+    for e, a, col in zip(eps.entries, scaled, basis.int_columns[1]):
         if a:  # the last entry of base and flipped stays the virtual zero
             ea = e * a
             for j, w in enumerate(col):
@@ -305,22 +316,7 @@ def _ascend_alpha(
         num = james_norm_sq_float(combine([e * v for e, v in zip(eps, a)]))
         return num / den
 
-    best = objective(alpha)
-    for _sweep in range(4):
-        improved = False
-        for i in range(K + 1):
-            base = alpha[i]
-            for delta in (-0.6, -0.15, 0.15, 0.6):
-                alpha[i] = base + delta
-                obj = objective(alpha)
-                if obj > best * (1 + 1e-12):
-                    best = obj
-                    base = alpha[i]
-                    improved = True
-            alpha[i] = base
-        if not improved:
-            break
-    return alpha
+    return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))
 
 
 def uc_lower_bound(

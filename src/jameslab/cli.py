@@ -39,6 +39,7 @@ from .james_core import (
     JVector,
     StableIndex,
     Violation,
+    _pick_distinct,
     chain_stability_check,
     coordinate_chain_check,
     dual_ball_sample,
@@ -169,13 +170,6 @@ def _check_oracle_equivalence(seed: int) -> ReportEntry:
     return ReportEntry("oracle equivalence", True)
 
 
-def _random_chain(rng: random.Random, top: int, length: int) -> tuple[int, ...]:
-    chosen: set[int] = set()
-    while len(chosen) < length:
-        chosen.add(rng.randrange(top + 1))
-    return tuple(sorted(chosen))
-
-
 def _check_chain_lemmas(seed: int) -> list[ReportEntry]:
     rng = random.Random(f"{seed}:verify-chains")
     eps = Fraction(1, 2)
@@ -184,7 +178,7 @@ def _check_chain_lemmas(seed: int) -> list[ReportEntry]:
     dual_ok = True
     for _ in range(40):
         y, _cert = dual_ball_sample(rng.randrange(2**32), K, rng.randint(0, 4))
-        chain = _random_chain(rng, K, k + 1)
+        chain = tuple(_pick_distinct(rng, K + 1, k + 1))
         if isinstance(chain_stability_check(y, eps, chain), Violation):
             dual_ok = False
             break
@@ -195,7 +189,7 @@ def _check_chain_lemmas(seed: int) -> list[ReportEntry]:
         bound = james_norm_sq_upper_bound(x)
         if bound > 1:
             x = x.scale(Fraction(1, ceil_sqrt_rational(bound)))
-        chain = _random_chain(rng, K, k + 1)
+        chain = tuple(_pick_distinct(rng, K + 1, k + 1))
         if not isinstance(coordinate_chain_check(x, eps, chain), StableIndex):
             vec_ok = False
             break

@@ -15,8 +15,10 @@ certificates.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .scalars import (
@@ -581,22 +583,37 @@ def dual_norm_lower_bound(
     rng = random.Random(0xD0A1)
     for _ in range(budget):
         coords = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-        for _sweep in range(4):
-            for i in range(K + 1):
-                base = coords[i]
-                best_obj = _ratio_float(yf, coords)
-                for delta in (-0.5, -0.1, 0.1, 0.5):
-                    coords[i] = base + delta
-                    obj = _ratio_float(yf, coords)
-                    if obj > best_obj:
-                        best_obj = obj
-                        base = coords[i]
-                coords[i] = base
+        _coordinate_ascent(partial(_ratio_float, yf), coords, (-0.5, -0.1, 0.1, 0.5))
         snapped = tuple(
             Fraction(c).limit_denominator(1000) for c in coords
         )
         consider(JVector(K, snapped))
     return best_lb, best_w
+
+
+def _coordinate_ascent(
+    objective: Callable[[list[float]], float], x: list[float], deltas: tuple
+) -> list[float]:
+    """Float coordinate ascent on x, in place; heuristic only.  Up to four
+    sweeps try x[i] + delta for each delta in turn, keeping a move that
+    beats the best objective by a relative 1e-12; a sweep that keeps no
+    move ends the search, since the next would repeat it."""
+    best = objective(x)
+    for _sweep in range(4):
+        improved = False
+        for i in range(len(x)):
+            base = x[i]
+            for delta in deltas:
+                x[i] = base + delta
+                obj = objective(x)
+                if obj > best * (1 + 1e-12):
+                    best = obj
+                    base = x[i]
+                    improved = True
+            x[i] = base
+        if not improved:
+            break
+    return x
 
 
 def _ratio_float(yf: list[float], coords: list[float]) -> float:

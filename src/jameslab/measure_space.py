@@ -167,8 +167,8 @@ def build(basis: Basis) -> MeasureSpaceModel:
     |Gamma[i][j]| w_i and |e*_j| = sum_i |W[j][i]| g*_i, so
     d = W c and d* = r W^-1 with c_i = sum_j 2^-(j+1) |Gamma[i][j]| and
     r_i = sum_j 2^-(j+1) |W[j][i]|, and d*(d) is their dot product.  W
-    and W^-1 are taken as integers over one denominator each, so every
-    sum below is an integer dot product.
+    and W^-1 come from the basis as integers over one denominator each,
+    so every sum below is an integer dot product.
 
     Before returning, checks exactly that mu is a probability measure,
     that d*(d) >= 1/4, and that d*(d) agrees with the weighted double sum
@@ -178,8 +178,8 @@ def build(basis: Basis) -> MeasureSpaceModel:
     are products with the computed d and d*.
     """
     K = basis.K
-    E, inv = integer_rows(basis.dual.rows)  # E * W^-1, row i = E * g*_i
-    F, cols = integer_rows(basis.columns)  # F * W, column i = F * w_i
+    E, inv = basis.dual.int_rows  # E * W^-1, row i = E * g*_i
+    F, cols = basis.int_columns  # F * W, column i = F * w_i
     P = 2 ** (K + 1)
     halving = [2 ** (K - j) for j in range(K + 1)]  # P * 2^-(j+1)
 
@@ -244,8 +244,7 @@ def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> StepFunction:
     if x_star.K != model.K:
         raise DimensionMismatch((x_star.K, model.K))
     values = []
-    for i in range(model.K + 1):
-        v = eval_functional(x_star, model.basis.vector(i))
+    for i, v in enumerate(model.basis.functional_values(x_star)):
         if not v.is_rational:
             raise IrrationalAtomValue(f"functional is irrational on atom {i}")
         values.append(model.d_star_d / model.d_star_atoms[i] * v.rational())
@@ -258,16 +257,8 @@ def integrate_over(
     """Integral of h over the atom subset sigma: sum of value * weight."""
     if len(h.values) != model.K + 1:
         raise DimensionMismatch((len(h.values), model.K + 1))
-    total = Fraction(0)
-    seen = set()
-    for i in sigma:
-        if not 0 <= i <= model.K:
-            raise IndexError(i)
-        if i in seen:
-            raise ValueError(f"atom {i} listed twice")
-        seen.add(i)
-        total += h.values[i] * model.mu[i]
-    return total
+    _check_atoms(sigma, model.K)
+    return sum((h.values[i] * model.mu[i] for i in sigma), Fraction(0))
 
 
 def integrate(model: MeasureSpaceModel, h: StepFunction) -> Fraction:

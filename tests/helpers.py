@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from jameslab.basis_tools import (
     Basis,
+    DualBasis,
     SignPattern,
     SingularBasis,
     UCEstimate,
@@ -26,6 +27,7 @@ from jameslab.james_core import (
     eval_functional,
     functional_from_certificate,
     james_norm_sq,
+    james_norm_sq_float,
     james_norm_sq_upper_bound,
 )
 from jameslab.measure_space import (
@@ -244,6 +246,88 @@ def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
                 inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
     return inv
+
+
+def reference_coords_of(dual: DualBasis, x: JVector) -> tuple[Fraction, ...]:
+    """``DualBasis.coords_of`` as a sum of Fraction products over the rows
+    of W^-1."""
+    if x.K != dual.K:
+        raise DimensionMismatch((x.K, dual.K))
+    return tuple(
+        sum((r * c for r, c in zip(row, x.coeffs)), Fraction(0)) for row in dual.rows
+    )
+
+
+def reference_combine(basis: Basis, alpha: tuple[Fraction, ...]) -> JVector:
+    """``Basis.combine`` as a sum of Fraction multiples of the columns."""
+    if len(alpha) != basis.K + 1:
+        raise DimensionMismatch("one coefficient per basis vector required")
+    coeffs = [Fraction(0)] * (basis.K + 1)
+    for i, a in enumerate(alpha):
+        if a == 0:
+            continue
+        col = basis.columns[i]
+        for j in range(basis.K + 1):
+            coeffs[j] += a * col[j]
+    return JVector(basis.K, tuple(coeffs))
+
+
+def reference_functional_values(
+    basis: Basis, x_star: DualFunctional
+) -> tuple[Root2Scalar, ...]:
+    """``Basis.functional_values``: x* evaluated on each basis vector."""
+    return tuple(
+        eval_functional(x_star, basis.vector(i)) for i in range(basis.K + 1)
+    )
+
+
+def reference_dual_norm_lower_bound(
+    y: DualFunctional, budget: int
+) -> tuple[Fraction, JVector]:
+    """``dual_norm_lower_bound`` with its own ascent loop: every sweep of
+    all four runs, the best objective re-evaluated at each coordinate, a
+    move kept when it beats it at all, and witness norms from the
+    certificate DP."""
+    K = y.K
+    if y.is_zero():
+        return Fraction(0), JVector.zero(K)
+    best_lb, best_w = Fraction(0), JVector.zero(K)
+
+    def consider(w: JVector) -> None:
+        nonlocal best_lb, best_w
+        if w.is_zero():
+            return
+        val_sq = eval_functional(y, w).square()
+        lb = val_sq.rational_lower_bound() / james_norm_sq(w)[0]
+        if lb > best_lb:
+            best_lb, best_w = lb, w
+
+    def ratio(coords: list[float]) -> float:
+        n = james_norm_sq_float(coords)
+        if n <= 0:
+            return 0.0
+        val = sum(a * b for a, b in zip(yf, coords))
+        return val * val / n
+
+    for i in range(K + 1):
+        consider(canonical("e", i, K))
+    yf = [c.to_float() for c in y.coeffs]
+    rng = random.Random(0xD0A1)
+    for _ in range(budget):
+        coords = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+        for _sweep in range(4):
+            for i in range(K + 1):
+                base = coords[i]
+                best_obj = ratio(coords)
+                for delta in (-0.5, -0.1, 0.1, 0.5):
+                    coords[i] = base + delta
+                    obj = ratio(coords)
+                    if obj > best_obj:
+                        best_obj = obj
+                        base = coords[i]
+                coords[i] = base
+        consider(JVector(K, tuple(Fraction(c).limit_denominator(1000) for c in coords)))
+    return best_lb, best_w
 
 
 def reference_modulus_functional(

@@ -27,6 +27,7 @@ from jameslab.james_core import (
     DualFunctional,
     JVector,
     canonical,
+    dual_ball_sample,
     eval_functional,
     james_norm_sq_oracle,
 )
@@ -36,6 +37,9 @@ from helpers import (
     gauss_jordan_inverse,
     random_vector,
     reference_ascend_alpha,
+    reference_combine,
+    reference_coords_of,
+    reference_functional_values,
     reference_modulus_functional,
     reference_ratio_sq,
     reference_uc_lower_bound,
@@ -198,6 +202,62 @@ def test_modulus_functional_matches_the_q_sqrt2_sum():
                 )
 
 
+def _sample_functional(rng: random.Random, K: int, kind: str) -> DualFunctional:
+    """A rational functional, a dual-ball sample (sqrt(2) parts) or their sum."""
+    rational = DualFunctional.from_rationals(
+        K, tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(K + 1))
+    )
+    ball, _ = dual_ball_sample(rng.randrange(10**6), K, rng.randint(0, 4))
+    return {"rational": rational, "dual_ball": ball, "mixed": rational + ball}[kind]
+
+
+_BASIS_CASES = (
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
+    st.sampled_from(["rational", "dual_ball", "mixed"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+
+def _basis_case(K: int, canonical_basis: bool, seed: int) -> tuple[random.Random, Basis]:
+    rng = random.Random(seed)
+    return rng, Basis.canonical(K) if canonical_basis else random_invertible_basis(K, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_BASIS_CASES)
+def test_basis_coordinate_maps_match_their_fraction_oracles(
+    K, canonical_basis, kind, seed
+):
+    rng, basis = _basis_case(K, canonical_basis, seed)
+    x = random_vector(rng, K)
+    alpha = random_vector(rng, K).coeffs
+    x_star = _sample_functional(rng, K, kind)
+    coords = basis.dual.coords_of(x)
+    assert coords == reference_coords_of(basis.dual, x)
+    assert all(type(c) is Fraction for c in coords)
+    assert basis.combine(alpha) == reference_combine(basis, alpha)
+    assert basis.combine(coords) == x
+    assert basis.functional_values(x_star) == reference_functional_values(basis, x_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_BASIS_CASES)
+def test_modulus_functional_matches_the_oracle_on_every_kind(
+    K, canonical_basis, kind, seed
+):
+    rng, basis = _basis_case(K, canonical_basis, seed)
+    x_star = _sample_functional(rng, K, kind)
+    assert modulus_functional(basis, x_star) == reference_modulus_functional(
+        basis, x_star
+    )
+
+
+def test_functional_values_checks_the_dimension():
+    with pytest.raises(DimensionMismatch):
+        Basis.canonical(2).functional_values(DualFunctional.zero(3))
+
+
 def test_modulus_vector_idempotent():
     rng = random.Random(44)
     for _ in range(6):
@@ -243,6 +303,20 @@ def test_sign_align_zero_functional():
     x = JVector(2, (Fraction(1), Fraction(-1), Fraction(2)))
     _, pairing = sign_align(basis, x, DualFunctional.zero(2))
     assert pairing == Root2Scalar(0)
+
+
+def test_sign_align_resolves_ties_to_plus_one():
+    # where x*(w_i) = 0 the coordinate keeps its sign, on any basis
+    rng = random.Random(57)
+    for K in range(4):
+        basis = random_invertible_basis(K, rng)
+        x = random_vector(rng, K)
+        x_prime, _ = sign_align(basis, x, DualFunctional.zero(K))
+        assert x_prime == x
+        x_star = basis.dual.functional(0)  # vanishes on w_1..w_K
+        coords = basis.dual.coords_of(x)
+        x_prime, _ = sign_align(basis, x, x_star)
+        assert basis.dual.coords_of(x_prime) == (abs(coords[0]),) + coords[1:]
 
 
 def test_sign_align_canonical_example():

@@ -47,6 +47,7 @@ from helpers import (
     planted_violator,
     random_chain,
     random_vector,
+    reference_dual_norm_lower_bound,
     rescale_into_unit_ball,
     zigzag_functional,
 )
@@ -538,6 +539,22 @@ def test_dual_norm_lower_bound_matches_the_certificate_norm():
         norm_sq, _ = james_norm_sq(witness)
         exact = eval_functional(y, witness).square().rational_lower_bound()
         assert lb == exact / norm_sq
+
+
+def test_dual_norm_lower_bound_matches_its_ascent_oracle():
+    # the shared coordinate ascent keeps the (lb, witness) of the old loop
+    rng = random.Random(6226)
+    for trial in range(150):
+        K = rng.randint(0, 9)
+        budget = trial % 5
+        rational = DualFunctional.from_rationals(
+            K, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(K + 1))
+        )
+        ball, _ = dual_ball_sample(seed=3000 + trial, K=K, num_terms=rng.randint(1, 4))
+        y = (rational, ball, rational + ball)[trial % 3]
+        assert dual_norm_lower_bound(y, budget) == reference_dual_norm_lower_bound(
+            y, budget
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from jameslab import basis_tools, measure_space
 from jameslab.basis_tools import Basis, SingularBasis, random_invertible_basis
 from jameslab.james_core import (
     DualFunctional,
@@ -14,6 +15,7 @@ from jameslab.james_core import (
     eval_functional,
 )
 from jameslab.measure_space import (
+    SIGMA_ENUMERATION_MAX_DIMENSION,
     IrrationalAtomValue,
     StepFunction,
     atom_subsets,
@@ -27,6 +29,7 @@ from jameslab.measure_space import (
     pi_star,
     product_matrix,
     small_set_breaches,
+    subset_table,
 )
 from jameslab.basis_tools import modulus_functional, modulus_vector
 from jameslab.scalars import Root2Scalar
@@ -222,6 +225,51 @@ def test_integrate_validation():
         integrate_over(model, h, (0, 0))
 
 
+@pytest.mark.parametrize("sigma", [(9, 0, 0), (0, 5, -1)])
+def test_integrate_over_rejects_atoms_as_subset_table_does(sigma):
+    model = build(Basis.canonical(2))
+    _, A = model.atom_products
+    with pytest.raises((ValueError, IndexError)) as table_error:
+        subset_table(A, sigma)
+    with pytest.raises(type(table_error.value)) as integral_error:
+        integrate_over(model, StepFunction((Fraction(1),) * 3), sigma)
+    assert type(integral_error.value) is type(table_error.value)
+    assert integral_error.value.args == table_error.value.args
+    if sigma == (9, 0, 0):
+        assert str(integral_error.value) == "atom listed twice in (9, 0, 0)"
+
+
+def test_build_reads_the_integer_forms_of_the_basis(monkeypatch):
+    basis = random_invertible_basis(4, random.Random(107))
+
+    def refuse(rows):
+        raise AssertionError("build derived an integer form of its own")
+
+    monkeypatch.setattr(measure_space, "integer_rows", refuse)
+    assert build(basis).mu == reference_build(basis).mu
+
+
+def test_integer_forms_are_derived_once_per_basis(monkeypatch):
+    args = []
+
+    def recording(real):
+        def wrapper(rows):
+            args.append(rows)
+            return real(rows)
+        return wrapper
+
+    for module in (basis_tools, measure_space):
+        monkeypatch.setattr(module, "integer_rows", recording(module.integer_rows))
+    basis = random_invertible_basis(4, random.Random(108))
+    assert "int_rows" in vars(basis.dual)
+    model = build(basis)
+    check_identities(model, 2, 0)
+    product_matrix(model)
+    assert sum(rows is basis.dual.rows for rows in args) == 1
+    assert sum(rows is basis.columns for rows in args) == 1
+    assert basis.dual.int_rows is basis.dual.int_rows
+
+
 # ---------------------------------------------------------------------------
 # product matrix
 # ---------------------------------------------------------------------------
@@ -341,6 +389,17 @@ def test_atom_subsets_enumeration():
     assert () in subsets and (0, 1, 2) in subsets
     model = build(Basis.canonical(2))
     assert mu_of(model, (0, 1, 2)) == 1
+
+
+def test_atom_subsets_samples_above_the_enumeration_limit():
+    K = SIGMA_ENUMERATION_MAX_DIMENSION + 1
+    subsets = atom_subsets(K, seed=5)
+    assert len(subsets) == len(set(subsets)) == 256
+    assert subsets == sorted(subsets)
+    assert () in subsets and tuple(range(K + 1)) in subsets
+    assert all(list(s) == sorted(set(s)) and set(s) <= set(range(K + 1)) for s in subsets)
+    assert atom_subsets(K, seed=5) == subsets
+    assert atom_subsets(K, seed=6) != subsets
 
 
 def test_model_json_export():
