@@ -24,7 +24,7 @@ from .james_core import (
     eval_functional,
     james_norm_sq_float,
 )
-from .scalars import Root2Scalar, fmt_rational, integer_rows
+from .scalars import fmt_rational, integer_rows
 
 
 class SingularBasis(ValueError):
@@ -37,6 +37,12 @@ class ZeroVector(ValueError):
 
 class DimensionTooLargeForPatterns(ValueError):
     pass
+
+
+class IrrationalAtomValue(ValueError):
+    """A functional with a sqrt(2) part reached a map defined over Q: its
+    values x*(w_i) on the basis vectors (the atoms of the measure space)
+    are not all rational."""
 
 
 def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -82,14 +88,6 @@ def _dots(v: Iterable[Fraction], D: int, lines: Iterable) -> tuple[Fraction, ...
     S, (scaled,) = integer_rows([v])
     den = D * S
     return tuple(Fraction(sum(map(mul, line, scaled)), den) for line in lines)
-
-
-def _dots_root2(v: tuple, D: int, lines: Iterable) -> tuple[Root2Scalar, ...]:
-    """:func:`_dots` in Q(sqrt(2)), applied to the a and b parts of v."""
-    lines = list(lines)
-    a = _dots([c.a for c in v], D, lines)
-    b = _dots([c.b for c in v], D, lines) if any(c.b for c in v) else (0,) * len(a)
-    return tuple(map(Root2Scalar, a, b))
 
 
 @dataclass(frozen=True)
@@ -169,12 +167,16 @@ class Basis:
         F, columns = self.int_columns
         return JVector(self.K, _dots(alpha, F, zip(*columns)))
 
-    def functional_values(self, x_star: DualFunctional) -> tuple[Root2Scalar, ...]:
-        """(x*(w_0), ..., x*(w_K)) = x* W, exactly in Q(sqrt(2))."""
+    def functional_values(self, x_star: DualFunctional) -> tuple[Fraction, ...]:
+        """(x*(w_0), ..., x*(w_K)) = x* W for a functional with rational
+        coefficients; one with a sqrt(2) part raises
+        :class:`IrrationalAtomValue`."""
         if x_star.K != self.K:
             raise DimensionMismatch((x_star.K, self.K))
+        if not x_star.has_rational_coeffs:
+            raise IrrationalAtomValue("functional has a sqrt(2) part")
         F, columns = self.int_columns
-        return _dots_root2(x_star.coeffs, F, columns)
+        return _dots(x_star.rational_coeffs(), F, columns)
 
     def to_json_obj(self) -> dict:
         return {
@@ -198,25 +200,28 @@ def modulus_vector(basis: Basis, x: JVector) -> JVector:
 
 def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
     """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j:
-    the row of absolute values times W^-1, in Q(sqrt(2))."""
-    values = tuple(map(abs, basis.functional_values(x_star)))
+    the row of absolute values times W^-1.  x* must be rational (see
+    :meth:`Basis.functional_values`)."""
+    values = map(abs, basis.functional_values(x_star))
     E, rows = basis.dual.int_rows
-    return DualFunctional(basis.K, _dots_root2(values, E, zip(*rows)))
+    return DualFunctional.from_rationals(basis.K, _dots(values, E, zip(*rows)))
 
 
 def sign_align(
     basis: Basis, x: JVector, x_star: DualFunctional
-) -> tuple[JVector, Root2Scalar]:
+) -> tuple[JVector, object]:
     """Flip basis coordinates of x so every term pairs nonnegatively.
 
     Returns x' = sum_i eps_i g*_i(x) w_i (ties resolved to +1) and the
-    pairing x*(x') = |x*|(|x|), which is nonnegative by construction.
+    pairing x*(x') = |x*|(|x|) as :func:`eval_functional` gives it, which
+    is nonnegative by construction.  x* must be rational (see
+    :meth:`Basis.functional_values`).
     """
     if x.K != basis.K or x_star.K != basis.K:
         raise DimensionMismatch((x.K, x_star.K, basis.K))
     coords = basis.dual.coords_of(x)
     flipped = [
-        -c if v.sign() * c < 0 else c
+        -c if v * c < 0 else c
         for v, c in zip(basis.functional_values(x_star), coords)
     ]
     x_prime = basis.combine(tuple(flipped))

@@ -19,16 +19,13 @@ from math import lcm
 from operator import add, mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
-from .james_core import (
-    DimensionMismatch,
-    DualFunctional,
-    JVector,
-    eval_functional,
-)
+from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
+from .james_core import DimensionMismatch, DualFunctional, JVector
 from .reporting import Report, ReportEntry
 from .scalars import ceil_rational, fmt_rational, integer_rows
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
+IDENTITY_SMALL_SET_EPS = Fraction(1, 4)
 
 
 class DegenerateAtom(ValueError):
@@ -40,8 +37,8 @@ class StructureViolation(AssertionError):
     signals an implementation bug, not a mathematical possibility."""
 
 
-class IrrationalAtomValue(ValueError):
-    pass
+class SubsetEnumerationLimit(ValueError):
+    """The 2^(K+1) atom subsets of a model are too many to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -239,16 +236,15 @@ def pi(model: MeasureSpaceModel, x: JVector) -> StepFunction:
 def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> StepFunction:
     """Embed a functional: value d*(d)/d*(w_i) * x*(w_i) at atom i.
 
-    Requires the functional to take rational values on every atom.
+    Requires a rational functional; one with a sqrt(2) part raises
+    :class:`IrrationalAtomValue` (from :meth:`Basis.functional_values`).
     """
     if x_star.K != model.K:
         raise DimensionMismatch((x_star.K, model.K))
-    values = []
-    for i, v in enumerate(model.basis.functional_values(x_star)):
-        if not v.is_rational:
-            raise IrrationalAtomValue(f"functional is irrational on atom {i}")
-        values.append(model.d_star_d / model.d_star_atoms[i] * v.rational())
-    return StepFunction(tuple(values))
+    values = model.basis.functional_values(x_star)
+    return StepFunction(
+        tuple(model.d_star_d / a * v for a, v in zip(model.d_star_atoms, values))
+    )
 
 
 def integrate_over(
@@ -312,20 +308,20 @@ def subset_table(
     return table
 
 
-def atom_subsets(
-    K: int, seed: int = 0, sample_count: int = 256
-) -> list[tuple[int, ...]]:
-    """All atom subsets for small K, a deterministic sample beyond."""
-    if K <= SIGMA_ENUMERATION_MAX_DIMENSION:
-        return [
-            tuple(i for i in range(K + 1) if mask & (1 << i))
-            for mask in range(2 ** (K + 1))
-        ]
-    rng = random.Random(f"{seed}:sigma")
-    out = {(), tuple(range(K + 1))}
-    while len(out) < sample_count:
-        out.add(tuple(i for i in range(K + 1) if rng.random() < 0.5))
-    return sorted(out)
+def atom_subsets(K: int) -> list[tuple[int, ...]]:
+    """All 2^(K+1) atom subsets, in the order of their bit masks.  Above
+    ``SIGMA_ENUMERATION_MAX_DIMENSION`` raises
+    :class:`SubsetEnumerationLimit`: every clause over sigma is decided
+    on all subsets or not at all."""
+    if K > SIGMA_ENUMERATION_MAX_DIMENSION:
+        raise SubsetEnumerationLimit(
+            f"K = {K}: the 2^(K+1) atom subsets are enumerated only for "
+            f"K <= {SIGMA_ENUMERATION_MAX_DIMENSION}"
+        )
+    return [
+        tuple(i for i in range(K + 1) if mask & (1 << i))
+        for mask in range(2 ** (K + 1))
+    ]
 
 
 def small_set_breaches(
@@ -374,18 +370,11 @@ def _check_atoms(sigma: tuple[int, ...], K: int) -> None:
             raise IndexError(i)
 
 
-def _random_vector(rng: random.Random, K: int) -> JVector:
+def _random_coeffs(rng: random.Random, K: int) -> tuple[Fraction, ...]:
+    """K + 1 rationals with numerators in [-8, 8] over one denominator in
+    [1, 6]: the coefficients of a sample vector or functional."""
     den = rng.randint(1, 6)
-    return JVector(
-        K, tuple(Fraction(rng.randint(-8, 8), den) for _ in range(K + 1))
-    )
-
-
-def _random_rational_functional(rng: random.Random, K: int) -> DualFunctional:
-    den = rng.randint(1, 6)
-    return DualFunctional.from_rationals(
-        K, tuple(Fraction(rng.randint(-8, 8), den) for _ in range(K + 1))
-    )
+    return tuple(Fraction(rng.randint(-8, 8), den) for _ in range(K + 1))
 
 
 def check_identities(
@@ -393,17 +382,19 @@ def check_identities(
     sample_count: int,
     seed: int,
     B_hat: Fraction | None = None,
-    eps: Fraction = Fraction(1, 4),
 ) -> Report:
     """Exact verification of the embedding identities on random samples.
 
     Asserted clauses: the pairing identity, both L1 identities, and
     small-set continuity against the certified stand-in
-    B^ = max_n ||f_n||_inf / 2^n.  The sup-norm comparison against a
+    B^ = max_n ||f_n||_inf / 2^n at accuracy ``IDENTITY_SMALL_SET_EPS``,
+    over all atom subsets.  The sup-norm comparison against a
     user-supplied bound is advisory: its hypothesis (an unconditionality
-    bound for the basis) is not certifiable from below.
+    bound for the basis) is not certifiable from below.  The samples are
+    rational, so each right-hand side is a dot product over Q.
     """
     K = model.K
+    d_star = model.d_star.rational_coeffs()
     rng = random.Random(f"{seed}:identities")
     entries: list[ReportEntry] = []
 
@@ -411,18 +402,18 @@ def check_identities(
     l1_vec_fail: dict[str, str] = {}
     l1_fun_fail: dict[str, str] = {}
     for s in range(sample_count):
-        x = _random_vector(rng, K)
-        x_star = _random_rational_functional(rng, K)
+        x = JVector(K, _random_coeffs(rng, K))
+        x_star = DualFunctional.from_rationals(K, _random_coeffs(rng, K))
         px_star, px = pi_star(model, x_star), pi(model, x)
         lhs = integrate(model, px_star * px)
-        rhs = eval_functional(x_star, x).rational() * model.d_star_d
+        rhs = sum(map(mul, x_star.rational_coeffs(), x.coeffs)) * model.d_star_d
         if lhs != rhs:
             pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
         mod_x = modulus_vector(model.basis, x)
-        if l1_norm(model, px) != eval_functional(model.d_star, mod_x).rational():
+        if l1_norm(model, px) != sum(map(mul, d_star, mod_x.coeffs)):
             l1_vec_fail[f"sample_{s}"] = "mismatch"
-        mod_star = modulus_functional(model.basis, x_star)
-        if l1_norm(model, px_star) != eval_functional(mod_star, model.d).rational():
+        mod_star = modulus_functional(model.basis, x_star).rational_coeffs()
+        if l1_norm(model, px_star) != sum(map(mul, mod_star, model.d.coeffs)):
             l1_fun_fail[f"sample_{s}"] = "mismatch"
     entries.append(
         ReportEntry("pairing_identity", not pairing_fail, details=pairing_fail)
@@ -450,7 +441,7 @@ def check_identities(
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for sigma, n in small_set_breaches(
-            model, model.fs, certified, eps, atom_subsets(K, seed)
+            model, model.fs, certified, IDENTITY_SMALL_SET_EPS, atom_subsets(K)
         )
     }
     entries.append(

@@ -326,11 +326,11 @@ def hypothesis_report(
 
     Clauses: L1 bounds on the embedded d_n and e*_p, small-set continuity
     for both families, and bounded fluctuations of the product sequences
-    (checked against a small family of index functions and every atom
-    subset at desk scale).  The L1 norms are the only integrals.  The
-    product sequences come from the model's integer per-atom tables (see
-    :func:`fluctuation_harness`), in one pass over the atom subsets for
-    both modes and both index functions.
+    (checked against a small family of index functions and all atom
+    subsets; ``atom_subsets`` refuses K > 16).  The L1 norms are the only
+    integrals.  The product sequences come from the model's integer
+    per-atom tables (see :func:`fluctuation_harness`), in one pass over
+    the atom subsets for both modes and both index functions.
     """
     B_hat = Fraction(B_hat)
     eps = Fraction(eps)

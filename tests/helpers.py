@@ -12,7 +12,6 @@ from jameslab.basis_tools import (
     SingularBasis,
     UCEstimate,
     ZeroVector,
-    modulus_vector,
     uc_sign_patterns,
 )
 from jameslab.james_core import (
@@ -347,9 +346,13 @@ def reference_modulus_functional(
 def reference_build(basis: Basis) -> MeasureSpaceModel:
     """The measure space built the long way, from the moduli |d_j| and
     |e*_j|: d and d* as weighted sums of them, d*(d) and the atom values
-    by evaluating functionals, with every check of ``build``."""
+    by evaluating functionals, with every check of ``build``.  Coordinates
+    and combinations come from the Fraction oracles, not the basis maps."""
     K = basis.K
-    d_moduli = [modulus_vector(basis, canonical("d", j, K)) for j in range(K + 1)]
+    d_moduli = []
+    for j in range(K + 1):
+        coords = reference_coords_of(basis.dual, canonical("d", j, K))
+        d_moduli.append(reference_combine(basis, tuple(map(abs, coords))))
     d = JVector.zero(K)
     for j, m in enumerate(d_moduli):
         d = d + m.scale(Fraction(1, 2 ** (j + 1)))
@@ -376,7 +379,7 @@ def reference_build(basis: Basis) -> MeasureSpaceModel:
     if d_star_d < Fraction(1, 4):
         raise StructureViolation(f"d*(d) = {d_star_d} < 1/4")
 
-    gamma_d = basis.dual.coords_of(d)
+    gamma_d = reference_coords_of(basis.dual, d)
     d_star_atoms = tuple(
         eval_functional(d_star, basis.vector(i)).rational() for i in range(K + 1)
     )
@@ -428,13 +431,13 @@ def reference_ratio_sq(
     basis: Basis, eps: SignPattern, alpha: tuple[Fraction, ...]
 ) -> Fraction:
     """``ratio_sq`` in Fractions: both combinations through
-    ``Basis.combine`` and both norms from the certificate DP."""
+    :func:`reference_combine` and both norms from the certificate DP."""
     if len(eps.entries) != basis.K + 1 or len(alpha) != basis.K + 1:
         raise DimensionMismatch("sign pattern and alpha must match the basis")
-    base = basis.combine(tuple(alpha))
+    base = reference_combine(basis, tuple(alpha))
     if base.is_zero():
         raise ZeroVector("denominator combination is zero")
-    flipped = basis.combine(tuple(e * a for e, a in zip(eps.entries, alpha)))
+    flipped = reference_combine(basis, tuple(e * a for e, a in zip(eps.entries, alpha)))
     num, _ = james_norm_sq(flipped)
     den, _ = james_norm_sq(base)
     return num / den

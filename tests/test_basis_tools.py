@@ -31,6 +31,7 @@ from jameslab.james_core import (
     eval_functional,
     james_norm_sq_oracle,
 )
+from jameslab.measure_space import IrrationalAtomValue, build, pi_star
 from jameslab.scalars import Root2Scalar
 
 from helpers import (
@@ -183,6 +184,7 @@ def test_modulus_vector_canonical_componentwise():
 
 def test_modulus_functional_matches_the_q_sqrt2_sum():
     rng = random.Random(46)
+    rejected = 0
     for K in range(6):
         basis = random_invertible_basis(K, rng)
         for _ in range(3):
@@ -196,10 +198,29 @@ def test_modulus_functional_matches_the_q_sqrt2_sum():
             pure_sqrt2 = DualFunctional(
                 K, tuple(Root2Scalar(0, b) for b in parts[K + 1 :])
             )
-            for x_star in (rational, mixed, pure_sqrt2):
-                assert modulus_functional(basis, x_star) == (
-                    reference_modulus_functional(basis, x_star)
-                )
+            assert modulus_functional(basis, rational) == (
+                reference_modulus_functional(basis, rational)
+            )
+            for x_star in (mixed, pure_sqrt2):
+                if x_star.has_rational_coeffs:  # every sqrt(2) part drawn as 0
+                    continue
+                assert_rejected_by_the_rational_maps(basis, x_star)
+                rejected += 1
+    assert rejected > 0
+
+
+def assert_rejected_by_the_rational_maps(basis: Basis, x_star: DualFunctional) -> None:
+    """The basis maps and pi_star each raise IrrationalAtomValue on x*."""
+    model = build(basis)
+    x = JVector.zero(basis.K)
+    for call in (
+        lambda: basis.functional_values(x_star),
+        lambda: modulus_functional(basis, x_star),
+        lambda: sign_align(basis, x, x_star),
+        lambda: pi_star(model, x_star),
+    ):
+        with pytest.raises(IrrationalAtomValue):
+            call()
 
 
 def _sample_functional(rng: random.Random, K: int, kind: str) -> DualFunctional:
@@ -238,7 +259,12 @@ def test_basis_coordinate_maps_match_their_fraction_oracles(
     assert all(type(c) is Fraction for c in coords)
     assert basis.combine(alpha) == reference_combine(basis, alpha)
     assert basis.combine(coords) == x
-    assert basis.functional_values(x_star) == reference_functional_values(basis, x_star)
+    if x_star.has_rational_coeffs:
+        assert basis.functional_values(x_star) == (
+            reference_functional_values(basis, x_star)
+        )
+    else:
+        assert_rejected_by_the_rational_maps(basis, x_star)
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,9 +274,12 @@ def test_modulus_functional_matches_the_oracle_on_every_kind(
 ):
     rng, basis = _basis_case(K, canonical_basis, seed)
     x_star = _sample_functional(rng, K, kind)
-    assert modulus_functional(basis, x_star) == reference_modulus_functional(
-        basis, x_star
-    )
+    if x_star.has_rational_coeffs:
+        assert modulus_functional(basis, x_star) == reference_modulus_functional(
+            basis, x_star
+        )
+    else:
+        assert_rejected_by_the_rational_maps(basis, x_star)
 
 
 def test_functional_values_checks_the_dimension():

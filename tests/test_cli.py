@@ -1,6 +1,7 @@
 """CLI surface: determinism, exit codes, and the serialized formats."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jameslab import cli, hierarchy, measure_space
-from jameslab.basis_tools import Basis
+from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
 from jameslab.measure_space import StructureViolation, build
@@ -252,6 +253,19 @@ def test_basis_file_commands(tmp_path, capsys):
     matrix = obj["product_matrix"]
     assert matrix[0][1] == "0/1"
     assert Fraction(matrix[1][0]) == Fraction(obj["d_star_d"])
+
+
+@pytest.mark.parametrize("command", ["refute", "metastable"])
+def test_sigma_clauses_refuse_more_atoms_than_they_enumerate(tmp_path, capsys, command):
+    # sampling 256 of the 2^18 subsets printed PASS for both small-set
+    # clauses here, yet the single atom (11,) breaks them at n = 0
+    basis = random_invertible_basis(17, random.Random(1))
+    path = tmp_path / "basis17.json"
+    path.write_text(json.dumps(basis.to_json_obj()))
+    code, out, err = run_cli(capsys, command, "--basis", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "K <= 16" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_singular_basis_is_input_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ from jameslab.measure_space import (
     SIGMA_ENUMERATION_MAX_DIMENSION,
     IrrationalAtomValue,
     StepFunction,
+    SubsetEnumerationLimit,
     atom_subsets,
     build,
     check_identities,
@@ -391,15 +392,16 @@ def test_atom_subsets_enumeration():
     assert mu_of(model, (0, 1, 2)) == 1
 
 
-def test_atom_subsets_samples_above_the_enumeration_limit():
-    K = SIGMA_ENUMERATION_MAX_DIMENSION + 1
-    subsets = atom_subsets(K, seed=5)
-    assert len(subsets) == len(set(subsets)) == 256
-    assert subsets == sorted(subsets)
-    assert () in subsets and tuple(range(K + 1)) in subsets
+def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond():
+    K = SIGMA_ENUMERATION_MAX_DIMENSION
+    subsets = atom_subsets(K)
+    assert len(subsets) == len(set(subsets)) == 2 ** (K + 1)
     assert all(list(s) == sorted(set(s)) and set(s) <= set(range(K + 1)) for s in subsets)
-    assert atom_subsets(K, seed=5) == subsets
-    assert atom_subsets(K, seed=6) != subsets
+    with pytest.raises(SubsetEnumerationLimit, match=f"K <= {K}$"):
+        atom_subsets(K + 1)
+    model = build(random_invertible_basis(K + 1, random.Random(1)))
+    with pytest.raises(SubsetEnumerationLimit):
+        check_identities(model, 1, 0)
 
 
 def test_model_json_export():
