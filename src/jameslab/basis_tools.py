@@ -128,6 +128,8 @@ class Basis:
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
         self.K = int(K)
+        if self.K < 0:
+            raise ValueError("dimension index must be nonnegative")
         self.columns = tuple(tuple(Fraction(v) for v in col) for col in columns)
         if len(self.columns) != self.K + 1 or any(
             len(col) != self.K + 1 for col in self.columns

@@ -275,7 +275,7 @@ def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return cls.from_json_obj(obj)

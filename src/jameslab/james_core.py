@@ -190,11 +190,6 @@ class DualFunctional:
             out.append(acc)
         return tuple(out)
 
-    def eval_on_d(self, n: int) -> Root2Scalar:
-        if n < 0:
-            raise IndexError(n)
-        return self.d_prefix_values()[min(n, self.K)]
-
     def to_json_obj(self) -> dict:
         return {"K": self.K, "coeffs": [c.to_pair() for c in self.coeffs]}
 
@@ -359,6 +354,12 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     index tuple.  O(U K^2) integer arithmetic for the table after clearing
     denominators, with U <= K + 2 distinct values, plus O(K^2) for the
     walk.
+
+    The table is built on every index, not on :func:`_turning_points`:
+    the walk takes the least next index j whose table entry g[j] completes
+    an optimal cycle, so it needs g at indices the turning points drop.
+    For d_3 at K = 3 the lex-least optimal cycle is (0, 1, 2, 3, 4), and
+    the turning points drop indices 1-3.
     """
     nums, den = _scaled_int_coords(x)
     best_val, a, g = _longest_cycle_table(nums)

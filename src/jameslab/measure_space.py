@@ -381,17 +381,14 @@ def check_identities(
     model: MeasureSpaceModel,
     sample_count: int,
     seed: int,
-    B_hat: Fraction | None = None,
 ) -> Report:
     """Exact verification of the embedding identities on random samples.
 
     Asserted clauses: the pairing identity, both L1 identities, and
     small-set continuity against the certified stand-in
     B^ = max_n ||f_n||_inf / 2^n at accuracy ``IDENTITY_SMALL_SET_EPS``,
-    over all atom subsets.  The sup-norm comparison against a
-    user-supplied bound is advisory: its hypothesis (an unconditionality
-    bound for the basis) is not certifiable from below.  The samples are
-    rational, so each right-hand side is a dot product over Q.
+    over all atom subsets.  The samples are rational, so each right-hand
+    side is a dot product over Q.
     """
     K = model.K
     d_star = model.d_star.rational_coeffs()
@@ -423,18 +420,6 @@ def check_identities(
     )
     entries.append(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
-    )
-
-    sup_details = {}
-    sup_ok = True
-    if B_hat is not None:
-        for name, hs in (("f", model.fs), ("g", model.gs)):
-            for n, h in enumerate(hs):
-                sup_details[f"{name}_{n}_sup"] = fmt_rational(h.sup_norm())
-                if h.sup_norm() > B_hat * 2**n:
-                    sup_ok = False
-    entries.append(
-        ReportEntry("sup_norm_bounds", sup_ok, advisory=True, details=sup_details)
     )
 
     certified = max(fn.sup_norm() / 2**n for n, fn in enumerate(model.fs))

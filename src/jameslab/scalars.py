@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
 
-Rational = Fraction
-
 _SQRT2_DIGITS = 40
 _SQRT2_DEN = 10**_SQRT2_DIGITS
 _SQRT2_NUM = isqrt(2 * _SQRT2_DEN * _SQRT2_DEN)
@@ -55,10 +53,6 @@ def integer_rows(
     rows = [list(row) for row in rows]
     D = lcm(*(v.denominator for row in rows for v in row))
     return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def ceil_rational(x: Fraction) -> int:

@@ -284,6 +284,8 @@ def test_singular_basis_is_input_error(tmp_path, capsys):
         ("norm", '{"K": 0, "coeffs": 5}'),
         ("norm", '{"K": 0, "coeffs": [Infinity]}'),
         ("refute", '{"K": 1}'),
+        ("refute", '{"K": -1, "columns": []}'),
+        pytest.param("norm", "[" * 100000, id="norm-deeply-nested"),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, command, text):

@@ -400,7 +400,7 @@ def test_e_star_on_d_prefix_rule():
             dn = canonical("d", n, 3)
             expect = Root2Scalar(1 if p <= n else 0)
             assert eval_functional(es, dn) == expect
-            assert es.eval_on_d(n) == expect
+            assert es.d_prefix_values()[n] == expect
 
 
 def test_zero_functional_evaluates_to_zero():
@@ -430,7 +430,7 @@ def test_prefix_values_agree_with_direct_evaluation():
         y, _ = dual_ball_sample(seed=trial, K=K, num_terms=rng.randint(0, 4))
         for n in (0, 1, K, K + 3):
             direct = eval_functional(y, canonical("d", min(n, K), K))
-            assert y.eval_on_d(n) == direct
+            assert y.d_prefix_values()[min(n, K)] == direct
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from jameslab.metastability import (
     fluctuation_budget,
     fluctuation_harness,
     hypothesis_report,
-    monotonize,
     subset_table,
 )
 
@@ -45,7 +44,7 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
-# index functions and monotonization
+# index functions and their reach
 # ---------------------------------------------------------------------------
 
 def test_index_function_identity_beyond_horizon():
@@ -54,28 +53,22 @@ def test_index_function_identity_beyond_horizon():
     assert F(10) == 10
 
 
-def test_monotonize_fixed_point_on_nondecreasing():
-    F = IndexFunction((1, 2, 2, 5))
-    assert monotonize(F).table == (1, 2, 2, 5)
+def test_reach_of_a_nondecreasing_table_is_the_table():
+    assert IndexFunction((1, 2, 2, 5)).reach == (1, 2, 2, 5)
 
 
-def test_monotonize_running_max():
-    F = IndexFunction((5, 3, 7))
-    M = monotonize(F)
-    assert M.table == (5, 5, 7)
-    assert M(3) == 7  # tail keeps dominating the table maximum
-    assert M(9) == 9
+def test_reach_is_the_running_max_of_the_table_and_the_identity():
+    assert IndexFunction((5, 3, 7)).reach == (5, 5, 7)
+    assert IndexFunction((0, 0, 4, 1, 0, 0)).reach == (0, 1, 4, 4, 4, 5)
+    assert IndexFunction(()).reach == ()
 
 
-@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12))
-def test_monotonize_dominates_and_idempotent(table):
+@given(st.lists(st.integers(min_value=0, max_value=40), max_size=12))
+def test_reach_is_the_least_nondecreasing_map_above_F_and_the_identity(table):
     F = IndexFunction(tuple(table))
-    M = monotonize(F)
-    for n in range(len(table) + 5):
-        assert M(n) >= F(n)
-        if n > 0:
-            assert M(n) >= M(n - 1)
-    assert monotonize(M) is M
+    assert len(F.reach) == len(table)
+    for m, r in enumerate(F.reach):
+        assert r == max([F(i) for i in range(m + 1)] + [m])
 
 
 def _counting(monkeypatch, module, name):
@@ -90,11 +83,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_monotonize_takes_the_running_max_once(monkeypatch):
+def test_reach_is_computed_once_per_index_function(monkeypatch):
     maxima = _counting(monkeypatch, metastability, "accumulate")
     F = IndexFunction((5, 3, 7))
-    M = monotonize(F)
-    assert monotonize(F) is M and F.running_max is M
+    reach = F.reach
+    assert F.reach is reach
     assert len(maxima) == 1
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     assert len(maxima) == 1 + 2  # once per index function of the report
@@ -249,23 +242,20 @@ def _chase_inputs(draw):
 @given(
     chase=_chase_inputs(),
     table=st.lists(st.integers(min_value=0, max_value=16), max_size=10),
-    tail_floor=st.integers(min_value=0, max_value=16),
     monotone=st.booleans(),
     n=st.integers(min_value=0, max_value=14),
     budget=st.integers(min_value=0, max_value=3),
     extra=st.integers(min_value=1, max_value=5),
 )
 def test_integer_chase_matches_the_fraction_oracle(
-    chase, table, tail_floor, monotone, n, budget, extra
+    chase, table, monotone, n, budget, extra
 ):
     # scaling the sequence and eps by a common denominator (times any
     # positive int) gives an int chase with the outcome of the Fraction one
     values, eps = chase
     if monotone:
         table = sorted(table)
-        tail_floor = max([tail_floor, *table])
-    F = IndexFunction(tuple(table), tail_floor=tail_floor)
-    assert (monotonize(F) is F) or not monotone
+    F = IndexFunction(tuple(table))
     scale = extra * lcm(eps.denominator, *(v.denominator for v in values))
     int_values = tuple(int(v * scale) for v in values)
     int_eps = int(eps * scale)
@@ -285,6 +275,12 @@ def test_find_stable_interval_monotonizes_internally():
     F = IndexFunction((9, 1, 1))  # wildly non-monotone
     interval = find_stable_interval(seq, Fraction(1), F, 0, 3)
     assert interval.m == 0
+
+
+def test_find_stable_interval_refuses_a_negative_start():
+    # reach[-1] would otherwise read the last table entry as a window end
+    with pytest.raises(IndexError):
+        find_stable_interval(SequenceOracle((0, 1)), 1, IndexFunction((3, 0)), -1, 2)
 
 
 def test_fluctuation_budget_value():
