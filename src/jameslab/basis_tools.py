@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from operator import mul
 
 from .james_core import (
@@ -393,11 +394,8 @@ def uc_sign_patterns(
 
 
 def _all_patterns(K: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(2 ** (K + 1)):
-        out.append(tuple(1 if mask & (1 << i) else -1 for i in range(K + 1)))
-    out.sort()
-    return out
+    """Every sign pattern of length K+1, in lexicographic order."""
+    return list(product((-1, 1), repeat=K + 1))
 
 
 def _sampled_patterns(K: int, seed: int, count: int) -> list[tuple[int, ...]]:

@@ -51,7 +51,6 @@ from .measure_space import StructureViolation, build, check_identities, product_
 from .metastability import (
     FoundPair,
     IndexFunction,
-    SequenceOracle,
     BudgetExceeded,
     count_fluctuations,
     conclusion_search,
@@ -223,14 +222,16 @@ def _check_fluctuation_completeness(seed: int) -> ReportEntry:
         for _step in range(40):
             jump = rng.choice([0, 0, 0, 1, -1])
             values.append(values[-1] + jump)
-        seq = SequenceOracle(tuple(values))
-        c = count_fluctuations(seq, eps / 2, (0, 200))
+        values = tuple(values)
+        c = count_fluctuations(values, eps / 2, (0, 200))
         try:
-            interval = find_stable_interval(seq, eps, F, 0, max(c, 1))
+            interval = find_stable_interval(values, eps, F, 0, max(c, 1))
         except BudgetExceeded:
             return ReportEntry("fluctuation finder completeness", False)
-        vals = [seq(j) for j in range(interval.m, interval.end + 1)]
-        if max(vals) - min(vals) >= eps:
+        # a chase from 0 anchors inside the tuple, and the repeats of the
+        # last value past it add nothing to the window's spread
+        window = values[interval.m : interval.end + 1]
+        if max(window) - min(window) >= eps:
             return ReportEntry("fluctuation finder completeness", False)
     return ReportEntry("fluctuation finder completeness", True)
 
@@ -281,6 +282,15 @@ def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
         return cls.from_json_obj(obj)
     except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _rational_option(option: str, text: str) -> Fraction:
+    """Parse the value of a p/q option; a zero denominator is an input
+    error that names the option and the text it was given."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"{option} {text!r} has a zero denominator") from None
 
 
 def _basis_from_args(args: argparse.Namespace) -> Basis:
@@ -338,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="product matrix of a model")
     _add_basis_args(p)
-    p.add_argument("--csv", action="store_true", help="CSV rendering")
+    p.add_argument(
+        "--csv", action="store_true",
+        help="accepted for old command lines; the text output is already CSV",
+    )
 
     p = sub.add_parser("metastable", help="hypothesis report for a model")
     _add_basis_args(p)
@@ -446,9 +459,6 @@ def _cmd_space(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     model = build(_basis_from_args(args))
     pm = product_matrix(model)
-    if args.csv and not args.json:
-        sys.stdout.write(pm.to_csv())
-        return 0
     _emit(
         args,
         pm.to_json_obj(),
@@ -459,7 +469,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_metastable(args: argparse.Namespace) -> int:
     model = build(_basis_from_args(args))
-    report = hypothesis_report(model, Fraction(args.B), Fraction(args.eps))
+    report = hypothesis_report(
+        model, _rational_option("--B", args.B), _rational_option("--eps", args.eps)
+    )
     lines = [
         f"{'PASS' if e.passed else 'FAIL'} {e.name}" for e in report.entries
     ]
@@ -490,7 +502,7 @@ def _cmd_fgh(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    B = Fraction(args.B)
+    B = _rational_option("--B", args.B)
     t = threshold_arg(B)
     expr = HierarchyExpr(OMEGA, t)
     obj = {
@@ -503,7 +515,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         f"K >= {expr.render()} required for the unconditionality lower bound",
     ]
     if args.eps is not None:
-        tc = threshold_arg_with_eps(B, Fraction(args.eps))
+        tc = threshold_arg_with_eps(B, _rational_option("--eps", args.eps))
         obj["eps_threshold_argument"] = _decimal(tc)
         obj["eps_threshold_symbolic"] = HierarchyExpr(OMEGA, tc).render()
         lines.append(f"accuracy-dependent threshold argument = {_decimal(tc)}")
@@ -512,7 +524,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    report = run_refutation(_basis_from_args(args), Fraction(args.B))
+    report = run_refutation(_basis_from_args(args), _rational_option("--B", args.B))
     lines = ["product matrix:"]
     lines.extend("  " + row for row in report.matrix_csv.rstrip("\n").split("\n"))
     lines.extend(

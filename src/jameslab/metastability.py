@@ -11,7 +11,8 @@ one exact consequence the product matrix rules out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -71,32 +72,15 @@ class IndexFunction:
         return tuple(accumulate(map(max, self.table, range(len(self.table))), max))
 
 
-@dataclass(frozen=True)
-class SequenceOracle:
-    """Total rational sequence, constant beyond its tabulated horizon.
-
-    Values that are already ``int`` or ``Fraction`` are kept as given;
-    anything else is converted with ``Fraction()``.  Values of exactly
-    those two types, as the fluctuation loop passes, skip the per-value
-    check.
-    """
-
-    values: tuple[int | Fraction, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        if not set(map(type, values)) <= {int, Fraction}:
-            values = tuple(
-                v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values
-            )
-        object.__setattr__(self, "values", values)
-        if not self.values:
-            raise ValueError("sequence needs at least one tabulated value")
-
-    def __call__(self, n: int) -> int | Fraction:
-        if n < 0:
-            raise IndexError(n)
-        return self.values[min(n, len(self.values) - 1)]
+def _check_values(values: tuple[int | Fraction, ...]) -> None:
+    """A chased sequence is a nonempty tuple of ints or Fractions (bool and
+    Fraction subclasses included), constant past its last value."""
+    if not values:
+        raise ValueError("sequence needs at least one tabulated value")
+    if not set(map(type, values)) <= {int, Fraction} and not all(
+        isinstance(v, (int, Fraction)) for v in values
+    ):
+        raise TypeError("sequence values must be ints or Fractions")
 
 
 @dataclass(frozen=True)
@@ -109,18 +93,22 @@ class StableInterval:
 
 
 def count_fluctuations(
-    seq: SequenceOracle, eps: Fraction, index_range: tuple[int, int]
+    values: tuple[int | Fraction, ...], eps: Fraction, index_range: tuple[int, int]
 ) -> int:
-    """Greedy eps-jump count over [start, end]: re-anchor at each index
-    whose value strays at least eps from the current anchor."""
+    """Greedy eps-jump count over [start, end] of the sequence that holds
+    its last value past the tuple: re-anchor at each index whose value
+    strays at least eps from the current anchor."""
+    _check_values(values)
     eps = Fraction(eps)
     start, end = index_range
     if start > end or start < 0:
         raise ValueError("empty or invalid index range")
-    anchor = seq(start)
+    last = len(values) - 1
+    # the repeats of the last value past the tuple never stray from it
+    window = values[min(start, last) : min(end, last) + 1]
+    anchor = window[0]
     count = 0
-    for j in range(start + 1, end + 1):
-        v = seq(j)
+    for v in window[1:]:
         if abs(v - anchor) >= eps:
             count += 1
             anchor = v
@@ -128,7 +116,7 @@ def count_fluctuations(
 
 
 def find_stable_interval(
-    seq: SequenceOracle,
+    values: tuple[int | Fraction, ...],
     eps: int | Fraction,
     F: IndexFunction,
     n: int,
@@ -136,6 +124,7 @@ def find_stable_interval(
 ) -> StableInterval:
     """Chase eps/2 deviations through windows until one window is stable.
 
+    The sequence is ``values``, held at its last value past the tuple.
     Starting from m_0 = n, each step either finds the least index in
     [m_i, F.reach[m_i]] deviating from the anchor by at least eps/2 (and
     re-anchors there) or declares the window stable.  A returned interval
@@ -150,6 +139,7 @@ def find_stable_interval(
     and eps by one positive common denominator leaves every comparison,
     and so every interval and every exception, as it was.
     """
+    _check_values(values)
     if not isinstance(eps, int):
         eps = Fraction(eps)
     if eps <= 0:
@@ -160,7 +150,6 @@ def find_stable_interval(
         raise IndexError(n)
     reach = F.reach
     tail = reach[-1] if reach else 0
-    values = seq.values
     last = len(values) - 1
     m = n
     for used in range(budget + 1):
@@ -194,66 +183,37 @@ def fluctuation_budget(B_hat: Fraction, eps: Fraction) -> int:
 FLUCTUATION_MODES = ("fix_p", "fix_n")
 
 
-@dataclass
-class _FluctuationTally:
-    """What one (mode, index function) run over a sigma family found;
-    ``witness`` is (sigma, fixed index, interval) of the last run that
-    used ``max_used`` re-anchorings."""
-
-    runs: int = 0
-    max_used: int = 0
-    witness: tuple[tuple[int, ...], int, StableInterval] | None = None
-    failures: dict[str, str] = field(default_factory=dict)
-
-
-def _fluctuation_tallies(
+def _product_sequences(
     model: MeasureSpaceModel,
-    budget: int,
     eps: Fraction,
-    index_functions: tuple[IndexFunction, ...],
     modes: tuple[str, ...],
-    sigma_family: list[tuple[int, ...]],
-) -> dict[tuple[str, int], _FluctuationTally]:
-    """Run the finder for every mode and index function in one pass over
-    sigma_family, keyed by (mode, position in index_functions).
+    sigmas: list[tuple[int, ...]],
+) -> tuple[int, Iterator[tuple[str, tuple[int, ...], int, tuple[int, ...]]]]:
+    """The int accuracy, and the product sequences as (mode, sigma, fixed,
+    values), sigma by sigma and, within a sigma, mode by mode.
 
-    Each sigma's table is summed once, and each of its sequences is built
-    once per mode and chased under every index function.  The atom tables
-    are scaled by the denominator of eps * D once, so the table entries
-    and the accuracy are both ints.
+    Each sigma's table is summed once.  The atom tables are scaled by the
+    denominator of eps * D once, so the table entries and the accuracy
+    are both ints.
     """
     D, A = model.atom_products
     accuracy = Fraction(eps) * D
     scale = accuracy.denominator
     if scale != 1:
         A = tuple(tuple(tuple(scale * v for v in row) for row in atom) for atom in A)
-    accuracy = accuracy.numerator
-    tallies = {
-        (mode, fi): _FluctuationTally()
-        for mode in modes
-        for fi in range(len(index_functions))
-    }
-    for sigma in sigma_family:
-        table = subset_table(A, sigma)
-        for mode in modes:
-            if mode == "fix_p":
-                sequences = zip(*table)
-            else:
-                sequences = ((*row, 0) for row in table)
-            for fixed, values in enumerate(sequences):
-                seq = SequenceOracle(values)
-                for fi, F in enumerate(index_functions):
-                    tally = tallies[mode, fi]
-                    tally.runs += 1
-                    try:
-                        interval = find_stable_interval(seq, accuracy, F, 0, budget)
-                    except BudgetExceeded as exc:
-                        tally.failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
-                        continue
-                    if interval.fluctuations_used >= tally.max_used:
-                        tally.max_used = interval.fluctuations_used
-                        tally.witness = (sigma, fixed, interval)
-    return tallies
+
+    def sequences():
+        for sigma in sigmas:
+            table = subset_table(A, sigma)
+            for mode in modes:
+                if mode == "fix_p":
+                    rows = zip(*table)
+                else:
+                    rows = ((*row, 0) for row in table)
+                for fixed, values in enumerate(rows):
+                    yield mode, sigma, fixed, values
+
+    return accuracy.numerator, sequences()
 
 
 def fluctuation_harness(
@@ -287,26 +247,37 @@ def fluctuation_harness(
     if mode not in FLUCTUATION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     budget = fluctuation_budget(B_hat, eps)
-    tally = _fluctuation_tallies(model, budget, eps, (F,), (mode,), sigma_family)[
-        mode, 0
-    ]
+    accuracy, sequences = _product_sequences(model, eps, (mode,), sigma_family)
+    runs = max_used = 0
+    witness = None
+    failures: dict[str, str] = {}
+    for _, sigma, fixed, values in sequences:
+        runs += 1
+        try:
+            interval = find_stable_interval(values, accuracy, F, 0, budget)
+        except BudgetExceeded as exc:
+            failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
+            continue
+        if interval.fluctuations_used >= max_used:
+            max_used = interval.fluctuations_used
+            witness = (sigma, fixed, interval)
     witness_interval = ""
-    if tally.witness is not None:
-        sigma, fixed, interval = tally.witness
+    if witness is not None:
+        sigma, fixed, interval = witness
         witness_interval = (
             f"sigma={sigma} fixed={fixed} "
-            f"[{interval.m}, {interval.end}] used={interval.fluctuations_used}"
+            f"[{interval.m}, {interval.end}] used={max_used}"
         )
     entry = ReportEntry(
         name=f"bounded_fluctuations_{mode}",
-        passed=not tally.failures,
+        passed=not failures,
         advisory=True,
         details={
-            "runs": str(tally.runs),
+            "runs": str(runs),
             "budget": str(budget),
-            "max_fluctuations_used": str(tally.max_used),
+            "max_fluctuations_used": str(max_used),
             "witness_interval": witness_interval,
-            **tally.failures,
+            **failures,
         },
     )
     return Report((entry,))
@@ -357,16 +328,17 @@ def hypothesis_report(
         IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
         IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
     )
-    tallies = _fluctuation_tallies(
-        model,
-        fluctuation_budget(B_hat, eps),
-        eps,
-        index_functions,
-        FLUCTUATION_MODES,
-        sigmas,
-    )
+    budget = fluctuation_budget(B_hat, eps)
+    accuracy, sequences = _product_sequences(model, eps, FLUCTUATION_MODES, sigmas)
+    failed: set[tuple[str, int]] = set()
+    for mode, _, _, values in sequences:
+        for fi, F in enumerate(index_functions):
+            try:
+                find_stable_interval(values, accuracy, F, 0, budget)
+            except BudgetExceeded:
+                failed.add((mode, fi))
     for mode in FLUCTUATION_MODES:
-        passed = [not tallies[mode, fi].failures for fi in range(len(index_functions))]
+        passed = [(mode, fi) not in failed for fi in range(len(index_functions))]
         entries.append(
             ReportEntry(
                 f"bounded_fluctuations_{mode}",

@@ -47,7 +47,6 @@ from jameslab.measure_space import build, check_identities, product_matrix
 from jameslab.metastability import (
     BudgetExceeded,
     IndexFunction,
-    SequenceOracle,
     conclusion_search,
     count_fluctuations,
     find_stable_interval,
@@ -255,12 +254,15 @@ def test_criterion_8_fluctuation_finder_completeness():
             values = [Fraction(0)]
             for _step in range(rng.randint(20, 60)):
                 values.append(values[-1] + Fraction(rng.choice([-2, -1, 0, 0, 1, 2]), 4))
-            seq = SequenceOracle(tuple(values))
-            c = count_fluctuations(seq, eps / 2, (0, 400))
+            values = tuple(values)
+            c = count_fluctuations(values, eps / 2, (0, 400))
             budget = c + rng.randint(0, 3)
-            interval = find_stable_interval(seq, eps, F, 0, budget)
+            interval = find_stable_interval(values, eps, F, 0, budget)
             assert interval.fluctuations_used <= budget
-            window = [seq(j) for j in range(interval.m, interval.end + 1)]
+            window = [
+                values[min(j, len(values) - 1)]
+                for j in range(interval.m, interval.end + 1)
+            ]
             assert max(window) - min(window) < eps
         # adversarial staircases against undersized budgets
         for _ in range(20):
@@ -268,11 +270,10 @@ def test_criterion_8_fluctuation_finder_completeness():
             values = tuple(
                 Fraction(0) if i % 2 == 0 else eps for i in range(length)
             )
-            seq = SequenceOracle(values)
             Fstep = IndexFunction.from_callable(lambda n: n + 1, length + 10)
-            c = count_fluctuations(seq, eps / 2, (0, length - 1))
+            c = count_fluctuations(values, eps / 2, (0, length - 1))
             with pytest.raises(BudgetExceeded):
-                find_stable_interval(seq, eps, Fstep, 0, rng.randint(0, c - 1))
+                find_stable_interval(values, eps, Fstep, 0, rng.randint(0, c - 1))
         ok = True
     finally:
         _report(8, "fluctuation finder complete vs greedy oracle, 200 planted", ok)

@@ -487,6 +487,15 @@ def test_uc_lower_bound_matches_the_reference_search(basis, strategy, budget):
     assert uc_lower_bound(basis, strategy, budget, seed) == expected
 
 
+@pytest.mark.parametrize("K", range(9))
+def test_exhaustive_patterns_are_the_sorted_bit_mask_enumeration(K):
+    masks = sorted(
+        tuple(1 if mask >> i & 1 else -1 for i in range(K + 1))
+        for mask in range(2 ** (K + 1))
+    )
+    assert uc_sign_patterns(K, "exhaustive", 1) == masks
+
+
 def test_uc_sign_patterns_counts_and_checks():
     assert len(uc_sign_patterns(3, "exhaustive", 1)) == 16
     assert len(uc_sign_patterns(12, "exhaustive", 1)) == 2**13

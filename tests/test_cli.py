@@ -213,6 +213,26 @@ def test_nonpositive_b_or_eps_is_input_error(capsys, argv, message):
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("refute", "--canonical", "2", "--B", "1/0"), "--B"),
+        (("metastable", "--canonical", "2", "--B", "1/0"), "--B"),
+        (("metastable", "--canonical", "2", "--eps", "3/0"), "--eps"),
+        (("threshold", "--B", "1/0"), "--B"),
+        (("threshold", "--eps", "1/0"), "--eps"),
+        (("threshold", "--B", "2", "--eps", "5/0"), "--eps"),
+    ],
+)
+def test_zero_denominator_names_the_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert option in err and argv[-1] in err
+    assert "Fraction(" not in err
+
+
 def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
     def broken_build(basis):
         raise StructureViolation("mu(Omega) != 1")
@@ -395,6 +415,61 @@ def test_matrix_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n\\p,0,1,2"
     assert lines[1] == "0,35/64,0/1,0/1"
+
+
+@pytest.mark.parametrize("K", range(5))
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_matrix_csv_flag_prints_the_default_output(capsys, K, json_flag):
+    plain = run_cli(capsys, *json_flag, "matrix", "--canonical", str(K))
+    flagged = run_cli(capsys, *json_flag, "matrix", "--canonical", str(K), "--csv")
+    assert flagged == plain
+    assert plain[0] == 0
+
+
+def _failing_fluctuation_report(K):
+    """The --json metastable report at (B, eps) = (1/8, 1/4) or (1/3, 1/2)
+    for the canonical basis at K = 2, 3, 4, as recorded before the finder
+    took plain tuples: every clause but bounded_fluctuations_fix_p fails."""
+    def clause(name, details, passed=False):
+        return {"advisory": False, "details": details, "name": name, "passed": passed}
+
+    f = {2: ("1/2", "3/4", "7/8"),
+         3: ("1/2", "3/4", "7/8", "15/16"),
+         4: ("1/2", "3/4", "7/8", "15/16", "31/32")}[K]
+    g = {2: ("7/8", "3/8", "1/8"),
+         3: ("15/16", "7/16", "3/16", "1/16"),
+         4: ("31/32", "15/32", "7/32", "3/32", "1/32")}[K]
+    return {
+        "all_passed": False,
+        "entries": [
+            clause("l1_bound_f", {f"f_{n}": v for n, v in enumerate(f)}),
+            clause("l1_bound_g", {f"g_{p}": v for p, v in enumerate(g)}),
+            clause("small_set_continuity_f", {}),
+            clause("small_set_continuity_g", {}),
+            clause(
+                "bounded_fluctuations_fix_p",
+                {"index_function_0": "pass", "index_function_1": "pass"},
+                passed=True,
+            ),
+            clause(
+                "bounded_fluctuations_fix_n",
+                {"index_function_0": "fail", "index_function_1": "fail"},
+            ),
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "K, B, eps",
+    [(2, "1/8", "1/4"), (3, "1/8", "1/4"), (4, "1/8", "1/4"), (4, "1/3", "1/2")],
+)
+def test_failing_fluctuation_clauses_print_the_recorded_json(capsys, K, B, eps):
+    code, out, err = run_cli(
+        capsys, "--json", "metastable", "--canonical", str(K), "--B", B, "--eps", eps
+    )
+    assert (code, err) == (1, "")
+    expected = json.dumps(_failing_fluctuation_report(K), sort_keys=True, indent=2)
+    assert out == expected + "\n"
 
 
 def test_metastable_command(capsys):

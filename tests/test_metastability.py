@@ -1,6 +1,7 @@
 """Stable-interval finding, fluctuation budgets, and the conclusion search."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +25,6 @@ from jameslab.metastability import (
     BudgetExceeded,
     FoundPair,
     IndexFunction,
-    SequenceOracle,
     StableInterval,
     conclusion_search,
     count_fluctuations,
@@ -94,11 +94,21 @@ def test_reach_is_computed_once_per_index_function(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sequence oracles
+# chased sequences: nonempty tuples of ints or Fractions
 # ---------------------------------------------------------------------------
 
-def _converted_per_value(values):
-    return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values)
+def _at(values, j):
+    """s(j) of the sequence that holds its last value past the tuple."""
+    return values[min(j, len(values) - 1)]
+
+
+def _greedy_count(values, eps, start, end):
+    """count_fluctuations read off its definition, index by index."""
+    anchor, count = _at(values, start), 0
+    for j in range(start + 1, end + 1):
+        if abs(_at(values, j) - anchor) >= eps:
+            count, anchor = count + 1, _at(values, j)
+    return count
 
 
 class _Half(Fraction):
@@ -110,23 +120,43 @@ class _Half(Fraction):
     [
         (3, -1, 0, 10**40),  # ints, as the fluctuation loop passes them
         (Fraction(1, 3), 2, Fraction(-5, 7), 0),  # ints and Fractions mixed
-        (True, 2, False),  # bool is kept as given, through the per-value path
-        (0.5, 1, Fraction(1, 4)),  # floats are converted
-        ("1/3", 2),  # strings are converted
-        (_Half(1, 2), 1),  # a Fraction subclass is kept as given
+        (True, 2, False),  # bool is an int
+        (_Half(1, 2), 1),  # a Fraction subclass is a Fraction
     ],
 )
-def test_sequence_oracle_values(values):
-    expected = _converted_per_value(values)
-    got = SequenceOracle(values).values
-    assert got == expected
-    assert [type(v) for v in got] == [type(v) for v in expected]
+def test_finder_and_counter_take_ints_and_fractions_as_given(values):
+    F = IndexFunction((1, 3, 3))
+    for eps in (Fraction(1, 2), Fraction(3)):
+        assert _chase_outcome(
+            find_stable_interval, values, eps, F, 0, 2
+        ) == _chase_outcome(reference_stable_interval, values, eps, F, 0, 2)
+        assert count_fluctuations(values, eps, (0, 6)) == _greedy_count(
+            values, eps, 0, 6
+        )
 
 
-def test_sequence_oracle_accepts_any_iterable():
-    assert SequenceOracle(iter([1, Fraction(1, 2), "3"])).values == (1, Fraction(1, 2), 3)
-    with pytest.raises(ValueError):
-        SequenceOracle(())
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0.5, 1, Fraction(1, 4)),
+        ("1/3", 2),
+        (1, Decimal(2)),
+        (None,),
+    ],
+)
+def test_finder_and_counter_refuse_values_that_are_not_ints_or_fractions(values):
+    with pytest.raises(TypeError, match="^sequence values must be ints or Fractions$"):
+        find_stable_interval(values, Fraction(1, 2), IndexFunction((1,)), 0, 3)
+    with pytest.raises(TypeError, match="^sequence values must be ints or Fractions$"):
+        count_fluctuations(values, Fraction(1, 2), (0, 3))
+
+
+def test_finder_and_counter_refuse_an_empty_sequence():
+    message = "^sequence needs at least one tabulated value$"
+    with pytest.raises(ValueError, match=message):
+        find_stable_interval((), Fraction(1, 2), IndexFunction((1,)), 0, 3)
+    with pytest.raises(ValueError, match=message):
+        count_fluctuations((), Fraction(1, 2), (0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +164,35 @@ def test_sequence_oracle_accepts_any_iterable():
 # ---------------------------------------------------------------------------
 
 def test_count_fluctuations_constant():
-    seq = SequenceOracle((Fraction(2),) * 5)
-    assert count_fluctuations(seq, Fraction(1, 2), (0, 10)) == 0
+    values = (Fraction(2),) * 5
+    assert count_fluctuations(values, Fraction(1, 2), (0, 10)) == 0
 
 
 def test_count_fluctuations_alternating():
-    seq = SequenceOracle(tuple(Fraction(v) for v in (0, 1, 0, 1, 0)))
-    assert count_fluctuations(seq, Fraction(1, 2), (0, 4)) == 4
+    values = tuple(Fraction(v) for v in (0, 1, 0, 1, 0))
+    assert count_fluctuations(values, Fraction(1, 2), (0, 4)) == 4
 
 
 def test_count_fluctuations_monotone_staircase():
     k = 7
     eps = Fraction(1, 3)
-    seq = SequenceOracle(tuple(eps * i for i in range(k + 1)))
-    assert count_fluctuations(seq, eps, (0, k)) == k
+    values = tuple(eps * i for i in range(k + 1))
+    assert count_fluctuations(values, eps, (0, k)) == k
+
+
+@given(
+    values=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=8),
+    eps=st.integers(min_value=1, max_value=4),
+    start=st.integers(min_value=0, max_value=12),
+    length=st.integers(min_value=0, max_value=12),
+)
+def test_count_fluctuations_holds_the_last_value_past_the_tuple(
+    values, eps, start, length
+):
+    values = tuple(values)
+    assert count_fluctuations(values, eps, (start, start + length)) == _greedy_count(
+        values, eps, start, start + length
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +200,8 @@ def test_count_fluctuations_monotone_staircase():
 # ---------------------------------------------------------------------------
 
 def test_stable_interval_constant_sequence():
-    seq = SequenceOracle((Fraction(3),))
     F = IndexFunction.from_callable(lambda n: n + 4, 20)
-    interval = find_stable_interval(seq, Fraction(1, 2), F, 2, 0)
+    interval = find_stable_interval((Fraction(3),), Fraction(1, 2), F, 2, 0)
     assert interval.m == 2
     assert interval.fluctuations_used == 0
 
@@ -170,11 +214,11 @@ def test_stable_interval_verified_by_direct_scan():
         values = [Fraction(0)]
         for _step in range(50):
             values.append(values[-1] + Fraction(rng.choice([-1, 0, 0, 1])))
-        seq = SequenceOracle(tuple(values))
-        c = count_fluctuations(seq, eps / 2, (0, 300))
-        interval = find_stable_interval(seq, eps, F, 0, max(c, 1))
+        values = tuple(values)
+        c = count_fluctuations(values, eps / 2, (0, 300))
+        interval = find_stable_interval(values, eps, F, 0, max(c, 1))
         assert interval.fluctuations_used <= max(c, 1)
-        window = [seq(j) for j in range(interval.m, interval.end + 1)]
+        window = [_at(values, j) for j in range(interval.m, interval.end + 1)]
         assert max(window) - min(window) < eps
 
 
@@ -188,9 +232,9 @@ def test_completeness_against_greedy_oracle():
         for _step in range(60):
             jump = Fraction(rng.randint(-2, 2), 3)
             values.append(values[-1] + jump)
-        seq = SequenceOracle(tuple(values))
-        budget = count_fluctuations(seq, eps / 2, (0, 400))
-        interval = find_stable_interval(seq, eps, F, 0, budget)
+        values = tuple(values)
+        budget = count_fluctuations(values, eps / 2, (0, 400))
+        interval = find_stable_interval(values, eps, F, 0, budget)
         assert isinstance(interval, StableInterval)
 
 
@@ -198,10 +242,9 @@ def test_budget_exceeded_on_adversarial_staircase():
     # alternating jumps of eps keep every window unstable
     eps = Fraction(1, 2)
     values = tuple(Fraction(0) if i % 2 == 0 else eps for i in range(60))
-    seq = SequenceOracle(values)
     F = IndexFunction.from_callable(lambda n: n + 1, 60)
     with pytest.raises(BudgetExceeded) as exc:
-        find_stable_interval(seq, eps, F, 0, 5)
+        find_stable_interval(values, eps, F, 0, 5)
     assert exc.value.iterations == 5
 
 
@@ -209,10 +252,9 @@ def test_stable_interval_respects_iterated_bound():
     # the returned anchor never exceeds the budget-fold iterate of F
     eps = Fraction(1)
     values = tuple(Fraction(v) for v in (0, 1, 2, 3, 3, 3, 3, 3, 3, 3))
-    seq = SequenceOracle(values)
     F = IndexFunction.from_callable(lambda n: n + 2, 40)
     budget = 4
-    interval = find_stable_interval(seq, eps, F, 0, budget)
+    interval = find_stable_interval(values, eps, F, 0, budget)
     bound = 0
     for _ in range(budget):
         bound = max(F(bound), bound)
@@ -263,24 +305,86 @@ def test_integer_chase_matches_the_fraction_oracle(
     assert eps * scale == int_eps
     expected = _chase_outcome(reference_stable_interval, tuple(values), eps, F, n, budget)
     assert _chase_outcome(
-        find_stable_interval, SequenceOracle(int_values), int_eps, F, n, budget
+        find_stable_interval, int_values, int_eps, F, n, budget
     ) == expected
     assert _chase_outcome(
-        find_stable_interval, SequenceOracle(tuple(values)), eps, F, n, budget
+        find_stable_interval, tuple(values), eps, F, n, budget
     ) == expected
+
+
+def _total_reach(F, m):
+    """End of the chase's window at m under F, past the table too."""
+    return F.reach[m] if m < len(F.reach) else max(F.reach[-1:] + (m,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chase=_chase_inputs(),
+    table=st.lists(st.integers(min_value=0, max_value=16), max_size=10),
+    n=st.integers(min_value=0, max_value=14),
+    extra=st.integers(min_value=0, max_value=3),
+)
+def test_no_chase_re_anchors_more_than_the_tuple_length_minus_one(
+    chase, table, n, extra
+):
+    # each re-anchor moves to a strictly later index of the tuple, so a
+    # budget of len(values) - 1 suffices for every index function and start
+    values, eps = chase
+    values = tuple(values)
+    F = IndexFunction(tuple(table))
+    budget = len(values) - 1 + extra
+    expected = reference_stable_interval(values, eps, F, n, budget)
+    assert expected.fluctuations_used <= len(values) - 1
+    assert find_stable_interval(values, eps, F, n, budget) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chase=_chase_inputs(),
+    wide=st.lists(st.integers(min_value=0, max_value=16), max_size=10),
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=14),
+    budget=st.integers(min_value=0, max_value=4),
+)
+def test_a_narrower_reach_re_anchors_no_more_and_fails_only_where_the_wider_fails(
+    chase, wide, data, n, budget
+):
+    # F(m) <= reach_G(m) at every m gives reach_F <= reach_G everywhere:
+    # the F chase's anchors are a prefix of the G chase's anchors
+    values, eps = chase
+    values = tuple(values)
+    G = IndexFunction(tuple(wide))
+    length = data.draw(st.integers(min_value=0, max_value=12))
+    F = IndexFunction(
+        tuple(
+            data.draw(st.integers(min_value=0, max_value=_total_reach(G, m)))
+            for m in range(length)
+        )
+    )
+    assert all(
+        _total_reach(F, m) <= _total_reach(G, m) for m in range(len(values) + 32)
+    )
+    unlimited = len(values) - 1
+    narrow = reference_stable_interval(values, eps, F, n, unlimited)
+    wider = reference_stable_interval(values, eps, G, n, unlimited)
+    assert narrow.fluctuations_used <= wider.fluctuations_used
+    got = _chase_outcome(find_stable_interval, values, eps, F, n, budget)
+    assert got == _chase_outcome(reference_stable_interval, values, eps, F, n, budget)
+    if not isinstance(got, StableInterval):
+        with pytest.raises(BudgetExceeded):
+            find_stable_interval(values, eps, G, n, budget)
 
 
 def test_find_stable_interval_monotonizes_internally():
-    seq = SequenceOracle((Fraction(0),) * 10)
     F = IndexFunction((9, 1, 1))  # wildly non-monotone
-    interval = find_stable_interval(seq, Fraction(1), F, 0, 3)
+    interval = find_stable_interval((Fraction(0),) * 10, Fraction(1), F, 0, 3)
     assert interval.m == 0
 
 
 def test_find_stable_interval_refuses_a_negative_start():
     # reach[-1] would otherwise read the last table entry as a window end
     with pytest.raises(IndexError):
-        find_stable_interval(SequenceOracle((0, 1)), 1, IndexFunction((3, 0)), -1, 2)
+        find_stable_interval((0, 1), 1, IndexFunction((3, 0)), -1, 2)
 
 
 def test_fluctuation_budget_value():
@@ -579,33 +683,18 @@ def test_conclusion_search_matches_the_four_loop_reference():
     assert found > 0
 
 
-def test_sequence_oracle_validation():
-    with pytest.raises(ValueError):
-        SequenceOracle(())
-    seq = SequenceOracle((Fraction(1), Fraction(2)))
-    assert seq(0) == 1 and seq(5) == 2
-    with pytest.raises(IndexError):
-        seq(-1)
-
-
-def test_sequence_oracle_keeps_exact_values():
-    seq = SequenceOracle((3, Fraction(1, 2), 0.25))
-    assert [type(v) for v in seq.values] == [int, Fraction, Fraction]
-    assert seq.values == (3, Fraction(1, 2), Fraction(1, 4))
-
-
 def test_count_fluctuations_range_validation():
-    seq = SequenceOracle((Fraction(1),))
+    values = (Fraction(1),)
     with pytest.raises(ValueError):
-        count_fluctuations(seq, Fraction(1, 2), (5, 3))
+        count_fluctuations(values, Fraction(1, 2), (5, 3))
     with pytest.raises(ValueError):
-        count_fluctuations(seq, Fraction(1, 2), (-1, 3))
+        count_fluctuations(values, Fraction(1, 2), (-1, 3))
 
 
 def test_find_stable_interval_argument_validation():
-    seq = SequenceOracle((Fraction(0),))
+    values = (Fraction(0),)
     F = IndexFunction((1, 2))
     with pytest.raises(ValueError):
-        find_stable_interval(seq, Fraction(0), F, 0, 3)
+        find_stable_interval(values, Fraction(0), F, 0, 3)
     with pytest.raises(ValueError):
-        find_stable_interval(seq, Fraction(1, 2), F, 0, -1)
+        find_stable_interval(values, Fraction(1, 2), F, 0, -1)
