@@ -285,12 +285,27 @@ def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
 
 
 def _rational_option(option: str, text: str) -> Fraction:
-    """Parse the value of a p/q option; a zero denominator is an input
-    error that names the option and the text it was given."""
+    """Parse the value of a p/q option; a zero denominator or a text that
+    is no rational number is an input error that names the option and the
+    text it was given."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"{option} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise InputError(f"{option} {text!r} is not a rational number") from None
+
+
+def _level_option(text: str) -> int | str:
+    """Parse ``--level``: a natural number, or 'w' (also 'omega') for omega."""
+    if text in ("w", "omega"):
+        return OMEGA
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise InputError(f"--level {text!r} is not a natural number or 'w'")
 
 
 def _basis_from_args(args: argparse.Namespace) -> Basis:
@@ -481,8 +496,7 @@ def _cmd_metastable(args: argparse.Namespace) -> int:
 
 def _cmd_fgh(args: argparse.Namespace) -> int:
     budget = EvalBudget(max_digits=args.max_digits, max_steps=args.max_steps)
-    level = OMEGA if args.level in ("w", "omega") else int(args.level)
-    expr = HierarchyExpr(level, args.arg)
+    expr = HierarchyExpr(_level_option(args.level), args.arg)
     result = hierarchy.eval_expr(expr, budget)
     if isinstance(result, Exact):
         obj = {"expr": expr.render(), "exact": _decimal(result.value)}

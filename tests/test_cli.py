@@ -233,6 +233,30 @@ def test_zero_denominator_names_the_option(capsys, argv, option):
     assert "Fraction(" not in err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "abc", ""])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("refute", "--canonical", "2"), "--B"),
+        (("metastable", "--canonical", "2"), "--B"),
+        (("metastable", "--canonical", "2"), "--eps"),
+        (("threshold",), "--B"),
+        (("threshold",), "--eps"),
+    ],
+)
+def test_non_rational_option_names_the_option(capsys, argv, option, text):
+    code, out, err = run_cli(capsys, *argv, option, text)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {option} {text!r} is not a rational number\n"
+
+
+@pytest.mark.parametrize("level", ["x", "1.5", "-1", ""])
+def test_bad_fgh_level_names_the_option(capsys, level):
+    code, out, err = run_cli(capsys, "fgh", "--level", level, "--arg", "2")
+    assert (code, out) == (2, "")
+    assert err == f"input error: --level {level!r} is not a natural number or 'w'\n"
+
+
 def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
     def broken_build(basis):
         raise StructureViolation("mu(Omega) != 1")

@@ -515,13 +515,138 @@ def test_hypothesis_report_builds_the_atom_tables_once(monkeypatch):
     assert len(builds) == 1
 
 
-def test_hypothesis_report_sums_each_subset_table_once(monkeypatch):
-    # both modes and both index functions share one table per atom subset
-    tables = _counting(monkeypatch, metastability, "subset_table")
-    K = 3
-    hypothesis_report(build(Basis.canonical(K)), Fraction(2), Fraction(1, 80))
-    assert len(tables) == 2 ** (K + 1)
-    assert sorted(sigma for _, sigma in tables) == sorted(atom_subsets(K))
+def _support_sizes(model):
+    """|supp| for each (mode, fixed index): the atoms whose line, column p
+    (fix_p) or row n (fix_n) of their table, is not all zero."""
+    _, A = model.atom_products
+    K = model.K
+    fix_p = [sum(any(row[p] for row in atom) for atom in A) for p in range(K + 1)]
+    fix_n = [sum(any(atom[n]) for atom in A) for n in range(K + 1)]
+    return fix_p + fix_n
+
+
+def _fails(values, accuracy, F, budget):
+    try:
+        find_stable_interval(values, accuracy, F, 0, budget)
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def _support_models():
+    rng = random.Random(214)
+    return [
+        pytest.param(build(Basis.canonical(0)), id="canonical-K0"),
+        pytest.param(build(Basis.canonical(3)), id="canonical-K3"),
+        pytest.param(build(random_invertible_basis(3, rng)), id="random-K3"),
+        pytest.param(build(random_invertible_basis(4, rng)), id="random-K4"),
+    ]
+
+
+@pytest.mark.parametrize("model", _support_models())
+@pytest.mark.parametrize(
+    "B_hat, eps",
+    [
+        (Fraction(2), Fraction(1, 80)),
+        (Fraction(1, 8), Fraction(1, 4)),
+        (Fraction(1, 8), Fraction(2, 7)),
+    ],
+    ids=["refutation-eps", "budget-2", "budget-2-odd-eps"],
+)
+def test_hypothesis_report_chases_each_support_subset_once(
+    monkeypatch, model, B_hat, eps
+):
+    # one chase per index function and (mode, fixed index, subset of that
+    # line's support), and the same sequences, accuracy and verdicts as
+    # the sigma-major sequences over every atom subset
+    K = model.K
+    calls = _counting(monkeypatch, metastability, "find_stable_interval")
+    entries = {e.name: e for e in hypothesis_report(model, B_hat, eps).entries}
+    assert len(calls) == 2 * sum(2**size for size in _support_sizes(model))
+    budget = fluctuation_budget(B_hat, eps)
+    index_functions = (
+        IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
+        IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
+    )
+    # a fix_n sequence carries the trailing 0, so it is one value longer
+    for mode, length in (("fix_p", K + 1), ("fix_n", K + 2)):
+        accuracy, sequences = metastability._product_sequences(
+            model, eps, mode, atom_subsets(K)
+        )
+        expected = {values for _, _, values in sequences}
+        chased = [args for args in calls if len(args[0]) == length]
+        assert {values for values, *_ in chased} == expected
+        assert {args[1:] for args in chased} == {
+            (accuracy, F, 0, budget) for F in index_functions
+        }
+        assert entries[f"bounded_fluctuations_{mode}"].details == {
+            f"index_function_{fi}": (
+                "fail"
+                if any(_fails(values, accuracy, F, budget) for values in expected)
+                else "pass"
+            )
+            for fi, F in enumerate(index_functions)
+        }
+
+
+def test_canonical_line_supports_are_the_fixed_atom_and_the_atoms_up_to_n(
+    monkeypatch,
+):
+    for K in range(6):
+        assert _support_sizes(build(Basis.canonical(K))) == [1] * (K + 1) + list(
+            range(1, K + 2)
+        )
+    calls = _counting(monkeypatch, metastability, "find_stable_interval")
+    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
+    # a chase of every sequence of every atom subset would be 2 * 8 * 16 = 256
+    assert len(calls) == 2 * (4 * 2 + 2 + 4 + 8 + 16) == 76
+
+
+def test_scaled_accuracy_scales_the_chased_tables():
+    # eps * D = 2D/7 with D a power of two: tables and accuracy scaled by 7
+    model = build(Basis.canonical(2))
+    D, A = model.atom_products
+    accuracy, scaled = metastability._scaled_atom_tables(model, Fraction(2, 7))
+    assert accuracy == 2 * D
+    assert scaled == tuple(
+        tuple(tuple(7 * v for v in row) for row in atom) for atom in A
+    )
+    assert metastability._scaled_atom_tables(model, Fraction(1, 4)) == (D // 4, A)
+
+
+def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
+    # column p = 1 is zero in every atom table; atom 1 has a zero row n = 1
+    A = (
+        ((1, 0), (2, 0)),
+        ((3, 0), (0, 0)),
+    )
+    assert list(metastability._support_sequences(A)) == [
+        ("fix_p", (0, 0)),
+        ("fix_p", (1, 2)),
+        ("fix_p", (4, 2)),
+        ("fix_p", (3, 0)),
+        ("fix_p", (0, 0)),
+        ("fix_n", (0, 0, 0)),
+        ("fix_n", (1, 0, 0)),
+        ("fix_n", (4, 0, 0)),
+        ("fix_n", (3, 0, 0)),
+        ("fix_n", (0, 0, 0)),
+        ("fix_n", (2, 0, 0)),
+    ]
+
+
+@pytest.mark.parametrize("size", range(6))
+def test_subset_sums_give_every_subset_sum_once(size):
+    rng = random.Random(size)
+    lines = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(size)]
+    sums = list(metastability._subset_sums(lines, 3))
+    assert sums[0] == (0, 0, 0)
+    assert sorted(sums) == sorted(
+        tuple(sum(col) for col in zip((0, 0, 0), *(lines[i] for i in sigma)))
+        for sigma in (
+            [i for i in range(size) if mask >> i & 1] for mask in range(2**size)
+        )
+    )
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
