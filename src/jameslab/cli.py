@@ -111,10 +111,15 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     The gap between the zero entries and the d*(d) entries of the product
     matrix is at least 1/4 = 20*epsilon, so no basis whose unconditional
     constant is at most B can satisfy the fluctuation theorem at this K.
+    B is checked before anything is built.
     """
+    B = Fraction(B)
+    if B <= 0:
+        raise ValueError("the stand-in bound must be positive")
+    t_arg = threshold_arg(B)
     model = build(basis)
     pm = product_matrix(model)
-    hyp = hypothesis_report(model, Fraction(B), REFUTATION_EPS)
+    hyp = hypothesis_report(model, B, REFUTATION_EPS)
     found = conclusion_search(model, REFUTATION_EPS)
     if basis.K == 0:
         verdict = (
@@ -125,7 +130,7 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
         verdict = (
             f"conclusion impossible: minimum gap d*(d) = "
             f"{fmt_rational(model.d_star_d)} >= 1/4 = 20*epsilon; any basis "
-            f"with unconditional constant <= {fmt_rational(Fraction(B))} at "
+            f"with unconditional constant <= {fmt_rational(B)} at "
             f"this K is refuted"
         )
     else:
@@ -133,10 +138,9 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
             f"conclusion satisfied at (m={found.m}, s={found.s}, "
             f"q={found.q}, l={found.l}) with gap {fmt_rational(found.gap)}"
         )
-    t_arg = threshold_arg(Fraction(B))
     return RefutationReport(
         K=basis.K,
-        B=Fraction(B),
+        B=B,
         d_star_d=model.d_star_d,
         matrix_csv=pm.to_csv(),
         hypotheses=hyp,
@@ -280,7 +284,7 @@ def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return cls.from_json_obj(obj)
-    except (KeyError, TypeError, OverflowError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -69,11 +69,6 @@ class HierarchyExpr:
         return f"{name}({arg})"
 
 
-class _Breach(Exception):
-    def __init__(self, lower_bound: int) -> None:
-        self.lower_bound = lower_bound
-
-
 class _DigitGate:
     """Lazy test for 'x has more than max_digits decimal digits'.
 
@@ -127,35 +122,32 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
 
     # frame = [level, iterations_left, accumulator]: f_{level-1}^{left}(acc)
     frames: list[list[int]] = [[m, n, n]]
-    try:
-        while True:
-            level, left, acc = frames[-1]
-            if left == 0:
-                frames.pop()
-                if not frames:
-                    return Exact(acc)
-                parent = frames[-1]
-                parent[2] = acc
-                parent[1] -= 1
-                if gate.exceeds(acc):
-                    raise _Breach(breach_bound(frames, acc))
-                continue
-            steps += 1
-            if steps > budget.max_steps:
-                raise _Breach(breach_bound(frames, acc))
-            if level - 1 == 0:
-                value = acc + 1
-            elif level - 1 == 1:
-                value = 2 * acc
-            else:
-                frames.append([level - 1, acc, acc])
-                continue
-            frames[-1][2] = value
-            frames[-1][1] = left - 1
-            if gate.exceeds(value):
-                raise _Breach(breach_bound(frames, value))
-    except _Breach as b:
-        return ExceedsBudget(b.lower_bound)
+    while True:
+        level, left, acc = frames[-1]
+        if left == 0:
+            frames.pop()
+            if not frames:
+                return Exact(acc)
+            parent = frames[-1]
+            parent[2] = acc
+            parent[1] -= 1
+            if gate.exceeds(acc):
+                return ExceedsBudget(breach_bound(frames, acc))
+            continue
+        steps += 1
+        if steps > budget.max_steps:
+            return ExceedsBudget(breach_bound(frames, acc))
+        if level - 1 == 0:
+            value = acc + 1
+        elif level - 1 == 1:
+            value = 2 * acc
+        else:
+            frames.append([level - 1, acc, acc])
+            continue
+        frames[-1][2] = value
+        frames[-1][1] = left - 1
+        if gate.exceeds(value):
+            return ExceedsBudget(breach_bound(frames, value))
 
 
 def fgh_omega(n: int, budget: EvalBudget | None = None) -> Exact | ExceedsBudget:

@@ -20,6 +20,7 @@ from operator import add, sub
 
 from .measure_space import (
     MeasureSpaceModel,
+    _check_atoms,
     atom_subsets,
     # unused here, but bench/test_bench.py checks that the tracer wraps it
     # at this binding site
@@ -27,7 +28,6 @@ from .measure_space import (
     l1_norm,
     product_matrix,
     small_set_breaches,
-    subset_table,
 )
 from .reporting import Report, ReportEntry
 from .scalars import ceil_inverse, ceil_rational, fmt_rational
@@ -184,43 +184,27 @@ def fluctuation_budget(B_hat: Fraction, eps: Fraction) -> int:
 FLUCTUATION_MODES = ("fix_p", "fix_n")
 
 
-def _scaled_atom_tables(
-    model: MeasureSpaceModel, eps: Fraction
-) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The int accuracy and the model's atom tables at that accuracy.
+def _product_lines(
+    model: MeasureSpaceModel, eps: Fraction, mode: str
+) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """The int accuracy and the atom lines that one mode reads.
 
-    With eps * D = a/b in lowest terms, the tables are scaled by b once,
-    so the table entries and the accuracy a are both ints.
+    lines[fixed][i] is atom i's line at the fixed index: column p of its
+    table (mode "fix_p") or its row n followed by 0 (mode "fix_n").  The
+    product sequence of an atom subset sigma at that index is the sum of
+    its atoms' lines.  With eps * D = a/b in lowest terms, the lines are
+    scaled by b, so their entries and the accuracy a are all ints.
     """
     D, A = model.atom_products
     accuracy = Fraction(eps) * D
-    scale = accuracy.denominator
-    if scale != 1:
-        A = tuple(tuple(tuple(scale * v for v in row) for row in atom) for atom in A)
-    return accuracy.numerator, A
-
-
-def _product_sequences(
-    model: MeasureSpaceModel,
-    eps: Fraction,
-    mode: str,
-    sigmas: list[tuple[int, ...]],
-) -> tuple[int, Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
-    """The int accuracy, and the product sequences of one mode as (sigma,
-    fixed, values), sigma by sigma; each sigma's table is summed once."""
-    accuracy, A = _scaled_atom_tables(model, eps)
-
-    def sequences():
-        for sigma in sigmas:
-            table = subset_table(A, sigma)
-            if mode == "fix_p":
-                rows = zip(*table)
-            else:
-                rows = ((*row, 0) for row in table)
-            for fixed, values in enumerate(rows):
-                yield sigma, fixed, values
-
-    return accuracy, sequences()
+    b = accuracy.denominator
+    if mode == "fix_p":
+        lines = [
+            [tuple(b * row[p] for row in atom) for atom in A] for p in range(len(A))
+        ]
+    else:
+        lines = [[(*(b * v for v in atom[n]), 0) for atom in A] for n in range(len(A))]
+    return accuracy.numerator, lines
 
 
 def _subset_sums(
@@ -239,31 +223,6 @@ def _subset_sums(
         yield total
 
 
-def _support_sequences(
-    A: tuple[tuple[tuple[int, ...], ...], ...]
-) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """The product sequences as (mode, values), one per mode, fixed index
-    and subset tau of that line's support.
-
-    The sequence that a mode and a fixed index read off the table summed
-    over sigma is the sum over sigma of the atom lines: the column p of
-    each atom table (mode "fix_p") or its row n followed by 0 (mode
-    "fix_n").  Atoms whose line is all zero add nothing, so, with supp
-    the atoms whose line is not, the sums over every sigma and the sums
-    over every tau within supp are the same set of sequences.  Only the
-    lines of one (mode, fixed index) are held at a time.
-    """
-    for mode in FLUCTUATION_MODES:
-        for fixed in range(len(A)):
-            if mode == "fix_p":
-                lines = [tuple(row[fixed] for row in atom) for atom in A]
-            else:
-                lines = [(*atom[fixed], 0) for atom in A]
-            support = [line for line in lines if any(line)]
-            for values in _subset_sums(support, len(lines[0])):
-                yield mode, values
-
-
 def fluctuation_harness(
     model: MeasureSpaceModel,
     B_hat: Fraction,
@@ -278,15 +237,16 @@ def fluctuation_harness(
     (mode "fix_p") and p -> the same integral for each fixed n, followed
     by the 0 that e*_p gives beyond the top index (mode "fix_n").  In the
     K-dimensional shadow d_n is constant from n = K on, so both are
-    tabulated to eventual constancy.  They are read off the integer table
-    D * S_sigma summed from the model's ``atom_products``, one sigma at a
-    time.  With eps * D = a/b in lowest terms, the table is scaled by b
-    and the finder runs at the int accuracy a: its tests
-    2*|x - y| >= a and hi - lo < a are the tests 2*|s - t| >= eps and
-    hi - lo < eps on the exact integrals, multiplied through by b * D > 0,
-    so every interval and every failure is the one the exact integrals
-    give, and no Fraction enters the chase.  ``integrate_over`` on
-    step-function products is the test oracle for these tables.
+    tabulated to eventual constancy.  Each sigma's atoms are checked as
+    ``subset_table`` checks them, and each sequence is the sum of the
+    sigma atoms' int lines from :func:`_product_lines`, which scales
+    them by b where eps * D = a/b in lowest terms.  The finder runs at
+    the int accuracy a: its tests 2*|x - y| >= a and hi - lo < a are the
+    tests 2*|s - t| >= eps and hi - lo < eps on the exact integrals,
+    multiplied through by b * D > 0, so every interval and every failure
+    is the one the exact integrals give, and no Fraction enters the
+    chase.  ``integrate_over`` on step-function products is the test
+    oracle for these sums.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
@@ -295,20 +255,24 @@ def fluctuation_harness(
     if mode not in FLUCTUATION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     budget = fluctuation_budget(B_hat, eps)
-    accuracy, sequences = _product_sequences(model, eps, mode, sigma_family)
+    accuracy, lines = _product_lines(model, eps, mode)
+    zero = (0,) * len(lines[0][0])
     runs = max_used = 0
     witness = None
     failures: dict[str, str] = {}
-    for sigma, fixed, values in sequences:
-        runs += 1
-        try:
-            interval = find_stable_interval(values, accuracy, F, 0, budget)
-        except BudgetExceeded as exc:
-            failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
-            continue
-        if interval.fluctuations_used >= max_used:
-            max_used = interval.fluctuations_used
-            witness = (sigma, fixed, interval)
+    for sigma in sigma_family:
+        _check_atoms(sigma, model.K)
+        for fixed, atom_lines in enumerate(lines):
+            values = tuple(map(sum, zip(zero, *(atom_lines[i] for i in sigma))))
+            runs += 1
+            try:
+                interval = find_stable_interval(values, accuracy, F, 0, budget)
+            except BudgetExceeded as exc:
+                failures[f"sigma_{sigma}_fixed_{fixed}"] = str(exc)
+                continue
+            if interval.fluctuations_used >= max_used:
+                max_used = interval.fluctuations_used
+                witness = (sigma, fixed, interval)
     witness_interval = ""
     if witness is not None:
         sigma, fixed, interval = witness
@@ -342,14 +306,15 @@ def hypothesis_report(
     refuses K > 16) but only the chase from start 0, under the two index
     functions F(n) = n+1 and F(n) = 2n+1: not every start, nor every F,
     as the definition in the module docstring reads.  The L1 norms are
-    the only integrals.  The product sequences come from the model's
-    integer per-atom tables, scaled as in :func:`fluctuation_harness`.
-    A clause's verdict is whether any sequence fails, and the sequences
-    over every atom subset are, for each mode and fixed index, the sums
-    over the subsets of that line's support (see
-    :func:`_support_sequences`): so each of those is chased once under
-    both index functions, the sum over (mode, fixed) of 2^|supp| chases
-    per index function, at most 2(K+1) * 2^(K+1).
+    the only integrals.  The product sequences are sums of the int atom
+    lines of :func:`_product_lines`, chased at its int accuracy as in
+    :func:`fluctuation_harness`.  A clause's verdict is whether any
+    sequence fails.  Atoms whose line is all zero add nothing, so, with
+    supp the atoms whose line is not, the sums over every atom subset and
+    the sums over every subset of supp are the same set of sequences:
+    each of the latter is chased once under both index functions, the sum
+    over (mode, fixed) of 2^|supp| chases per index function, at most
+    2(K+1) * 2^(K+1).  Only one mode's lines are held at a time.
     """
     B_hat = Fraction(B_hat)
     eps = Fraction(eps)
@@ -382,16 +347,18 @@ def hypothesis_report(
         IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
     )
     budget = fluctuation_budget(B_hat, eps)
-    accuracy, A = _scaled_atom_tables(model, eps)
-    failed: set[tuple[str, int]] = set()
-    for mode, values in _support_sequences(A):
-        for fi, F in enumerate(index_functions):
-            try:
-                find_stable_interval(values, accuracy, F, 0, budget)
-            except BudgetExceeded:
-                failed.add((mode, fi))
     for mode in FLUCTUATION_MODES:
-        passed = [(mode, fi) not in failed for fi in range(len(index_functions))]
+        accuracy, lines = _product_lines(model, eps, mode)
+        failed: set[int] = set()
+        for atom_lines in lines:
+            support = [line for line in atom_lines if any(line)]
+            for values in _subset_sums(support, len(atom_lines[0])):
+                for fi, F in enumerate(index_functions):
+                    try:
+                        find_stable_interval(values, accuracy, F, 0, budget)
+                    except BudgetExceeded:
+                        failed.add(fi)
+        passed = [fi not in failed for fi in range(len(index_functions))]
         entries.append(
             ReportEntry(
                 f"bounded_fluctuations_{mode}",

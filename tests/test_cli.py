@@ -214,6 +214,36 @@ def test_nonpositive_b_or_eps_is_input_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "B, message",
+    [("1/2", "B must be at least 1"), ("0", "the stand-in bound must be positive")],
+)
+def test_refute_rejects_b_before_building_anything(monkeypatch, capsys, B, message):
+    builds = []
+    monkeypatch.setattr(cli, "build", lambda basis: builds.append(basis))
+    code, out, err = run_cli(capsys, "refute", "--canonical", "16", "--B", B)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("norm", {"K": 1, "coeffs": ["1/0", "1"]}),
+        ("refute", {"K": 1, "columns": [["1/0", "0"], ["0", "1"]]}),
+    ],
+)
+def test_zero_denominator_in_an_input_file_names_the_file(
+    tmp_path, capsys, command, obj
+):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(obj))
+    flag = "--input" if command == "norm" else "--basis"
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: ZeroDivisionError: Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         (("refute", "--canonical", "2", "--B", "1/0"), "--B"),

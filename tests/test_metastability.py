@@ -4,6 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from jameslab.measure_space import (
     pi,
     pi_star,
     product_matrix,
+    subset_table,
 )
 from jameslab.metastability import (
     BudgetExceeded,
@@ -32,7 +34,6 @@ from jameslab.metastability import (
     fluctuation_budget,
     fluctuation_harness,
     hypothesis_report,
-    subset_table,
 )
 
 from helpers import (
@@ -558,8 +559,15 @@ def test_hypothesis_report_chases_each_support_subset_once(
 ):
     # one chase per index function and (mode, fixed index, subset of that
     # line's support), and the same sequences, accuracy and verdicts as
-    # the sigma-major sequences over every atom subset
+    # the sequences read off every atom subset's table scaled by b
     K = model.K
+    D, A = model.atom_products
+    scale = (eps * D).denominator
+    accuracy = (eps * D).numerator
+    tables = [
+        [[scale * v for v in row] for row in subset_table(A, sigma)]
+        for sigma in atom_subsets(K)
+    ]
     calls = _counting(monkeypatch, metastability, "find_stable_interval")
     entries = {e.name: e for e in hypothesis_report(model, B_hat, eps).entries}
     assert len(calls) == 2 * sum(2**size for size in _support_sizes(model))
@@ -570,10 +578,10 @@ def test_hypothesis_report_chases_each_support_subset_once(
     )
     # a fix_n sequence carries the trailing 0, so it is one value longer
     for mode, length in (("fix_p", K + 1), ("fix_n", K + 2)):
-        accuracy, sequences = metastability._product_sequences(
-            model, eps, mode, atom_subsets(K)
-        )
-        expected = {values for _, _, values in sequences}
+        if mode == "fix_p":
+            expected = {tuple(col) for table in tables for col in zip(*table)}
+        else:
+            expected = {(*row, 0) for table in tables for row in table}
         chased = [args for args in calls if len(args[0]) == length]
         assert {values for values, *_ in chased} == expected
         assert {args[1:] for args in chased} == {
@@ -603,15 +611,20 @@ def test_canonical_line_supports_are_the_fixed_atom_and_the_atoms_up_to_n(
 
 
 def test_scaled_accuracy_scales_the_chased_tables():
-    # eps * D = 2D/7 with D a power of two: tables and accuracy scaled by 7
+    # eps * D = 2D/7 with D a power of two: lines scaled by 7, accuracy 2D;
+    # at eps = 1/4 the lines are the atom tables' own columns and rows
     model = build(Basis.canonical(2))
     D, A = model.atom_products
-    accuracy, scaled = metastability._scaled_atom_tables(model, Fraction(2, 7))
-    assert accuracy == 2 * D
-    assert scaled == tuple(
-        tuple(tuple(7 * v for v in row) for row in atom) for atom in A
-    )
-    assert metastability._scaled_atom_tables(model, Fraction(1, 4)) == (D // 4, A)
+    cases = ((Fraction(2, 7), 7, 2 * D), (Fraction(1, 4), 1, D // 4))
+    for eps, scale, accuracy in cases:
+        assert metastability._product_lines(model, eps, "fix_p") == (
+            accuracy,
+            [[tuple(scale * row[p] for row in atom) for atom in A] for p in range(3)],
+        )
+        assert metastability._product_lines(model, eps, "fix_n") == (
+            accuracy,
+            [[(*(scale * v for v in atom[n]), 0) for atom in A] for n in range(3)],
+        )
 
 
 def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
@@ -620,7 +633,18 @@ def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
         ((1, 0), (2, 0)),
         ((3, 0), (0, 0)),
     )
-    assert list(metastability._support_sequences(A)) == [
+    model = SimpleNamespace(atom_products=(1, A))
+    walked = []
+    for mode in ("fix_p", "fix_n"):
+        accuracy, lines = metastability._product_lines(model, Fraction(1), mode)
+        assert accuracy == 1
+        for atom_lines in lines:
+            support = [line for line in atom_lines if any(line)]
+            walked.extend(
+                (mode, values)
+                for values in metastability._subset_sums(support, len(atom_lines[0]))
+            )
+    assert walked == [
         ("fix_p", (0, 0)),
         ("fix_p", (1, 2)),
         ("fix_p", (4, 2)),
@@ -690,14 +714,35 @@ def test_subset_table_rejects_bad_atoms():
 
 
 def test_subset_table_keeps_its_bad_atom_errors_in_measure_space():
-    # one copy of the table sum, bound in metastability as before
-    assert metastability.subset_table is measure_space.subset_table
     _, A = build(Basis.canonical(2)).atom_products
     with pytest.raises(ValueError, match=r"^atom listed twice in \(3, 3\)$"):
         subset_table(A, (3, 3))  # a repeated atom is reported before its range
     with pytest.raises(IndexError) as exc:
         subset_table(A, (0, 5, -1))
     assert exc.value.args == (5,)
+
+
+@pytest.mark.parametrize("mode", ["fix_p", "fix_n"])
+def test_harness_rejects_bad_atoms_as_subset_table_does(mode):
+    model = build(Basis.canonical(2))
+    F = IndexFunction.from_callable(lambda n: n + 1, 16)
+    with pytest.raises(ValueError, match=r"^atom listed twice in \(3, 3\)$"):
+        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [(3, 3)])
+    with pytest.raises(IndexError) as exc:
+        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [(0, 5, -1)])
+    assert exc.value.args == (5,)
+
+
+@pytest.mark.parametrize("mode", ["fix_p", "fix_n"])
+@pytest.mark.parametrize("eps", [Fraction(1, 80), Fraction(2, 7)])
+def test_harness_sums_an_unsorted_sigma_family_as_the_reference(mode, eps):
+    model = build(random_invertible_basis(2, random.Random(215)))
+    F = IndexFunction.from_callable(lambda n: 2 * n + 1, 16)
+    sigmas = [(2, 0), (1,), ()]
+    entry = fluctuation_harness(model, Fraction(1, 8), eps, F, mode, sigmas).entries[0]
+    assert entry.details == reference_fluctuation_details(
+        model, Fraction(1, 8), eps, F, mode, sigmas
+    )
 
 
 @pytest.mark.parametrize(
