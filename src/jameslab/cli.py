@@ -52,6 +52,7 @@ from .metastability import (
     FoundPair,
     IndexFunction,
     BudgetExceeded,
+    _check_report_arguments,
     count_fluctuations,
     conclusion_search,
     find_stable_interval,
@@ -105,18 +106,19 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     """Build the measure space, test the theorem's hypotheses, and show the
     conclusion is exactly impossible at epsilon = 1/80.
 
-    The products f_n g_p mu are formed once, in the model's atom tables;
-    the only integrals are the hypothesis report's L1 norms.
+    The integrands f_n g_p mu are read once, as the model's two atom
+    factors; the only integrals are the hypothesis report's L1 norms.
 
     The gap between the zero entries and the d*(d) entries of the product
     matrix is at least 1/4 = 20*epsilon, so no basis whose unconditional
     constant is at most B can satisfy the fluctuation theorem at this K.
-    B is checked before anything is built.
+    B, then K against the atom-subset limit, are checked before building.
     """
     B = Fraction(B)
     if B <= 0:
         raise ValueError("the stand-in bound must be positive")
     t_arg = threshold_arg(B)
+    _check_report_arguments(basis.K, B, REFUTATION_EPS)
     model = build(basis)
     pm = product_matrix(model)
     hyp = hypothesis_report(model, B, REFUTATION_EPS)
@@ -487,10 +489,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_metastable(args: argparse.Namespace) -> int:
-    model = build(_basis_from_args(args))
-    report = hypothesis_report(
-        model, _rational_option("--B", args.B), _rational_option("--eps", args.eps)
-    )
+    basis = _basis_from_args(args)
+    B, eps = _rational_option("--B", args.B), _rational_option("--eps", args.eps)
+    _check_report_arguments(basis.K, B, eps)
+    report = hypothesis_report(build(basis), B, eps)
     lines = [
         f"{'PASS' if e.passed else 'FAIL'} {e.name}" for e in report.entries
     ]

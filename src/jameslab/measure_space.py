@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
-from operator import add, mul
+from operator import mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
 from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
@@ -104,38 +103,30 @@ class MeasureSpaceModel:
         )
 
     @cached_property
-    def atom_products(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Per-atom contributions to the product integrals, over one
-        denominator: the only place the products f_n g_p mu are formed.
+    def atom_factors(self) -> tuple[tuple[int, list[list[int]]], ...]:
+        """The two factors of the product integrands, as integers over one
+        denominator each: the only place they are read off the model.
 
-        (D, A) with A[i][n][p] = D * f_n(w_i) * g_p(w_i) * mu({w_i}), an
-        integer for 0 <= i, n, p <= K, where D is the lcm of the
-        denominators of those products.  The values come from the model's
-        own fs, gs and mu, so the integral of f_n g_p over an atom subset
-        sigma is the sum of A[i][n][p] over i in sigma, divided by D, with
-        no identity assumed.
+        ((D_u, U), (D_v, V)) with U[i][n] / D_u = f_n(w_i) * mu({w_i}) and
+        V[i][p] / D_v = g_p(w_i), for 0 <= i, n, p <= K.  On one atom f_n g_p
+        has rank one, so the integral of f_n g_p over an atom subset sigma
+        is the sum of U[i][n] * V[i][p] over i in sigma, divided by
+        D_u * D_v.  The values come from the model's own fs, gs and mu, so
+        no identity is assumed.
         """
         f_at = zip(*(fn.values for fn in self.fs))  # f_at[i][n] = f_n(w_i)
-        g_at = zip(*(gp.values for gp in self.gs))  # g_at[i][p] = g_p(w_i)
-        exact = [
-            [[f_mu * g for g in g_i] for f_mu in [f * mu for f in f_i]]
-            for f_i, g_i, mu in zip(f_at, g_at, self.mu)
-        ]
-        D = lcm(*(v.denominator for atom in exact for row in atom for v in row))
-        A = tuple(
-            tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in atom)
-            for atom in exact
-        )
-        return D, A
+        u = integer_rows([f * mu for f in f_i] for f_i, mu in zip(f_at, self.mu))
+        return u, integer_rows(zip(*(gp.values for gp in self.gs)))
 
     @cached_property
     def product_matrix(self) -> ProductMatrix:
-        """M[n][p] = integral of f_n * g_p, the atom tables summed over all
-        atoms; the triangular structure is checked row-major."""
-        D, A = self.atom_products
+        """M[n][p] = integral of f_n * g_p = sum_i U[i][n] V[i][p] / (D_u D_v)
+        from the atom factors; the triangular structure is checked row-major."""
+        (D_u, U), (D_v, V) = self.atom_factors
+        v_columns = list(zip(*V))
         entries = tuple(
-            tuple(Fraction(v, D) for v in row)
-            for row in subset_table(A, tuple(range(self.K + 1)))
+            tuple(Fraction(sum(map(mul, u, v)), D_u * D_v) for v in v_columns)
+            for u in zip(*U)
         )
         for n, row in enumerate(entries):
             for p, v in enumerate(row):
@@ -291,21 +282,9 @@ class ProductMatrix:
 
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """The model's product matrix, summed from its atom tables with the
+    """The model's product matrix, summed from its atom factors with the
     triangular structure checked, on the first call for the model."""
     return model.product_matrix
-
-
-def subset_table(
-    A: tuple[tuple[tuple[int, ...], ...], ...], sigma: tuple[int, ...]
-) -> list[list[int]]:
-    """S[n][p] = sum of A[i][n][p] over the atoms i in sigma."""
-    K = len(A) - 1
-    _check_atoms(sigma, K)
-    table = [[0] * (K + 1) for _ in range(K + 1)]
-    for i in sigma:
-        table = [list(map(add, row, atom_row)) for row, atom_row in zip(table, A[i])]
-    return table
 
 
 def atom_subsets(K: int) -> list[tuple[int, ...]]:
@@ -313,11 +292,7 @@ def atom_subsets(K: int) -> list[tuple[int, ...]]:
     ``SIGMA_ENUMERATION_MAX_DIMENSION`` raises
     :class:`SubsetEnumerationLimit`: every clause over sigma is decided
     on all subsets or not at all."""
-    if K > SIGMA_ENUMERATION_MAX_DIMENSION:
-        raise SubsetEnumerationLimit(
-            f"K = {K}: the 2^(K+1) atom subsets are enumerated only for "
-            f"K <= {SIGMA_ENUMERATION_MAX_DIMENSION}"
-        )
+    _check_subset_limit(K)
     return [
         tuple(i for i in range(K + 1) if mask & (1 << i))
         for mask in range(2 ** (K + 1))
@@ -360,6 +335,15 @@ def small_set_breaches(
         for n, (mu_limit, h_limit, weighted) in enumerate(cases):
             if s < mu_limit and sum(map(weighted.__getitem__, sigma)) >= h_limit:
                 yield sigma, n
+
+
+def _check_subset_limit(K: int) -> None:
+    """Refuse, as ``atom_subsets`` does, above the enumeration limit."""
+    if K > SIGMA_ENUMERATION_MAX_DIMENSION:
+        raise SubsetEnumerationLimit(
+            f"K = {K}: the 2^(K+1) atom subsets are enumerated only for "
+            f"K <= {SIGMA_ENUMERATION_MAX_DIMENSION}"
+        )
 
 
 def _check_atoms(sigma: tuple[int, ...], K: int) -> None:

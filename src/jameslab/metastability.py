@@ -21,6 +21,7 @@ from operator import add, sub
 from .measure_space import (
     MeasureSpaceModel,
     _check_atoms,
+    _check_subset_limit,
     atom_subsets,
     # unused here, but bench/test_bench.py checks that the tracer wraps it
     # at this binding site
@@ -189,21 +190,21 @@ def _product_lines(
 ) -> tuple[int, list[list[tuple[int, ...]]]]:
     """The int accuracy and the atom lines that one mode reads.
 
-    lines[fixed][i] is atom i's line at the fixed index: column p of its
-    table (mode "fix_p") or its row n followed by 0 (mode "fix_n").  The
-    product sequence of an atom subset sigma at that index is the sum of
-    its atoms' lines.  With eps * D = a/b in lowest terms, the lines are
-    scaled by b, so their entries and the accuracy a are all ints.
+    lines[fixed][i] is atom i's line at the fixed index, a scalar times a
+    vector of the atom factors ((D_u, U), (D_v, V)): V[i][p] * U[i] (mode
+    "fix_p") or U[i][n] * (V[i], 0) (mode "fix_n").  The product sequence
+    of an atom subset sigma at that index is the sum of its atoms' lines.
+    With eps * D_u * D_v = a/b in lowest terms, U is scaled by b, so the
+    entries and the accuracy a are all ints.
     """
-    D, A = model.atom_products
-    accuracy = Fraction(eps) * D
-    b = accuracy.denominator
-    if mode == "fix_p":
-        lines = [
-            [tuple(b * row[p] for row in atom) for atom in A] for p in range(len(A))
-        ]
-    else:
-        lines = [[(*(b * v for v in atom[n]), 0) for atom in A] for n in range(len(A))]
+    (D_u, U), (D_v, V) = model.atom_factors
+    accuracy = Fraction(eps) * D_u * D_v
+    bU = [[accuracy.denominator * x for x in u] for u in U]
+    scalars, vectors = (V, bU) if mode == "fix_p" else (bU, [(*v, 0) for v in V])
+    lines = [
+        [tuple(s[k] * x for x in vector) for s, vector in zip(scalars, vectors)]
+        for k in range(len(U))
+    ]
     return accuracy.numerator, lines
 
 
@@ -238,9 +239,9 @@ def fluctuation_harness(
     by the 0 that e*_p gives beyond the top index (mode "fix_n").  In the
     K-dimensional shadow d_n is constant from n = K on, so both are
     tabulated to eventual constancy.  Each sigma's atoms are checked as
-    ``subset_table`` checks them, and each sequence is the sum of the
-    sigma atoms' int lines from :func:`_product_lines`, which scales
-    them by b where eps * D = a/b in lowest terms.  The finder runs at
+    ``integrate_over`` checks them, and each sequence is the sum of the
+    sigma atoms' int lines from :func:`_product_lines`, over D = D_u * D_v
+    and scaled by b where eps * D = a/b in lowest terms.  The finder runs at
     the int accuracy a: its tests 2*|x - y| >= a and hi - lo < a are the
     tests 2*|s - t| >= eps and hi - lo < eps on the exact integrals,
     multiplied through by b * D > 0, so every interval and every failure
@@ -295,6 +296,16 @@ def fluctuation_harness(
     return Report((entry,))
 
 
+def _check_report_arguments(K: int, B_hat: Fraction, eps: Fraction) -> None:
+    """Raise what :func:`hypothesis_report` raises on its arguments, in its
+    order, so that callers can check them before they build the model."""
+    if B_hat <= 0:
+        raise ValueError("the stand-in bound must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    _check_subset_limit(K)
+
+
 def hypothesis_report(
     model: MeasureSpaceModel, B_hat: Fraction, eps: Fraction
 ) -> Report:
@@ -302,27 +313,24 @@ def hypothesis_report(
 
     Clauses: L1 bounds on the embedded d_n and e*_p, small-set continuity
     for both families, and bounded fluctuations of the product sequences.
-    The fluctuation clauses cover every atom subset (``atom_subsets``
-    refuses K > 16) but only the chase from start 0, under the two index
-    functions F(n) = n+1 and F(n) = 2n+1: not every start, nor every F,
-    as the definition in the module docstring reads.  The L1 norms are
-    the only integrals.  The product sequences are sums of the int atom
-    lines of :func:`_product_lines`, chased at its int accuracy as in
-    :func:`fluctuation_harness`.  A clause's verdict is whether any
-    sequence fails.  Atoms whose line is all zero add nothing, so, with
-    supp the atoms whose line is not, the sums over every atom subset and
-    the sums over every subset of supp are the same set of sequences:
-    each of the latter is chased once under both index functions, the sum
-    over (mode, fixed) of 2^|supp| chases per index function, at most
-    2(K+1) * 2^(K+1).  Only one mode's lines are held at a time.
+    The fluctuation clauses cover every atom subset (K > 16 is refused
+    before the model is read) but only the chase from start 0, under the
+    two index functions F(n) = n+1 and F(n) = 2n+1: not every start, nor
+    every F, as the definition in the module docstring reads.  The L1
+    norms are the only integrals.  The product sequences are sums of the
+    int atom lines that :func:`_product_lines` reads off the model's atom
+    factors, chased at its int accuracy as in :func:`fluctuation_harness`.
+    A clause's verdict is whether any sequence fails.  Atoms whose line is
+    all zero add nothing, so, with supp the atoms whose line is not, the
+    sums over every atom subset and the sums over every subset of supp are
+    the same set of sequences: each of the latter is chased once under both
+    index functions, the sum over (mode, fixed) of 2^|supp| chases per index
+    function, at most 2(K+1) * 2^(K+1).  Only one mode's lines are held at a
+    time.
     """
-    B_hat = Fraction(B_hat)
-    eps = Fraction(eps)
-    if B_hat <= 0:
-        raise ValueError("the stand-in bound must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    B_hat, eps = Fraction(B_hat), Fraction(eps)
     K = model.K
+    _check_report_arguments(K, B_hat, eps)
     entries: list[ReportEntry] = []
 
     families = (("f", model.fs), ("g", model.gs))

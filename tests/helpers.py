@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from jameslab.basis_tools import (
     Basis,
@@ -184,6 +185,32 @@ def reference_fluctuation_details(
         "witness_interval": worst_interval,
         **failures,
     }
+
+
+def reference_atom_products(
+    model: MeasureSpaceModel,
+) -> list[list[list[Fraction]]]:
+    """A[i][n][p] = f_n(w_i) * g_p(w_i) * mu({w_i}) in Fractions, from the
+    StepFunction values: what ``model.atom_factors`` factors on each atom."""
+    return [
+        [[fn.values[i] * gp.values[i] * mu for gp in model.gs] for fn in model.fs]
+        for i, mu in enumerate(model.mu)
+    ]
+
+
+def count_atom_factor_builds(monkeypatch) -> list[MeasureSpaceModel]:
+    """Record each model whose ``atom_factors`` pair is built from now on."""
+    builds: list[MeasureSpaceModel] = []
+    real = MeasureSpaceModel.atom_factors.func
+
+    def counting(model: MeasureSpaceModel):
+        builds.append(model)
+        return real(model)
+
+    prop = cached_property(counting)
+    prop.__set_name__(MeasureSpaceModel, "atom_factors")
+    monkeypatch.setattr(MeasureSpaceModel, "atom_factors", prop)
+    return builds
 
 
 def reference_product_matrix(model: MeasureSpaceModel) -> ProductMatrix:

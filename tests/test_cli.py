@@ -17,6 +17,8 @@ from jameslab.james_core import james_norm_sq
 from jameslab.measure_space import StructureViolation, build
 from jameslab.metastability import hypothesis_report
 
+from helpers import count_atom_factor_builds
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -82,32 +84,26 @@ def test_run_refutation_api():
 
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
-    # the products f_n g_p mu are formed once, in the atom tables (one
-    # common denominator taken), and the product matrix is summed from
-    # them: refute integrates only what the hypothesis report integrates
+    # the integrands f_n g_p mu are read once, as the two atom factors of
+    # one model, and the product matrix is summed from them: refute
+    # integrates only what the hypothesis report integrates
     integrals = []
     real_integrate = measure_space.integrate
-    tables = []
-    real_lcm = measure_space.lcm
 
     def counting_integrate(model, h):
         integrals.append(h)
         return real_integrate(model, h)
 
-    def counting_lcm(*args):
-        tables.append(args)
-        return real_lcm(*args)
-
     monkeypatch.setattr(measure_space, "integrate", counting_integrate)
-    monkeypatch.setattr(measure_space, "lcm", counting_lcm)
+    factor_builds = count_atom_factor_builds(monkeypatch)
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     report_integrals = len(integrals)
     integrals.clear()
-    tables.clear()
+    factor_builds.clear()
     report = run_refutation(Basis.canonical(3), Fraction(2))
     assert report.conclusion is None
     assert len(integrals) == report_integrals
-    assert len(tables) == 1
+    assert len(factor_builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +217,24 @@ def test_refute_rejects_b_before_building_anything(monkeypatch, capsys, B, messa
     builds = []
     monkeypatch.setattr(cli, "build", lambda basis: builds.append(basis))
     code, out, err = run_cli(capsys, "refute", "--canonical", "16", "--B", B)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--B", "0"), "the stand-in bound must be positive"),
+        (("--eps", "0"), "eps must be positive"),
+        (("--B", "1/0"), "--B '1/0' has a zero denominator"),
+    ],
+)
+def test_metastable_rejects_b_and_eps_before_building_anything(
+    monkeypatch, capsys, option, message
+):
+    builds = []
+    monkeypatch.setattr(cli, "build", lambda basis: builds.append(basis))
+    code, out, err = run_cli(capsys, "metastable", "--canonical", "16", *option)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
     assert builds == []
 
@@ -340,6 +354,24 @@ def test_sigma_clauses_refuse_more_atoms_than_they_enumerate(tmp_path, capsys, c
     assert (code, out) == (2, "")
     assert err.startswith("input error: ") and "K <= 16" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["refute", "metastable"])
+def test_sigma_clauses_refuse_more_atoms_before_building_anything(
+    tmp_path, monkeypatch, capsys, command
+):
+    basis = random_invertible_basis(17, random.Random(1))
+    path = tmp_path / "basis17.json"
+    path.write_text(json.dumps(basis.to_json_obj()))
+    builds = []
+    monkeypatch.setattr(cli, "build", lambda basis: builds.append(basis))
+    code, out, err = run_cli(capsys, command, "--basis", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: K = 17: the 2^(K+1) atom subsets are enumerated only "
+        "for K <= 16\n"
+    )
+    assert builds == []
 
 
 def test_singular_basis_is_input_error(tmp_path, capsys):

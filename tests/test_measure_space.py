@@ -30,12 +30,16 @@ from jameslab.measure_space import (
     pi_star,
     product_matrix,
     small_set_breaches,
-    subset_table,
 )
 from jameslab.basis_tools import modulus_functional, modulus_vector
 from jameslab.scalars import Root2Scalar
 
-from helpers import random_vector, reference_build, reference_small_set_breaches
+from helpers import (
+    random_vector,
+    reference_atom_products,
+    reference_build,
+    reference_small_set_breaches,
+)
 
 
 def d_star_d_oracle(K: int) -> Fraction:
@@ -227,15 +231,14 @@ def test_integrate_validation():
 
 
 @pytest.mark.parametrize("sigma", [(9, 0, 0), (0, 5, -1)])
-def test_integrate_over_rejects_atoms_as_subset_table_does(sigma):
+def test_integrate_over_rejects_atoms_as_the_atom_check_does(sigma):
     model = build(Basis.canonical(2))
-    _, A = model.atom_products
-    with pytest.raises((ValueError, IndexError)) as table_error:
-        subset_table(A, sigma)
-    with pytest.raises(type(table_error.value)) as integral_error:
+    with pytest.raises((ValueError, IndexError)) as check_error:
+        measure_space._check_atoms(sigma, model.K)
+    with pytest.raises(type(check_error.value)) as integral_error:
         integrate_over(model, StepFunction((Fraction(1),) * 3), sigma)
-    assert type(integral_error.value) is type(table_error.value)
-    assert integral_error.value.args == table_error.value.args
+    assert type(integral_error.value) is type(check_error.value)
+    assert integral_error.value.args == check_error.value.args
     if sigma == (9, 0, 0):
         assert str(integral_error.value) == "atom listed twice in (9, 0, 0)"
 
@@ -274,6 +277,29 @@ def test_integer_forms_are_derived_once_per_basis(monkeypatch):
 # ---------------------------------------------------------------------------
 # product matrix
 # ---------------------------------------------------------------------------
+
+def assert_atom_factors_match_the_products(model) -> None:
+    (D_u, U), (D_v, V) = model.atom_factors
+    assert len(U) == len(V) == model.K + 1
+    reference = reference_atom_products(model)
+    for i, atom in enumerate(reference):
+        for n, row in enumerate(atom):
+            for p, product in enumerate(row):
+                assert Fraction(U[i][n] * V[i][p], D_u * D_v) == product, (i, n, p)
+
+
+def test_atom_factors_match_the_products_on_canonical_bases():
+    for K in range(9):
+        model = build(Basis.canonical(K))
+        assert_atom_factors_match_the_products(model)
+        assert model.atom_factors is model.atom_factors  # built once
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_bases())
+def test_atom_factors_match_the_products_on_random_bases(basis):
+    assert_atom_factors_match_the_products(build(basis))
+
 
 def test_product_matrix_canonical_k2():
     model = build(Basis.canonical(2))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jameslab.basis_tools import Basis, random_invertible_basis
-from jameslab import measure_space, metastability
+from jameslab import metastability
 from jameslab.james_core import canonical
 from jameslab.measure_space import (
     StepFunction,
@@ -21,7 +21,6 @@ from jameslab.measure_space import (
     pi,
     pi_star,
     product_matrix,
-    subset_table,
 )
 from jameslab.metastability import (
     BudgetExceeded,
@@ -37,6 +36,8 @@ from jameslab.metastability import (
 )
 
 from helpers import (
+    count_atom_factor_builds,
+    reference_atom_products,
     reference_conclusion_search,
     reference_fluctuation_details,
     reference_product_matrix,
@@ -461,15 +462,15 @@ def test_model_families_are_the_embedded_d_and_e_star(model):
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
-def test_subset_tables_match_step_function_integrals(model):
+def test_atom_factor_sums_match_step_function_integrals(model):
     K = model.K
-    D, A = model.atom_products
+    (D_u, U), (D_v, V) = model.atom_factors
     products = [[fn * gp for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
-        table = subset_table(A, sigma)
         for n in range(K + 1):
             for p in range(K + 1):
-                assert Fraction(table[n][p], D) == integrate_over(
+                total = sum(U[i][n] * V[i][p] for i in sigma)
+                assert Fraction(total, D_u * D_v) == integrate_over(
                     model, products[n][p], sigma
                 )
 
@@ -502,24 +503,17 @@ def test_harness_matches_step_function_reference(model, B_hat, eps):
             )
 
 
-def test_hypothesis_report_builds_the_atom_tables_once(monkeypatch):
-    # the common denominator D is taken once per build of the tables
-    builds = []
-    real_lcm = measure_space.lcm
-
-    def counting_lcm(*args):
-        builds.append(args)
-        return real_lcm(*args)
-
-    monkeypatch.setattr(measure_space, "lcm", counting_lcm)
-    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
-    assert len(builds) == 1
+def test_hypothesis_report_builds_the_atom_factors_once(monkeypatch):
+    builds = count_atom_factor_builds(monkeypatch)
+    model = build(Basis.canonical(3))
+    hypothesis_report(model, Fraction(2), Fraction(1, 80))
+    assert builds == [model]
 
 
 def _support_sizes(model):
     """|supp| for each (mode, fixed index): the atoms whose line, column p
-    (fix_p) or row n (fix_n) of their table, is not all zero."""
-    _, A = model.atom_products
+    (fix_p) or row n (fix_n) of their product table, is not all zero."""
+    A = reference_atom_products(model)
     K = model.K
     fix_p = [sum(any(row[p] for row in atom) for atom in A) for p in range(K + 1)]
     fix_n = [sum(any(atom[n]) for atom in A) for n in range(K + 1)]
@@ -559,13 +553,19 @@ def test_hypothesis_report_chases_each_support_subset_once(
 ):
     # one chase per index function and (mode, fixed index, subset of that
     # line's support), and the same sequences, accuracy and verdicts as
-    # the sequences read off every atom subset's table scaled by b
+    # the integrals over every atom subset scaled by b * D, where
+    # D = D_u * D_v and eps * D = a/b
     K = model.K
-    D, A = model.atom_products
-    scale = (eps * D).denominator
+    (D_u, _), (D_v, _) = model.atom_factors
+    D = D_u * D_v
+    scale = (eps * D).denominator * D
     accuracy = (eps * D).numerator
+    A = reference_atom_products(model)
     tables = [
-        [[scale * v for v in row] for row in subset_table(A, sigma)]
+        [
+            [scale * sum(A[i][n][p] for i in sigma) for p in range(K + 1)]
+            for n in range(K + 1)
+        ]
         for sigma in atom_subsets(K)
     ]
     calls = _counting(monkeypatch, metastability, "find_stable_interval")
@@ -611,10 +611,16 @@ def test_canonical_line_supports_are_the_fixed_atom_and_the_atoms_up_to_n(
 
 
 def test_scaled_accuracy_scales_the_chased_tables():
-    # eps * D = 2D/7 with D a power of two: lines scaled by 7, accuracy 2D;
-    # at eps = 1/4 the lines are the atom tables' own columns and rows
+    # eps * D = 2D/7 with D = D_u * D_v a power of two: lines scaled by 7,
+    # accuracy 2D; at eps = 1/4 the lines are the atom products times D
     model = build(Basis.canonical(2))
-    D, A = model.atom_products
+    (D_u, _), (D_v, _) = model.atom_factors
+    D = D_u * D_v
+    assert D & (D - 1) == 0 and D % 4 == 0
+    A = [
+        [[D * v for v in row] for row in atom]
+        for atom in reference_atom_products(model)
+    ]
     cases = ((Fraction(2, 7), 7, 2 * D), (Fraction(1, 4), 1, D // 4))
     for eps, scale, accuracy in cases:
         assert metastability._product_lines(model, eps, "fix_p") == (
@@ -628,12 +634,11 @@ def test_scaled_accuracy_scales_the_chased_tables():
 
 
 def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
-    # column p = 1 is zero in every atom table; atom 1 has a zero row n = 1
-    A = (
-        ((1, 0), (2, 0)),
-        ((3, 0), (0, 0)),
-    )
-    model = SimpleNamespace(atom_products=(1, A))
+    # the atom tables ((1, 0), (2, 0)) and ((3, 0), (0, 0)), as u ⊗ v:
+    # column p = 1 is zero in both; atom 1 has a zero row n = 1
+    U = [[1, 2], [3, 0]]
+    V = [[1, 0], [1, 0]]
+    model = SimpleNamespace(atom_factors=((1, U), (1, V)))
     walked = []
     for mode in ("fix_p", "fix_n"):
         accuracy, lines = metastability._product_lines(model, Fraction(1), mode)
@@ -703,34 +708,27 @@ def test_hypothesis_report_fluctuation_clauses_match_the_reference(model, B_hat,
         assert entry.passed == ("fail" not in expected.values())
 
 
-def test_subset_table_rejects_bad_atoms():
-    _, A = build(Basis.canonical(2)).atom_products
-    with pytest.raises(IndexError):
-        subset_table(A, (3,))
-    with pytest.raises(IndexError):
-        subset_table(A, (-1,))
-    with pytest.raises(ValueError):
-        subset_table(A, (1, 1))
-
-
-def test_subset_table_keeps_its_bad_atom_errors_in_measure_space():
-    _, A = build(Basis.canonical(2)).atom_products
-    with pytest.raises(ValueError, match=r"^atom listed twice in \(3, 3\)$"):
-        subset_table(A, (3, 3))  # a repeated atom is reported before its range
-    with pytest.raises(IndexError) as exc:
-        subset_table(A, (0, 5, -1))
-    assert exc.value.args == (5,)
-
-
 @pytest.mark.parametrize("mode", ["fix_p", "fix_n"])
-def test_harness_rejects_bad_atoms_as_subset_table_does(mode):
+@pytest.mark.parametrize(
+    "sigma, error, args",
+    [
+        ((3,), IndexError, (3,)),
+        ((-1,), IndexError, (-1,)),
+        ((1, 1), ValueError, ("atom listed twice in (1, 1)",)),
+        # a repeated atom is reported before its range
+        ((3, 3), ValueError, ("atom listed twice in (3, 3)",)),
+        ((0, 5, -1), IndexError, (5,)),
+    ],
+)
+def test_harness_rejects_bad_atoms_as_integrate_over_does(mode, sigma, error, args):
     model = build(Basis.canonical(2))
     F = IndexFunction.from_callable(lambda n: n + 1, 16)
-    with pytest.raises(ValueError, match=r"^atom listed twice in \(3, 3\)$"):
-        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [(3, 3)])
-    with pytest.raises(IndexError) as exc:
-        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [(0, 5, -1)])
-    assert exc.value.args == (5,)
+    with pytest.raises(error) as exc:
+        fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [sigma])
+    assert type(exc.value) is error and exc.value.args == args
+    with pytest.raises(error) as exc:
+        integrate_over(model, model.fs[0], sigma)
+    assert type(exc.value) is error and exc.value.args == args
 
 
 @pytest.mark.parametrize("mode", ["fix_p", "fix_n"])
@@ -772,13 +770,13 @@ def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
     basis, perturbed
 ):
     model = build(basis)
-    assert "atom_products" not in vars(model)
+    assert "atom_factors" not in vars(model)
     for family, (n, i) in perturbed.items():
         hs = list(getattr(model, family))
         values = list(hs[n].values)
         values[i] += Fraction(1, 7)
         hs[n] = StepFunction(tuple(values))
-        vars(model)[family] = tuple(hs)  # set before the atom tables are built
+        vars(model)[family] = tuple(hs)  # set before the atom factors are built
     with pytest.raises(StructureViolation) as expected:
         reference_product_matrix(model)
     with pytest.raises(StructureViolation) as got:
