@@ -53,7 +53,8 @@ def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     The rows are scaled by the lcm D of their denominators to an integer
     matrix M = D * A, and [M | I] is reduced in integers: each step on a
     pivot p replaces every other row by (p * row - f * pivot_row) / prev,
-    where prev is the previous pivot.  Every entry is then a minor of
+    where prev is the previous pivot; a row with f = 0 when p = prev would
+    come out unchanged, so it is skipped.  Every entry is a minor of
     [M | I] (Sylvester's identity), so the divisions are exact and the
     zero entries are those of rational Gauss-Jordan, which picks the same
     pivots.  The left block ends as det * I and the right one as
@@ -75,8 +76,8 @@ def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         pivot_row = m[col]
         p = pivot_row[col]
         for r in range(n):
-            if r != col:
-                f = m[r][col]
+            f = m[r][col]
+            if r != col and (f or p != prev):
                 m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], pivot_row)]
         prev = p
     return [[Fraction(D * v, prev) for v in row[n:]] for row in m]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from . import hierarchy
+from . import hierarchy, measure_space
 from .basis_tools import (
     Basis,
     random_invertible_basis,
@@ -49,7 +49,6 @@ from .james_core import (
 )
 from .measure_space import StructureViolation, build, check_identities, product_matrix
 from .metastability import (
-    FoundPair,
     IndexFunction,
     BudgetExceeded,
     _check_report_arguments,
@@ -72,7 +71,6 @@ class RefutationReport:
     d_star_d: Fraction
     matrix_csv: str
     hypotheses: Report
-    conclusion: FoundPair | None
     verdict: str
     threshold_argument: int
     threshold_symbolic: str
@@ -85,21 +83,21 @@ class RefutationReport:
             "d_star_d": fmt_rational(self.d_star_d),
             "product_matrix_csv": self.matrix_csv,
             "hypotheses": self.hypotheses.to_json_obj(),
-            "conclusion_found": (
-                None
-                if self.conclusion is None
-                else {
-                    "m": self.conclusion.m,
-                    "s": self.conclusion.s,
-                    "q": self.conclusion.q,
-                    "l": self.conclusion.l,
-                    "gap": fmt_rational(self.conclusion.gap),
-                }
-            ),
+            "conclusion_found": None,
             "verdict": self.verdict,
             "threshold_argument": _decimal(self.threshold_argument),
             "threshold_symbolic": self.threshold_symbolic,
         }
+
+
+def _check_refutation_arguments(K: int, B: Fraction) -> int:
+    """The argument checks of :func:`run_refutation`, in its order; returns
+    threshold_arg(B)."""
+    if B <= 0:
+        raise ValueError("the stand-in bound must be positive")
+    t_arg = threshold_arg(B)
+    _check_report_arguments(K, B, REFUTATION_EPS)
+    return t_arg
 
 
 def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
@@ -112,33 +110,32 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     The gap between the zero entries and the d*(d) entries of the product
     matrix is at least 1/4 = 20*epsilon, so no basis whose unconditional
     constant is at most B can satisfy the fluctuation theorem at this K.
-    B, then K against the atom-subset limit, are checked before building.
+    ``build`` refuses d*(d) < 1/4, so a conclusion found is an invariant
+    failure (:class:`StructureViolation`).  B, then K against the
+    atom-subset limit, are checked before building.
     """
     B = Fraction(B)
-    if B <= 0:
-        raise ValueError("the stand-in bound must be positive")
-    t_arg = threshold_arg(B)
-    _check_report_arguments(basis.K, B, REFUTATION_EPS)
+    t_arg = _check_refutation_arguments(basis.K, B)
     model = build(basis)
     pm = product_matrix(model)
     hyp = hypothesis_report(model, B, REFUTATION_EPS)
     found = conclusion_search(model, REFUTATION_EPS)
+    if found is not None:
+        raise StructureViolation(
+            f"conclusion found at (m={found.m}, s={found.s}, q={found.q}, l={found.l}) "
+            f"although d*(d) = {fmt_rational(model.d_star_d)} >= 1/4 = 20*epsilon"
+        )
     if basis.K == 0:
         verdict = (
             "degenerate: no index pairs m < s exist at K = 0, "
             "the conclusion search range is empty"
         )
-    elif found is None:
+    else:
         verdict = (
             f"conclusion impossible: minimum gap d*(d) = "
             f"{fmt_rational(model.d_star_d)} >= 1/4 = 20*epsilon; any basis "
             f"with unconditional constant <= {fmt_rational(B)} at "
             f"this K is refuted"
-        )
-    else:
-        verdict = (
-            f"conclusion satisfied at (m={found.m}, s={found.s}, "
-            f"q={found.q}, l={found.l}) with gap {fmt_rational(found.gap)}"
         )
     return RefutationReport(
         K=basis.K,
@@ -146,7 +143,6 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
         d_star_d=model.d_star_d,
         matrix_csv=pm.to_csv(),
         hypotheses=hyp,
-        conclusion=found,
         verdict=verdict,
         threshold_argument=t_arg,
         threshold_symbolic=HierarchyExpr(OMEGA, t_arg).render(),
@@ -314,14 +310,22 @@ def _level_option(text: str) -> int | str:
     raise InputError(f"--level {text!r} is not a natural number or 'w'")
 
 
-def _basis_from_args(args: argparse.Namespace) -> Basis:
+def _basis_source(args: argparse.Namespace) -> tuple[int, Basis | None]:
+    """(K, the basis read from --basis FILE), or (K, None) for --canonical
+    K: Basis.canonical is O(K^3), so a command refusing large K checks first."""
     if args.canonical is not None:
         if args.canonical < 0:
             raise InputError("--canonical takes a nonnegative dimension index")
-        return Basis.canonical(args.canonical)
+        return args.canonical, None
     if args.basis is None:
         raise InputError("provide --basis FILE or --canonical K")
-    return _load_json(args.basis, Basis)
+    basis = _load_json(args.basis, Basis)
+    return basis.K, basis
+
+
+def _basis_from_args(args: argparse.Namespace) -> Basis:
+    K, basis = _basis_source(args)
+    return basis or Basis.canonical(K)
 
 
 def _emit(args: argparse.Namespace, obj: dict, table_lines: list[str]) -> None:
@@ -489,10 +493,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_metastable(args: argparse.Namespace) -> int:
-    basis = _basis_from_args(args)
+    K, basis = _basis_source(args)
     B, eps = _rational_option("--B", args.B), _rational_option("--eps", args.eps)
-    _check_report_arguments(basis.K, B, eps)
-    report = hypothesis_report(build(basis), B, eps)
+    _check_report_arguments(K, B, eps)
+    report = hypothesis_report(build(basis or Basis.canonical(K)), B, eps)
     lines = [
         f"{'PASS' if e.passed else 'FAIL'} {e.name}" for e in report.entries
     ]
@@ -544,7 +548,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    report = run_refutation(_basis_from_args(args), _rational_option("--B", args.B))
+    K, basis = _basis_source(args)
+    B = _rational_option("--B", args.B)
+    if basis is None and K > measure_space.SIGMA_ENUMERATION_MAX_DIMENSION:
+        _check_refutation_arguments(K, B)  # raises before Basis.canonical
+    report = run_refutation(basis or Basis.canonical(K), B)
     lines = ["product matrix:"]
     lines.extend("  " + row for row in report.matrix_csv.rstrip("\n").split("\n"))
     lines.extend(

@@ -3,9 +3,9 @@
 f_0(n) = n + 1, f_{m+1}(n) is the n-fold iterate of f_m at n, and the
 diagonal f_w(m) = f_m(m) grows at Ackermann rate.  Values explode far
 past anything materializable, so evaluation carries a digit budget and a
-step budget; a breached budget yields a certified lower bound (some
-fully computed intermediate, valid because every f_m dominates the
-identity and is monotone).
+step budget; a breached budget yields a certified lower bound (the last
+computed intermediate, valid because every f_m dominates the identity
+and is monotone).
 """
 
 from __future__ import annotations
@@ -99,21 +99,17 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
 
     Levels 0 and 1 use their exact iterate collapses (n+1 and 2n); from
     level 2 on the iteration is performed literally with an explicit
-    frame stack, one budget step per function application.  On breach the
-    largest fully computed intermediate is returned as a lower bound.
+    frame stack, one budget step per function application.  A frame starts
+    at its parent's accumulator and only doubles it or takes its child's
+    value, so on breach the last computed value is the largest on the
+    stack, and is returned as a lower bound; a finished frame hands up 0
+    or a doubling that already passed the digit gate.
     """
     if m < 0 or n < 0:
         raise ValueError("hierarchy arguments must be nonnegative")
     budget = budget or EvalBudget()
     gate = _DigitGate(budget.max_digits)
     steps = 0
-
-    def breach_bound(frames: list[list[int]], fallback: int) -> int:
-        best = fallback
-        for frame in frames:
-            if frame[2] > best:
-                best = frame[2]
-        return best
 
     if m == 0:
         return Exact(n + 1)
@@ -128,26 +124,20 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
             frames.pop()
             if not frames:
                 return Exact(acc)
-            parent = frames[-1]
-            parent[2] = acc
-            parent[1] -= 1
-            if gate.exceeds(acc):
-                return ExceedsBudget(breach_bound(frames, acc))
+            frames[-1][2] = acc
+            frames[-1][1] -= 1
             continue
         steps += 1
         if steps > budget.max_steps:
-            return ExceedsBudget(breach_bound(frames, acc))
-        if level - 1 == 0:
-            value = acc + 1
-        elif level - 1 == 1:
-            value = 2 * acc
-        else:
+            return ExceedsBudget(acc)
+        if level > 2:
             frames.append([level - 1, acc, acc])
             continue
+        value = 2 * acc
         frames[-1][2] = value
         frames[-1][1] = left - 1
         if gate.exceeds(value):
-            return ExceedsBudget(breach_bound(frames, value))
+            return ExceedsBudget(value)
 
 
 def fgh_omega(n: int, budget: EvalBudget | None = None) -> Exact | ExceedsBudget:

@@ -293,10 +293,10 @@ def atom_subsets(K: int) -> list[tuple[int, ...]]:
     :class:`SubsetEnumerationLimit`: every clause over sigma is decided
     on all subsets or not at all."""
     _check_subset_limit(K)
-    return [
-        tuple(i for i in range(K + 1) if mask & (1 << i))
-        for mask in range(2 ** (K + 1))
-    ]
+    subsets: list[tuple[int, ...]] = [()]
+    for i in range(K + 1):
+        subsets += [sigma + (i,) for sigma in subsets]
+    return subsets
 
 
 def small_set_breaches(

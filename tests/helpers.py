@@ -15,6 +15,7 @@ from jameslab.basis_tools import (
     ZeroVector,
     uc_sign_patterns,
 )
+from jameslab.hierarchy import EvalBudget, Exact, ExceedsBudget, _DigitGate
 from jameslab.james_core import (
     CertTerm,
     Cycle,
@@ -246,6 +247,68 @@ def reference_conclusion_search(
                     if gap < threshold:
                         return FoundPair(m=m, s=s, q=q, l=l, gap=gap)
     return None
+
+
+def reference_fgh_eval(
+    m: int, n: int, budget: EvalBudget | None = None
+) -> Exact | ExceedsBudget:
+    """``fgh_eval`` with its earlier frame loop: a level-1 branch, the
+    digit gate also after each pop, and the breach bound taken as the
+    largest accumulator on the stack."""
+    if m < 0 or n < 0:
+        raise ValueError("hierarchy arguments must be nonnegative")
+    budget = budget or EvalBudget()
+    gate = _DigitGate(budget.max_digits)
+    steps = 0
+
+    def breach_bound(frames: list[list[int]], fallback: int) -> int:
+        best = fallback
+        for frame in frames:
+            if frame[2] > best:
+                best = frame[2]
+        return best
+
+    if m == 0:
+        return Exact(n + 1)
+    if m == 1:
+        return Exact(2 * n)
+
+    # frame = [level, iterations_left, accumulator]: f_{level-1}^{left}(acc)
+    frames: list[list[int]] = [[m, n, n]]
+    while True:
+        level, left, acc = frames[-1]
+        if left == 0:
+            frames.pop()
+            if not frames:
+                return Exact(acc)
+            parent = frames[-1]
+            parent[2] = acc
+            parent[1] -= 1
+            if gate.exceeds(acc):
+                return ExceedsBudget(breach_bound(frames, acc))
+            continue
+        steps += 1
+        if steps > budget.max_steps:
+            return ExceedsBudget(breach_bound(frames, acc))
+        if level - 1 == 0:
+            value = acc + 1
+        elif level - 1 == 1:
+            value = 2 * acc
+        else:
+            frames.append([level - 1, acc, acc])
+            continue
+        frames[-1][2] = value
+        frames[-1][1] = left - 1
+        if gate.exceeds(value):
+            return ExceedsBudget(breach_bound(frames, value))
+
+
+def reference_atom_subsets(K: int) -> list[tuple[int, ...]]:
+    """``atom_subsets`` by testing each bit of each mask, below any limit."""
+    return [
+        tuple(i for i in range(K + 1) if mask & (1 << i))
+        for mask in range(2 ** (K + 1))
+    ]
 
 
 def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:

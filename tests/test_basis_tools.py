@@ -98,16 +98,44 @@ def _inverse_or_error(invert, rows):
 
 
 _entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_nonzero = _entries.filter(bool)
 
 
-@settings(max_examples=150, deadline=None)
+def _square(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Identity, permutation, diagonal and triangular matrices up to n = 9,
+    or one whose entries are mostly zero: pivot steps with f = 0 rows."""
+    n = draw(st.integers(1, 9))
+    kind = draw(
+        st.sampled_from(["identity", "permutation", "diagonal", "triangular", "zeros"])
+    )
+    if kind == "zeros":
+        zero = st.just(Fraction(0))
+        return draw(_square(st.one_of(zero, zero, zero, _entries), n))
+    if kind in ("identity", "permutation"):
+        perm = draw(st.permutations(range(n))) if kind == "permutation" else range(n)
+        return [[Fraction(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    rows = draw(_square(_entries, n))
+    for i, row in enumerate(rows):
+        row[i] = draw(_nonzero)
+        for j in range(i if kind == "triangular" else 0, n):
+            if j != i:
+                row[j] = Fraction(0)
+    return [list(col) for col in zip(*rows)] if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 7).flatmap(
-        lambda n: st.lists(
-            st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n
-        )
+    st.one_of(
+        st.integers(1, 7).flatmap(lambda n: _square(_entries, n)),
+        _sparse_matrices(),
     )
 )
+@example(frac_matrix([[int(i == j) for j in range(9)] for i in range(9)]))
 @example(frac_matrix([[1, 2], [2, 4]]))
 @example(frac_matrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]))
 @example(frac_matrix([[1, 1, 1], [1, 1, 2], [2, 2, 3]]))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
 from jameslab.measure_space import StructureViolation, build
-from jameslab.metastability import hypothesis_report
+from jameslab.metastability import FoundPair, hypothesis_report
 
 from helpers import count_atom_factor_builds
 
@@ -78,9 +79,19 @@ def test_refute_json_structure(capsys):
 
 def test_run_refutation_api():
     report = run_refutation(Basis.canonical(3), Fraction(2))
-    assert report.conclusion is None
     assert report.threshold_argument == 8589934597
     assert report.threshold_symbolic == "f_w(8589934597)"
+
+
+def test_found_conclusion_is_invariant_failure(monkeypatch, capsys):
+    # build refuses d*(d) < 1/4 = 20 * (1/80), so a conclusion found at
+    # epsilon = 1/80 can only mean a broken identity
+    found = FoundPair(m=0, s=1, q=0, l=1, gap=Fraction(0))
+    monkeypatch.setattr(cli, "conclusion_search", lambda model, eps: found)
+    code, out, err = run_cli(capsys, "refute", "--canonical", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant failure: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
@@ -101,7 +112,6 @@ def test_refutation_integrates_the_product_matrix_once(monkeypatch):
     integrals.clear()
     factor_builds.clear()
     report = run_refutation(Basis.canonical(3), Fraction(2))
-    assert report.conclusion is None
     assert len(integrals) == report_integrals
     assert len(factor_builds) == 1
 
@@ -356,6 +366,42 @@ def test_sigma_clauses_refuse_more_atoms_than_they_enumerate(tmp_path, capsys, c
     assert len(err.splitlines()) == 1
 
 
+_LIMIT = "the 2^(K+1) atom subsets are enumerated only for K <= 16"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("refute", "--canonical", "17"), f"K = 17: {_LIMIT}"),
+        (("refute", "--canonical", "100000"), f"K = 100000: {_LIMIT}"),
+        (("metastable", "--canonical", "17"), f"K = 17: {_LIMIT}"),
+        # a doubly invalid input reports what it reported when K was refused
+        # after the basis was built
+        (("refute", "--canonical", "-1", "--B", "1/0"),
+         "--canonical takes a nonnegative dimension index"),
+        (("refute", "--canonical", "80", "--B", "1/0"), "--B '1/0' has a zero denominator"),
+        (("refute", "--canonical", "80", "--B", "0"), "the stand-in bound must be positive"),
+        (("refute", "--canonical", "80", "--B", "1/2"), "B must be at least 1"),
+        (("metastable", "--canonical", "-1", "--eps", "x"),
+         "--canonical takes a nonnegative dimension index"),
+        (("metastable", "--canonical", "80", "--eps", "x"), "--eps 'x' is not a rational number"),
+        (("metastable", "--canonical", "80", "--B", "0", "--eps", "0"),
+         "the stand-in bound must be positive"),
+        (("metastable", "--canonical", "80", "--eps", "0"), "eps must be positive"),
+    ],
+)
+def test_canonical_k_above_the_limit_is_refused_before_its_basis_is_built(
+    monkeypatch, capsys, argv, message
+):
+    # Basis.canonical inverts a (K+1) x (K+1) matrix: at K = 128 that alone
+    # took a second before the refusal
+    def unbuildable(cls, K):
+        raise AssertionError(f"Basis.canonical({K}) called")
+
+    monkeypatch.setattr(Basis, "canonical", classmethod(unbuildable))
+    assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["refute", "metastable"])
 def test_sigma_clauses_refuse_more_atoms_before_building_anything(
     tmp_path, monkeypatch, capsys, command
@@ -493,6 +539,31 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: jameslab")
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("jameslab ")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _readme_commands() if argv[:2] != ["norm", "--input"]],
+    ids=" ".join,
+)
+def test_readme_command_line_examples_exit_0(capsys, argv):
+    # norm needs a vec.json of the reader's own; --help exits from argparse
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, capsys.readouterr().err
 
 
 def test_matrix_csv(capsys):

@@ -22,6 +22,8 @@ from jameslab.hierarchy import (
     threshold_arg_with_eps,
 )
 
+from helpers import reference_fgh_eval
+
 
 def fgh_literal(m: int, n: int) -> int:
     """Independent oracle: the definition applied literally, with the
@@ -127,6 +129,24 @@ def test_digit_budget_breach_reports_intermediate():
     r = fgh_eval(2, 20, EvalBudget(max_digits=3, max_steps=10**4))
     assert isinstance(r, ExceedsBudget)
     assert r.certified_lower_bound >= 1000  # first intermediate past 3 digits
+
+
+def test_eval_matches_the_earlier_frame_loop_on_a_budget_grid():
+    # every frame has level >= 2, the top accumulator is the largest on the
+    # stack and a popped value already passed the digit gate, so dropping
+    # the level-1 branch, the stack scan and the post-pop gate changes no
+    # result: 7 * 12 * 8 * 8 = 5376 cases
+    cases = 0
+    for m in range(7):
+        for n in [*range(9), 50, 10**5, 10**40]:
+            for digits in (1, 2, 3, 5, 8, 20, 100, 10**4):
+                for steps in (1, 2, 3, 5, 10, 50, 300, 10**4):
+                    budget = EvalBudget(max_digits=digits, max_steps=steps)
+                    assert fgh_eval(m, n, budget) == reference_fgh_eval(
+                        m, n, budget
+                    ), (m, n, digits, steps)
+                    cases += 1
+    assert cases == 5376
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from jameslab.scalars import Root2Scalar
 from helpers import (
     random_vector,
     reference_atom_products,
+    reference_atom_subsets,
     reference_build,
     reference_small_set_breaches,
 )
@@ -405,6 +406,11 @@ def test_atom_subsets_enumeration():
     assert () in subsets and (0, 1, 2) in subsets
     model = build(Basis.canonical(2))
     assert mu_of(model, (0, 1, 2)) == 1
+
+
+def test_atom_subsets_doubling_keeps_the_bit_mask_order():
+    for K in range(13):
+        assert atom_subsets(K) == reference_atom_subsets(K)
 
 
 def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond():
