@@ -32,6 +32,11 @@ class SingularBasis(ValueError):
     pass
 
 
+class StructureViolation(AssertionError):
+    """An identity that holds for every invertible basis failed; this
+    signals an implementation bug, not a mathematical possibility."""
+
+
 class ZeroVector(ValueError):
     pass
 
@@ -140,14 +145,15 @@ class Basis:
         # row j of W = canonical coordinate j of each w_i
         inverse = invert_rational_matrix(list(zip(*self.columns)))
         self.dual = DualBasis(self.K, tuple(tuple(row) for row in inverse))
-        # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned
+        # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned;
+        # a singular W has no pivot, so only a wrong inverse fails here
         E, dual_rows = self.dual.int_rows
         F, columns = integer_rows(self.columns)
         self.int_columns = (F, tuple(map(tuple, columns)))
         for i, g in enumerate(dual_rows):
             for j, w in enumerate(columns):
                 if sum(map(mul, g, w)) != (E * F if i == j else 0):
-                    raise SingularBasis("biorthogonality check failed")
+                    raise StructureViolation("biorthogonality check failed")
 
     @classmethod
     def canonical(cls, K: int) -> Basis:

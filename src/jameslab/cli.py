@@ -15,8 +15,9 @@ import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import partial
 
-from . import hierarchy, measure_space
+from . import hierarchy
 from .basis_tools import (
     Basis,
     random_invertible_basis,
@@ -272,16 +273,19 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str, cls: type[JVector] | type[Basis]) -> JVector | Basis:
-    """Read ``path`` and parse it with ``cls.from_json_obj``; a file of the
-    wrong shape is an input error."""
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse(path: str, parse, obj):
+    """parse(obj) for the JSON read from ``path``; a file of the wrong
+    shape is an input error that names it."""
     try:
-        return cls.from_json_obj(obj)
+        return parse(obj)
     except (KeyError, TypeError, OverflowError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -310,22 +314,25 @@ def _level_option(text: str) -> int | str:
     raise InputError(f"--level {text!r} is not a natural number or 'w'")
 
 
-def _basis_source(args: argparse.Namespace) -> tuple[int, Basis | None]:
-    """(K, the basis read from --basis FILE), or (K, None) for --canonical
-    K: Basis.canonical is O(K^3), so a command refusing large K checks first."""
+def _basis_source(args: argparse.Namespace):
+    """(K, make): the dimension index of --canonical K or --basis FILE and
+    a call that builds the basis, which inverts a (K+1) x (K+1) matrix, so
+    commands check their arguments against K first.  A file's K counts only
+    if the file lists K+1 columns; else make runs at once."""
     if args.canonical is not None:
         if args.canonical < 0:
             raise InputError("--canonical takes a nonnegative dimension index")
-        return args.canonical, None
+        return args.canonical, partial(Basis.canonical, args.canonical)
     if args.basis is None:
         raise InputError("provide --basis FILE or --canonical K")
-    basis = _load_json(args.basis, Basis)
-    return basis.K, basis
-
-
-def _basis_from_args(args: argparse.Namespace) -> Basis:
-    K, basis = _basis_source(args)
-    return basis or Basis.canonical(K)
+    obj = _read_json(args.basis)
+    K = _parse(args.basis, lambda obj: int(obj["K"]), obj)
+    make = partial(_parse, args.basis, Basis.from_json_obj, obj)
+    columns = obj.get("columns")
+    if not (isinstance(columns, list) and len(columns) == K + 1):
+        basis = make()
+        return basis.K, lambda: basis
+    return K, make
 
 
 def _emit(args: argparse.Namespace, obj: dict, table_lines: list[str]) -> None:
@@ -417,7 +424,8 @@ def _approx_sqrt(value: Fraction) -> str:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    x = _load_json(args.input, JVector)
+    x = _parse(args.input, JVector.from_json_obj, _read_json(args.input))
+    oracle = james_norm_sq_oracle(x) if args.oracle else None  # refuses K > 14
     value, cert = james_norm_sq(x)
     obj = {
         "norm_sq": fmt_rational(value),
@@ -433,7 +441,6 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         f"optimal cycle = {list(cert.cycle.indices)}",
     ]
     if args.oracle:
-        oracle = james_norm_sq_oracle(x)
         obj["oracle_norm_sq"] = fmt_rational(oracle)
         obj["oracle_agrees"] = oracle == value
         lines.append(f"oracle norm_sq = {fmt_rational(oracle)}")
@@ -445,8 +452,9 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_uc(args: argparse.Namespace) -> int:
-    basis = _basis_from_args(args)
-    patterns = uc_sign_patterns(basis.K, args.strategy, args.budget, args.seed)
+    K, make_basis = _basis_source(args)
+    patterns = uc_sign_patterns(K, args.strategy, args.budget, args.seed)
+    basis = make_basis()
     print(
         f"uc: searching {len(patterns)} sign patterns, "
         f"{1 + args.budget} exact replays each",
@@ -468,7 +476,7 @@ def _cmd_uc(args: argparse.Namespace) -> int:
 
 
 def _cmd_space(args: argparse.Namespace) -> int:
-    model = build(_basis_from_args(args))
+    model = build(_basis_source(args)[1]())
     obj = model.to_json_obj()
     obj["product_matrix"] = product_matrix(model).to_json_obj()["entries"]
     lines = [
@@ -482,7 +490,7 @@ def _cmd_space(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    model = build(_basis_from_args(args))
+    model = build(_basis_source(args)[1]())
     pm = product_matrix(model)
     _emit(
         args,
@@ -493,10 +501,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_metastable(args: argparse.Namespace) -> int:
-    K, basis = _basis_source(args)
+    K, make_basis = _basis_source(args)
     B, eps = _rational_option("--B", args.B), _rational_option("--eps", args.eps)
     _check_report_arguments(K, B, eps)
-    report = hypothesis_report(build(basis or Basis.canonical(K)), B, eps)
+    report = hypothesis_report(build(make_basis()), B, eps)
     lines = [
         f"{'PASS' if e.passed else 'FAIL'} {e.name}" for e in report.entries
     ]
@@ -548,11 +556,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    K, basis = _basis_source(args)
+    K, make_basis = _basis_source(args)
     B = _rational_option("--B", args.B)
-    if basis is None and K > measure_space.SIGMA_ENUMERATION_MAX_DIMENSION:
-        _check_refutation_arguments(K, B)  # raises before Basis.canonical
-    report = run_refutation(basis or Basis.canonical(K), B)
+    _check_refutation_arguments(K, B)
+    report = run_refutation(make_basis(), B)
     lines = ["product matrix:"]
     lines.extend("  " + row for row in report.matrix_csv.rstrip("\n").split("\n"))
     lines.extend(

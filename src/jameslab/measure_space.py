@@ -18,6 +18,7 @@ from itertools import accumulate
 from operator import mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
+from .basis_tools import StructureViolation
 from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
 from .james_core import DimensionMismatch, DualFunctional, JVector
 from .reporting import Report, ReportEntry
@@ -25,15 +26,6 @@ from .scalars import ceil_rational, fmt_rational, integer_rows
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
 IDENTITY_SMALL_SET_EPS = Fraction(1, 4)
-
-
-class DegenerateAtom(ValueError):
-    pass
-
-
-class StructureViolation(AssertionError):
-    """An identity that holds for every invertible basis failed; this
-    signals an implementation bug, not a mathematical possibility."""
 
 
 class SubsetEnumerationLimit(ValueError):
@@ -186,16 +178,11 @@ def build(basis: Basis) -> MeasureSpaceModel:
     if d_star_d < Fraction(1, 4):
         raise StructureViolation(f"d*(d) = {d_star_d} < 1/4")
 
-    # g*_i(d) = G_i / (E Q) and d*(w_i) = A_i / (Q F)
+    # g*_i(d) = G_i / (E Q) and d*(w_i) = A_i / (Q F); mu_i = G_i A_i / (E F S)
     G = [sum(map(mul, row, d_num)) for row in inv]
     A = [sum(map(mul, d_star_num, col)) for col in cols]
-    for i in range(K + 1):
-        if G[i] == 0 or A[i] == 0:
-            raise DegenerateAtom(f"atom {i} has zero weight ingredient")
-
-    # mu_i = G_i A_i / (E F S)
-    if any(g * a <= 0 for g, a in zip(G, A)):
-        raise DegenerateAtom("nonpositive atom weight")
+    if any(g <= 0 or a <= 0 for g, a in zip(G, A)):
+        raise StructureViolation("nonpositive atom weight")
     if sum(map(mul, G, A)) != E * F * S:
         raise StructureViolation("mu(Omega) != 1")
 

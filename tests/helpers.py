@@ -32,7 +32,6 @@ from jameslab.james_core import (
     james_norm_sq_upper_bound,
 )
 from jameslab.measure_space import (
-    DegenerateAtom,
     MeasureSpaceModel,
     ProductMatrix,
     StructureViolation,
@@ -475,11 +474,11 @@ def reference_build(basis: Basis) -> MeasureSpaceModel:
     )
     for i in range(K + 1):
         if gamma_d[i] == 0 or d_star_atoms[i] == 0:
-            raise DegenerateAtom(f"atom {i} has zero weight ingredient")
+            raise StructureViolation(f"atom {i} has zero weight ingredient")
 
     mu = tuple(gamma_d[i] / d_star_d * d_star_atoms[i] for i in range(K + 1))
     if any(m <= 0 for m in mu):
-        raise DegenerateAtom("nonpositive atom weight")
+        raise StructureViolation("nonpositive atom weight")
     if sum(mu, Fraction(0)) != 1:
         raise StructureViolation("mu(Omega) != 1")
 

@@ -11,6 +11,7 @@ from jameslab.basis_tools import (
     Basis,
     SignPattern,
     SingularBasis,
+    StructureViolation,
     UCEstimate,
     ZeroVector,
     invert_rational_matrix,
@@ -196,7 +197,7 @@ def test_basis_rejects_dual_failing_biorthogonality(monkeypatch):
         return inv
 
     monkeypatch.setattr(basis_tools, "invert_rational_matrix", bad_inverse)
-    with pytest.raises(SingularBasis, match="biorthogonality check failed"):
+    with pytest.raises(StructureViolation, match="biorthogonality check failed"):
         Basis.canonical(2)
 
 

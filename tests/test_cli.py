@@ -9,9 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jameslab import cli, hierarchy, measure_space
+from jameslab import basis_tools, cli, hierarchy, measure_space
 from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
@@ -187,6 +187,18 @@ def test_norm_display_for_any_magnitude(tmp_path, capsys, coeffs, norm_sq, appro
     assert (obj["norm_sq"], obj["norm_decimal_approx"]) == (norm_sq, approx)
 
 
+def test_norm_oracle_refuses_k_above_its_limit_before_the_dp(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"K": 400, "coeffs": ["1"] * 401}))
+
+    def unrun(x):
+        raise AssertionError("james_norm_sq called")
+
+    monkeypatch.setattr(cli, "james_norm_sq", unrun)
+    code, out, err = run_cli(capsys, "norm", "--input", str(path), "--oracle")
+    assert (code, out, err) == (2, "", "input error: oracle limited to K <= 14, got 400\n")
+
+
 def test_norm_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--input", "/nonexistent.json")
     assert code == 2
@@ -323,6 +335,21 @@ def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_wrong_inverse_is_invariant_failure(monkeypatch, capsys):
+    # a completed inversion whose result is off in one entry is a bug
+    invert = basis_tools.invert_rational_matrix
+
+    def bad_inverse(rows):
+        inv = invert(rows)
+        inv[0][0] += 1
+        return inv
+
+    monkeypatch.setattr(basis_tools, "invert_rational_matrix", bad_inverse)
+    code, out, err = run_cli(capsys, "space", "--canonical", "2")
+    assert (code, out) == (1, "")
+    assert err == "invariant failure: biorthogonality check failed\n"
+
+
 def test_undecided_comparison_is_invariant_failure(monkeypatch, capsys):
     # no command compares hierarchy values yet; threshold stands in for one
     monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)
@@ -370,36 +397,87 @@ _LIMIT = "the 2^(K+1) atom subsets are enumerated only for K <= 16"
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "head, K, tail, message",
     [
-        (("refute", "--canonical", "17"), f"K = 17: {_LIMIT}"),
-        (("refute", "--canonical", "100000"), f"K = 100000: {_LIMIT}"),
-        (("metastable", "--canonical", "17"), f"K = 17: {_LIMIT}"),
-        # a doubly invalid input reports what it reported when K was refused
-        # after the basis was built
-        (("refute", "--canonical", "-1", "--B", "1/0"),
-         "--canonical takes a nonnegative dimension index"),
-        (("refute", "--canonical", "80", "--B", "1/0"), "--B '1/0' has a zero denominator"),
-        (("refute", "--canonical", "80", "--B", "0"), "the stand-in bound must be positive"),
-        (("refute", "--canonical", "80", "--B", "1/2"), "B must be at least 1"),
-        (("metastable", "--canonical", "-1", "--eps", "x"),
-         "--canonical takes a nonnegative dimension index"),
-        (("metastable", "--canonical", "80", "--eps", "x"), "--eps 'x' is not a rational number"),
-        (("metastable", "--canonical", "80", "--B", "0", "--eps", "0"),
+        (("refute",), 17, (), f"K = 17: {_LIMIT}"),
+        (("refute",), 100000, (), f"K = 100000: {_LIMIT}"),
+        (("metastable",), 17, (), f"K = 17: {_LIMIT}"),
+        # an option error comes first, as it did when K was refused after
+        # the basis was built
+        (("refute",), 80, ("--B", "1/0"), "--B '1/0' has a zero denominator"),
+        (("refute",), 80, ("--B", "0"), "the stand-in bound must be positive"),
+        (("refute",), 80, ("--B", "1/2"), "B must be at least 1"),
+        (("metastable",), 80, ("--eps", "x"), "--eps 'x' is not a rational number"),
+        (("metastable",), 80, ("--B", "0", "--eps", "0"),
          "the stand-in bound must be positive"),
-        (("metastable", "--canonical", "80", "--eps", "0"), "eps must be positive"),
+        (("metastable",), 80, ("--eps", "0"), "eps must be positive"),
+        (("uc",), 13, (), "exhaustive sign enumeration limited to K <= 12"),
+        (("uc",), 128, (), "exhaustive sign enumeration limited to K <= 12"),
+        (("--budget", "0", "uc"), 128, (), "budget must be positive"),
+        (("--budget", "0", "uc"), 128, ("--strategy", "anneal"), "budget must be positive"),
     ],
 )
-def test_canonical_k_above_the_limit_is_refused_before_its_basis_is_built(
-    monkeypatch, capsys, argv, message
+@pytest.mark.parametrize("source", ["--canonical", "--basis"])
+def test_k_above_the_limit_is_refused_before_its_basis_is_built(
+    tmp_path, monkeypatch, capsys, head, K, tail, message, source
 ):
-    # Basis.canonical inverts a (K+1) x (K+1) matrix: at K = 128 that alone
-    # took a second before the refusal
+    # inverting the (K+1) x (K+1) matrix alone took a second at K = 128
+    # before the refusal; a file's K counts once it lists K+1 columns, and
+    # its one-entry columns would be a DimensionMismatch if they were read
+    def uninvertible(rows):
+        raise AssertionError("invert_rational_matrix called")
+
+    monkeypatch.setattr(basis_tools, "invert_rational_matrix", uninvertible)
+    where = str(K)
+    if source == "--basis":
+        where = str(tmp_path / "basis.json")
+        Path(where).write_text(json.dumps({"K": K, "columns": [["1"]] * (K + 1)}))
+    argv = (*head, source, where, *tail)
+    assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refute", "--canonical", "-1", "--B", "1/0"),
+        ("metastable", "--canonical", "-1", "--eps", "x"),
+    ],
+)
+def test_negative_canonical_k_is_refused_before_the_options(monkeypatch, capsys, argv):
     def unbuildable(cls, K):
         raise AssertionError(f"Basis.canonical({K}) called")
 
     monkeypatch.setattr(Basis, "canonical", classmethod(unbuildable))
-    assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+    assert run_cli(capsys, *argv) == (
+        2, "", "input error: --canonical takes a nonnegative dimension index\n"
+    )
+
+
+def test_option_errors_come_before_the_basis_files_own(tmp_path, capsys):
+    # a file's K is checked against the options before its columns are read
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"K": 1, "columns": [["1", "1"], ["2", "2"]]}))
+    code, out, err = run_cli(capsys, "refute", "--basis", str(path), "--B", "1/2")
+    assert (code, out, err) == (2, "", "input error: B must be at least 1\n")
+    code, out, err = run_cli(capsys, "refute", "--basis", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: SingularBasis: no pivot in column 1\n"
+
+
+def test_a_k_the_file_does_not_hold_sizes_nothing(tmp_path, monkeypatch, capsys):
+    # the anneal strategy makes 128 (K+1)-entry sign patterns
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"K": 10**12, "columns": [["1"]]}))
+
+    def unsized(*args):
+        raise AssertionError("uc_sign_patterns called")
+
+    monkeypatch.setattr(cli, "uc_sign_patterns", unsized)
+    code, out, err = run_cli(capsys, "uc", "--strategy", "anneal", "--basis", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"input error: {path}: DimensionMismatch: basis must be a (K+1) x (K+1) matrix\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["refute", "metastable"])
@@ -462,12 +540,26 @@ _JSON_OBJECTS = _JSON_VALUES | st.fixed_dictionaries(
 )
 
 
+_FILE_COMMANDS = [
+    ("norm", "--input"),
+    ("space", "--basis"),
+    ("matrix", "--basis"),
+    ("metastable", "--basis"),
+    ("refute", "--basis"),
+    ("--budget", "1", "uc", "--basis"),
+    ("--budget", "1", "uc", "--strategy", "anneal", "--basis"),
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([("norm", "--input"), ("space", "--basis")]), _JSON_OBJECTS)
+@given(st.sampled_from(_FILE_COMMANDS), _JSON_OBJECTS)
+@example(("refute", "--basis"), {"K": False, "columns": None})
 def test_json_loaders_exit_0_or_2(tmp_path_factory, command, value):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(value))
-    assert main([*command, str(path)]) in (0, 2)
+    # a basis that metastable reads may fail a hypothesis clause: exit 1
+    allowed = (0, 1, 2) if "metastable" in command else (0, 2)
+    assert main([*command, str(path)]) in allowed
 
 
 # ---------------------------------------------------------------------------

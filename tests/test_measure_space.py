@@ -39,6 +39,7 @@ from helpers import (
     reference_atom_products,
     reference_atom_subsets,
     reference_build,
+    reference_coords_of,
     reference_small_set_breaches,
 )
 
@@ -139,6 +140,33 @@ def test_build_matches_reference_on_canonical_bases():
 @given(invertible_bases())
 def test_build_matches_reference_on_random_bases(basis):
     assert_build_matches_reference(basis)
+
+
+def assert_atom_ingredients_are_the_weighted_moduli(basis: Basis) -> None:
+    # g*_i(d) = c_i and d*(w_i) = r_i, positive for every invertible W, so
+    # the positivity check in build can fail only on a bug
+    model, K = build(basis), basis.K
+    gamma = [
+        reference_coords_of(basis.dual, canonical("d", j, K)) for j in range(K + 1)
+    ]  # gamma[j][i] = g*_i(d_j)
+    for i in range(K + 1):
+        c_i = sum(Fraction(abs(gamma[j][i]), 2 ** (j + 1)) for j in range(K + 1))
+        r_i = sum(
+            Fraction(abs(basis.columns[i][j]), 2 ** (j + 1)) for j in range(K + 1)
+        )
+        assert model.gamma_d[i] == c_i > 0
+        assert model.d_star_atoms[i] == r_i > 0
+
+
+def test_atom_ingredients_are_the_weighted_moduli_on_canonical_bases():
+    for K in range(9):
+        assert_atom_ingredients_are_the_weighted_moduli(Basis.canonical(K))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_bases(max_K=8))
+def test_atom_ingredients_are_the_weighted_moduli_on_random_bases(basis):
+    assert_atom_ingredients_are_the_weighted_moduli(basis)
 
 
 # ---------------------------------------------------------------------------
