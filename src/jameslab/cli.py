@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import hierarchy
 from .basis_tools import (
@@ -598,9 +598,12 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves a parser as it found it, so one serves every call
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (InputError, ValueError, ZeroDivisionError) as exc:

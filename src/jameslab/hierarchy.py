@@ -10,6 +10,7 @@ and is monotone).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,12 +99,19 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
     """Evaluate f_m(n) by the defining iteration, under a budget.
 
     Levels 0 and 1 use their exact iterate collapses (n+1 and 2n); from
-    level 2 on the iteration is performed literally with an explicit
-    frame stack, one budget step per function application.  A frame starts
-    at its parent's accumulator and only doubles it or takes its child's
-    value, so on breach the last computed value is the largest on the
-    stack, and is returned as a lower bound; a finished frame hands up 0
-    or a doubling that already passed the digit gate.
+    level 2 on the iteration runs on an explicit frame stack, one budget
+    step per function application.  A frame above level 2 spends a step on
+    each child frame it starts.  A level-2 frame iterates f_1, doubling,
+    so its k = min(left, steps remaining) next doublings are taken at once
+    as acc << k and charged k steps: the same steps the one-at-a-time
+    doubling spends.  The digit gate tests x >= 10^max_digits, which is
+    monotone in x, so it fires on the run of doublings exactly when it
+    fires on acc << k, and then at the least j with acc << j past it,
+    found by bisection; that value is the breach the one-at-a-time loop
+    returns.  A frame starts at its parent's accumulator and only doubles
+    it or takes its child's value, so on breach the last computed value is
+    the largest on the stack, and is returned as a lower bound; a finished
+    frame hands up 0 or a doubling that already passed the digit gate.
     """
     if m < 0 or n < 0:
         raise ValueError("hierarchy arguments must be nonnegative")
@@ -127,17 +135,20 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
             frames[-1][2] = acc
             frames[-1][1] -= 1
             continue
-        steps += 1
-        if steps > budget.max_steps:
+        if steps == budget.max_steps:
             return ExceedsBudget(acc)
         if level > 2:
+            steps += 1
             frames.append([level - 1, acc, acc])
             continue
-        value = 2 * acc
-        frames[-1][2] = value
-        frames[-1][1] = left - 1
+        k = min(left, budget.max_steps - steps)
+        value = acc << k
         if gate.exceeds(value):
-            return ExceedsBudget(value)
+            doublings = range(1, k + 1)
+            i = bisect_left(doublings, True, key=lambda j: gate.exceeds(acc << j))
+            return ExceedsBudget(acc << doublings[i])
+        steps += k
+        frames[-1][1:] = [left - k, value]
 
 
 def fgh_omega(n: int, budget: EvalBudget | None = None) -> Exact | ExceedsBudget:

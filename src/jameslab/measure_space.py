@@ -113,21 +113,30 @@ class MeasureSpaceModel:
     @cached_property
     def product_matrix(self) -> ProductMatrix:
         """M[n][p] = integral of f_n * g_p = sum_i U[i][n] V[i][p] / (D_u D_v)
-        from the atom factors; the triangular structure is checked row-major."""
+        from the atom factors; the triangular structure is checked row-major.
+
+        Each integer sum is tested against d*(d) * D_u * D_v or 0, so no
+        entry is reduced over D_u * D_v: a checked matrix holds the d*(d)
+        and 0 objects themselves, and only a violation builds its entry.
+        """
         (D_u, U), (D_v, V) = self.atom_factors
+        D = D_u * D_v
+        on_or_below = (self.d_star_d, self.d_star_d * D)
+        above = (Fraction(0), 0)
         v_columns = list(zip(*V))
-        entries = tuple(
-            tuple(Fraction(sum(map(mul, u, v)), D_u * D_v) for v in v_columns)
-            for u in zip(*U)
-        )
-        for n, row in enumerate(entries):
-            for p, v in enumerate(row):
-                expected = self.d_star_d if p <= n else Fraction(0)
-                if v != expected:
+        entries = []
+        for n, u in enumerate(zip(*U)):
+            row = []
+            for p, v in enumerate(v_columns):
+                expected, target = on_or_below if p <= n else above
+                total = sum(map(mul, u, v))
+                if total != target:
                     raise StructureViolation(
-                        f"M[{n}][{p}] = {v}, expected {expected}"
+                        f"M[{n}][{p}] = {Fraction(total, D)}, expected {expected}"
                     )
-        return ProductMatrix(entries, self.d_star_d)
+                row.append(expected)
+            entries.append(tuple(row))
+        return ProductMatrix(tuple(entries), self.d_star_d)
 
     def to_json_obj(self) -> dict:
         return {

@@ -46,7 +46,8 @@ from jameslab.metastability import (
     StableInterval,
     fluctuation_budget,
 )
-from jameslab.scalars import Root2Scalar, ceil_sqrt_rational
+from jameslab.reporting import Report, ReportEntry
+from jameslab.scalars import Root2Scalar, ceil_sqrt_rational, fmt_rational
 
 
 def random_vector(
@@ -185,6 +186,77 @@ def reference_fluctuation_details(
         "witness_interval": worst_interval,
         **failures,
     }
+
+
+def reference_hypothesis_report(
+    model: MeasureSpaceModel,
+    B_hat: Fraction,
+    eps: Fraction,
+    budget: int | None = None,
+) -> Report:
+    """``hypothesis_report`` with every product sequence chased under both
+    index functions: the L1 norms integrated in Fractions, the small-set
+    clauses from :func:`reference_small_set_breaches`, and each sequence
+    summed over an atom subset from :func:`reference_atom_products` and
+    chased at accuracy eps itself by :func:`reference_stable_interval`.
+    ``budget`` replaces the fluctuation budget of (B_hat, eps) when given."""
+    B_hat, eps = Fraction(B_hat), Fraction(eps)
+    K = model.K
+    if budget is None:
+        budget = fluctuation_budget(B_hat, eps)
+    entries = []
+    families = (("f", model.fs), ("g", model.gs))
+    for name, hs in families:
+        norms = [integrate(model, h.abs()) for h in hs]
+        entries.append(
+            ReportEntry(
+                f"l1_bound_{name}",
+                all(v <= B_hat for v in norms),
+                details={f"{name}_{n}": fmt_rational(v) for n, v in enumerate(norms)},
+            )
+        )
+    sigmas = reference_atom_subsets(K)
+    for name, hs in families:
+        breaches = reference_small_set_breaches(model, hs, B_hat, eps, sigmas)
+        entries.append(ReportEntry(f"small_set_continuity_{name}", not breaches))
+
+    A = reference_atom_products(model)
+    tables = [
+        [[sum((A[i][n][p] for i in sigma), Fraction(0)) for p in range(K + 1)]
+         for n in range(K + 1)]
+        for sigma in sigmas
+    ]
+    index_functions = (
+        IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
+        IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
+    )
+
+    def fails(values: tuple, F: IndexFunction) -> bool:
+        try:
+            reference_stable_interval(values, eps, F, 0, budget)
+        except BudgetExceeded:
+            return True
+        return False
+
+    for mode in ("fix_p", "fix_n"):
+        if mode == "fix_p":
+            sequences = {tuple(col) for table in tables for col in zip(*table)}
+        else:
+            sequences = {(*row, Fraction(0)) for table in tables for row in table}
+        passed = [
+            not any(fails(values, F) for values in sequences) for F in index_functions
+        ]
+        entries.append(
+            ReportEntry(
+                f"bounded_fluctuations_{mode}",
+                all(passed),
+                details={
+                    f"index_function_{fi}": "pass" if ok else "fail"
+                    for fi, ok in enumerate(passed)
+                },
+            )
+        )
+    return Report(tuple(entries))
 
 
 def reference_atom_products(

@@ -1,5 +1,6 @@
 """CLI surface: determinism, exit codes, and the serialized formats."""
 
+import hashlib
 import json
 import random
 import shlex
@@ -800,3 +801,49 @@ def test_verify_command(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+_PARSER_SEQUENCE = [
+    ["--json", "refute", "--canonical", "3"],
+    ["refute", "--canonical", "3"],
+    ["--seed", "3", "uc", "--canonical", "2"],
+    ["--seed", "9", "uc", "--canonical", "2"],
+    ["fgh", "--level"],
+    ["fgh", "--level", "3", "--arg", "2"],
+    ["refute", "--canonical", "x"],
+    ["--json", "threshold", "--B", "3/2"],
+    [],
+    ["threshold"],
+]
+
+
+def _outcomes(capsys, sequence):
+    outcomes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(monkeypatch, capsys):
+    shared = _outcomes(capsys, _PARSER_SEQUENCE)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 2, 0, 2, 0]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert build_parser() is not build_parser()
+    assert _outcomes(capsys, _PARSER_SEQUENCE) == shared
+
+
+_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_cli_output_matches_its_recorded_digest(capsys, command):
+    # exit code and SHA-256 of stdout of refute, metastable (F1 failing
+    # too), fgh under default and small budgets, threshold and verify:
+    # any change to how these are computed must leave the bytes as they are
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == _DIGESTS[command]

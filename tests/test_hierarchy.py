@@ -149,6 +149,61 @@ def test_eval_matches_the_earlier_frame_loop_on_a_budget_grid():
     assert cases == 5376
 
 
+@pytest.mark.parametrize(
+    "m, n, max_steps, expected",
+    [
+        # f_2(n): one frame of n doublings, its last at step n
+        (2, 7, 6, ExceedsBudget(7 * 2**6)),
+        (2, 7, 7, Exact(7 * 2**7)),
+        (2, 7, 8, Exact(7 * 2**7)),
+        # f_3(2) = f_2(f_2(2)): a step to start each level-2 frame, whose
+        # last doublings are steps 1 + 2 = 3 and 3 + 1 + 8 = 12
+        (3, 2, 2, ExceedsBudget(4)),
+        (3, 2, 3, ExceedsBudget(8)),
+        (3, 2, 4, ExceedsBudget(8)),
+        (3, 2, 11, ExceedsBudget(1024)),
+        (3, 2, 12, Exact(2048)),
+        (3, 2, 13, Exact(2048)),
+    ],
+)
+def test_step_budgets_around_a_level_2_frames_last_doubling(m, n, max_steps, expected):
+    budget = EvalBudget(max_steps=max_steps)
+    assert fgh_eval(m, n, budget) == expected == reference_fgh_eval(m, n, budget)
+
+
+@pytest.mark.parametrize(
+    "m, n, digits",
+    [(2, 5000, 1000), (2, 5000, 1234), (2, 5000, 1505), (3, 3, 2000), (4, 2, 617)],
+)
+def test_a_digit_breach_inside_the_gates_ambiguous_window(m, n, digits):
+    # the first doubling past 10^digits has its bit length or one more,
+    # both inside the window where the gate builds 10^digits
+    budget = EvalBudget(max_digits=digits)
+    result = fgh_eval(m, n, budget)
+    assert result == reference_fgh_eval(m, n, budget)
+    bound = result.certified_lower_bound
+    gate = hierarchy._DigitGate(digits)
+    assert gate._low_bits < bound.bit_length() <= gate._high_bits
+    assert bound // 2 < 10**digits <= bound
+
+
+def test_a_level_2_frame_takes_its_doublings_at_once(monkeypatch):
+    # f_3(3) breaches the step budget inside f_2(402653184): one gate test
+    # per level-2 frame, not one per doubling (about 10^4)
+    calls = []
+    exceeds = hierarchy._DigitGate.exceeds
+
+    def counting(gate, x):
+        calls.append(x)
+        return exceeds(gate, x)
+
+    monkeypatch.setattr(hierarchy._DigitGate, "exceeds", counting)
+    result = fgh_eval(3, 3)
+    assert len(calls) < 100
+    assert isinstance(result, ExceedsBudget)
+    assert result == reference_fgh_eval(3, 3)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------

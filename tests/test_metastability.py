@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from helpers import (
     reference_atom_products,
     reference_conclusion_search,
     reference_fluctuation_details,
+    reference_hypothesis_report,
     reference_product_matrix,
     reference_stable_interval,
 )
@@ -91,8 +93,15 @@ def test_reach_is_computed_once_per_index_function(monkeypatch):
     reach = F.reach
     assert F.reach is reach
     assert len(maxima) == 1
-    hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
-    assert len(maxima) == 1 + 2  # once per index function of the report
+    model = build(Basis.canonical(3))
+    # F1 passes on every sequence at the refutation accuracy, so F0 is
+    # never chased and its reach never computed
+    hypothesis_report(model, Fraction(2), Fraction(1, 80))
+    assert len(maxima) == 1 + 1
+    # budget 2: F1 fails, then F0 is chased too, over many sequences, and
+    # each index function's reach is still computed once
+    hypothesis_report(model, Fraction(1, 8), Fraction(1, 4))
+    assert len(maxima) == 2 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +547,13 @@ def _support_models():
     ]
 
 
+def _report_index_functions(K):
+    return (
+        IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
+        IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
+    )
+
+
 @pytest.mark.parametrize("model", _support_models())
 @pytest.mark.parametrize(
     "B_hat, eps",
@@ -551,10 +567,13 @@ def _support_models():
 def test_hypothesis_report_chases_each_support_subset_once(
     monkeypatch, model, B_hat, eps
 ):
-    # one chase per index function and (mode, fixed index, subset of that
-    # line's support), and the same sequences, accuracy and verdicts as
-    # the integrals over every atom subset scaled by b * D, where
-    # D = D_u * D_v and eps * D = a/b
+    # the sequences are those of every (mode, fixed index, subset of that
+    # line's support), at the accuracy and budget of the integrals over
+    # every atom subset scaled by b * D, where D = D_u * D_v and
+    # eps * D = a/b; each sequence walked is chased once, under F1 until
+    # F1 fails, then under F0 (the sequence F1 failed on included) until
+    # F0 fails too; the verdicts are those of both index functions on
+    # every sequence
     K = model.K
     (D_u, _), (D_v, _) = model.atom_factors
     D = D_u * D_v
@@ -570,23 +589,38 @@ def test_hypothesis_report_chases_each_support_subset_once(
     ]
     calls = _counting(monkeypatch, metastability, "find_stable_interval")
     entries = {e.name: e for e in hypothesis_report(model, B_hat, eps).entries}
-    assert len(calls) == 2 * sum(2**size for size in _support_sizes(model))
     budget = fluctuation_budget(B_hat, eps)
-    index_functions = (
-        IndexFunction.from_callable(lambda n: n + 1, 4 * K + 8),
-        IndexFunction.from_callable(lambda n: 2 * n + 1, 4 * K + 8),
-    )
+    F0, F1 = index_functions = _report_index_functions(K)
+    sizes = _support_sizes(model)
     # a fix_n sequence carries the trailing 0, so it is one value longer
-    for mode, length in (("fix_p", K + 1), ("fix_n", K + 2)):
+    for mode, length, mode_sizes in (
+        ("fix_p", K + 1, sizes[: K + 1]),
+        ("fix_n", K + 2, sizes[K + 1 :]),
+    ):
         if mode == "fix_p":
             expected = {tuple(col) for table in tables for col in zip(*table)}
         else:
             expected = {(*row, 0) for table in tables for row in table}
         chased = [args for args in calls if len(args[0]) == length]
-        assert {values for values, *_ in chased} == expected
-        assert {args[1:] for args in chased} == {
-            (accuracy, F, 0, budget) for F in index_functions
-        }
+        under_F1 = [values for values, _, F, *_ in chased if F == F1]
+        under_F0 = [values for values, _, F, *_ in chased if F == F0]
+        assert chased == [(v, accuracy, F1, 0, budget) for v in under_F1] + [
+            (v, accuracy, F0, 0, budget) for v in under_F0
+        ]
+        F1_fails = [_fails(v, accuracy, F1, budget) for v in under_F1]
+        F0_fails = [_fails(v, accuracy, F0, budget) for v in under_F0]
+        assert not any(F1_fails[:-1]) and not any(F0_fails[:-1])
+        if F1_fails[-1]:
+            assert under_F0[0] == under_F1[-1]
+        else:
+            assert under_F0 == []
+        walked = under_F1 + under_F0[1:]
+        assert len(chased) == len(walked) + F1_fails[-1]
+        if under_F0 and F0_fails[-1]:
+            assert set(walked) <= expected
+        else:
+            assert len(walked) == sum(2**size for size in mode_sizes)
+            assert set(walked) == expected
         assert entries[f"bounded_fluctuations_{mode}"].details == {
             f"index_function_{fi}": (
                 "fail"
@@ -606,8 +640,64 @@ def test_canonical_line_supports_are_the_fixed_atom_and_the_atoms_up_to_n(
         )
     calls = _counting(monkeypatch, metastability, "find_stable_interval")
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
-    # a chase of every sequence of every atom subset would be 2 * 8 * 16 = 256
-    assert len(calls) == 2 * (4 * 2 + 2 + 4 + 8 + 16) == 76
+    # a chase of every sequence of every atom subset under both index
+    # functions would be 2 * 8 * 16 = 256; F1 passes on all, so F0 is not
+    # chased
+    assert len(calls) == 4 * 2 + 2 + 4 + 8 + 16 == 38
+
+
+_F1_ONLY_FAILS = build(random_invertible_basis(3, random.Random(22)))
+
+
+@pytest.mark.parametrize(
+    "model, B_hat, eps, verdicts",
+    [
+        # budget ceil(8 * (1/4)^2 * 1^2) = 1: in fix_p only F1 fails
+        (_F1_ONLY_FAILS, Fraction(1, 4), Fraction(1), ("pass", "fail", "fail", "fail")),
+        # budget ceil(8 * (1/8)^2 * 4^2) = 2
+        (build(Basis.canonical(4)), Fraction(1, 8), Fraction(1, 4),
+         ("pass", "pass", "fail", "fail")),
+    ],
+    ids=["random-K3", "canonical-K4"],
+)
+def test_hypothesis_report_verdicts_when_F1_fails(model, B_hat, eps, verdicts):
+    report = hypothesis_report(model, B_hat, eps)
+    assert report == reference_hypothesis_report(model, B_hat, eps)
+    details = {e.name: e.details for e in report.entries}
+    assert (
+        details["bounded_fluctuations_fix_p"]["index_function_0"],
+        details["bounded_fluctuations_fix_p"]["index_function_1"],
+        details["bounded_fluctuations_fix_n"]["index_function_0"],
+        details["bounded_fluctuations_fix_n"]["index_function_1"],
+    ) == verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(min_value=0, max_value=5),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    B_hat=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]),
+    eps=st.sampled_from(
+        [Fraction(1, 80), Fraction(1, 4), Fraction(2, 7), Fraction(1), Fraction(3)]
+    ),
+    data=st.data(),
+)
+def test_hypothesis_report_matches_both_chases_on_every_sequence(
+    K, seed, B_hat, eps, data
+):
+    # seed None is the canonical basis; the budget is drawn from 0..K+2
+    # and set in place of the one of (B_hat, eps), since no positive B_hat
+    # gives budget 0
+    basis = (
+        Basis.canonical(K)
+        if seed is None
+        else random_invertible_basis(K, random.Random(seed))
+    )
+    model = build(basis)
+    budget = data.draw(st.integers(min_value=0, max_value=K + 2), label="budget")
+    with mock.patch.object(metastability, "fluctuation_budget", lambda *_: budget):
+        report = hypothesis_report(model, B_hat, eps)
+    assert report == reference_hypothesis_report(model, B_hat, eps, budget)
 
 
 def test_scaled_accuracy_scales_the_chased_tables():
@@ -753,6 +843,19 @@ def test_harness_sums_an_unsorted_sigma_family_as_the_reference(mode, eps):
 )
 def test_product_matrix_matches_the_step_function_reference(model):
     assert product_matrix(model) == reference_product_matrix(model)
+
+
+def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
+    # each integer sum is tested against d*(d) * D_u * D_v or 0, and no
+    # entry is reduced over D_u * D_v
+    model = build(random_invertible_basis(6, random.Random(208)))
+    entries = product_matrix(model).entries
+    assert all(
+        v is (model.d_star_d if p <= n else entries[0][-1])
+        for n, row in enumerate(entries)
+        for p, v in enumerate(row)
+    )
+    assert entries[0][-1] == 0
 
 
 @pytest.mark.parametrize(
