@@ -39,7 +39,6 @@ from .basis_tools import (
 from .measure_space import (
     MeasureSpaceModel,
     ProductMatrix,
-    StepFunction,
     build,
     check_identities,
     integrate_over,
@@ -80,7 +79,6 @@ __all__ = [
     "Root2Scalar",
     "SignPattern",
     "StableInterval",
-    "StepFunction",
     "UCEstimate",
     "ViolationWitness",
     "build",

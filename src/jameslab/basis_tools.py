@@ -347,15 +347,21 @@ def uc_lower_bound(
     ("anneal").  Per pattern, the coefficient search seeds the all-ones
     vector and then runs `budget` float coordinate-ascent restarts; each
     candidate is snapped to rationals and replayed exactly, so the result
-    is always a valid lower bound and is nondecreasing in `budget`.
+    is always a valid lower bound and is nondecreasing in `budget`.  A
+    basis entry beyond float range raises ``ValueError``.
     """
     K = basis.K
     patterns = uc_sign_patterns(K, strategy, budget, seed)
+    try:  # an entry that underflows is searched as 0.0
+        cols_float = [[float(v) for v in col] for col in basis.columns]
+    except OverflowError:
+        raise ValueError(
+            "a basis entry is beyond float range, which the float "
+            "coefficient search cannot represent"
+        ) from None
     ones = SignPattern((1,) * (K + 1))
     alpha0 = (Fraction(1),) + (Fraction(0),) * K
     best = UCEstimate(ratio_sq(basis, ones, alpha0), ones, alpha0)
-
-    cols_float = [[float(v) for v in col] for col in basis.columns]
 
     def consider(eps: SignPattern, alpha: tuple[Fraction, ...]) -> None:
         nonlocal best

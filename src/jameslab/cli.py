@@ -466,7 +466,7 @@ def _cmd_uc(args: argparse.Namespace) -> int:
     obj["replay_matches"] = replay == est.lower_bound_sq
     lines = [
         f"lower_bound_sq = {fmt_rational(est.lower_bound_sq)}",
-        f"lower_bound ~ {float(est.lower_bound_sq) ** 0.5:.12g} (approximate display)",
+        f"lower_bound ~ {_approx_sqrt(est.lower_bound_sq)} (approximate display)",
         f"sign_pattern = {list(est.sign_pattern.entries)}",
         f"alpha = {[fmt_rational(a) for a in est.alpha]}",
         f"replay_matches = {replay == est.lower_bound_sq}",

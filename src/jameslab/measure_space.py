@@ -3,8 +3,9 @@
 Atoms are the basis vectors w_i.  The canonical element d mixes the
 moduli of the d_j with weights 2^{-j-1}, the canonical functional d*
 does the same with the |e*_j|, and the weights mu({w_i}) are chosen so
-that the step-function embeddings of vectors and functionals pair as
-integral(pi*(x*) pi(x)) = x*(x) d*(d), exactly.
+that the embeddings of vectors and functionals pair as
+integral(pi*(x*) pi(x)) = x*(x) d*(d), exactly.  A function on the atoms
+is the tuple of its values on w_0..w_K.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .basis_tools import StructureViolation
 from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
 from .james_core import DimensionMismatch, DualFunctional, JVector
 from .reporting import Report, ReportEntry
-from .scalars import ceil_rational, fmt_rational, integer_rows
+from .scalars import ceil_rational, check_exact_values, fmt_rational, integer_rows
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
 IDENTITY_SMALL_SET_EPS = Fraction(1, 4)
@@ -30,30 +31,6 @@ IDENTITY_SMALL_SET_EPS = Fraction(1, 4)
 
 class SubsetEnumerationLimit(ValueError):
     """The 2^(K+1) atom subsets of a model are too many to enumerate."""
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Function on the atoms w_0..w_K, one rational value per atom."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-
-    def __mul__(self, other: StepFunction) -> StepFunction:
-        if len(self.values) != len(other.values):
-            raise DimensionMismatch((len(self.values), len(other.values)))
-        return StepFunction(tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def abs(self) -> StepFunction:
-        return StepFunction(tuple(abs(v) for v in self.values))
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -75,22 +52,22 @@ class MeasureSpaceModel:
         return self.basis.dual
 
     @cached_property
-    def fs(self) -> tuple[StepFunction, ...]:
+    def fs(self) -> tuple[tuple[Fraction, ...], ...]:
         """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n)."""
         scales = [self.d_star_d / g for g in self.gamma_d]
         gamma = [list(accumulate(row)) for row in self.dual.rows]  # g*_i(d_n)
         return tuple(
-            StepFunction(tuple(s * row[n] for s, row in zip(scales, gamma)))
+            tuple(s * row[n] for s, row in zip(scales, gamma))
             for n in range(self.K + 1)
         )
 
     @cached_property
-    def gs(self) -> tuple[StepFunction, ...]:
+    def gs(self) -> tuple[tuple[Fraction, ...], ...]:
         """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i]."""
         scales = [self.d_star_d / v for v in self.d_star_atoms]
         columns = self.basis.columns
         return tuple(
-            StepFunction(tuple(s * col[p] for s, col in zip(scales, columns)))
+            tuple(s * col[p] for s, col in zip(scales, columns))
             for p in range(self.K + 1)
         )
 
@@ -106,9 +83,9 @@ class MeasureSpaceModel:
         D_u * D_v.  The values come from the model's own fs, gs and mu, so
         no identity is assumed.
         """
-        f_at = zip(*(fn.values for fn in self.fs))  # f_at[i][n] = f_n(w_i)
+        f_at = zip(*self.fs)  # f_at[i][n] = f_n(w_i)
         u = integer_rows([f * mu for f in f_i] for f_i, mu in zip(f_at, self.mu))
-        return u, integer_rows(zip(*(gp.values for gp in self.gs)))
+        return u, integer_rows(zip(*self.gs))
 
     @cached_property
     def product_matrix(self) -> ProductMatrix:
@@ -208,20 +185,16 @@ def build(basis: Basis) -> MeasureSpaceModel:
     )
 
 
-def pi(model: MeasureSpaceModel, x: JVector) -> StepFunction:
-    """Embed a vector: value d*(d)/g*_i(d) * g*_i(x) at atom i."""
+def pi(model: MeasureSpaceModel, x: JVector) -> tuple[Fraction, ...]:
+    """Embed a vector: the values d*(d)/g*_i(d) * g*_i(x) on atoms 0..K."""
     if x.K != model.K:
         raise DimensionMismatch((x.K, model.K))
     coords = model.dual.coords_of(x)
-    return StepFunction(
-        tuple(
-            model.d_star_d / model.gamma_d[i] * coords[i] for i in range(model.K + 1)
-        )
-    )
+    return tuple(model.d_star_d / g * c for g, c in zip(model.gamma_d, coords))
 
 
-def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> StepFunction:
-    """Embed a functional: value d*(d)/d*(w_i) * x*(w_i) at atom i.
+def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> tuple[Fraction, ...]:
+    """Embed a functional: the values d*(d)/d*(w_i) * x*(w_i) on atoms 0..K.
 
     Requires a rational functional; one with a sqrt(2) part raises
     :class:`IrrationalAtomValue` (from :meth:`Basis.functional_values`).
@@ -229,31 +202,28 @@ def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> StepFunction:
     if x_star.K != model.K:
         raise DimensionMismatch((x_star.K, model.K))
     values = model.basis.functional_values(x_star)
-    return StepFunction(
-        tuple(model.d_star_d / a * v for a, v in zip(model.d_star_atoms, values))
-    )
+    return tuple(model.d_star_d / a * v for a, v in zip(model.d_star_atoms, values))
 
 
 def integrate_over(
-    model: MeasureSpaceModel, h: StepFunction, sigma: tuple[int, ...]
+    model: MeasureSpaceModel, h: tuple[int | Fraction, ...], sigma: tuple[int, ...]
 ) -> Fraction:
-    """Integral of h over the atom subset sigma: sum of value * weight."""
-    if len(h.values) != model.K + 1:
-        raise DimensionMismatch((len(h.values), model.K + 1))
+    """Integral over the atom subset sigma of the function whose value at
+    atom i is h[i]: the sum of value * weight.  h holds K + 1 ints or
+    Fractions; any other value raises ``TypeError``."""
+    if len(h) != model.K + 1:
+        raise DimensionMismatch((len(h), model.K + 1))
+    check_exact_values(h)
     _check_atoms(sigma, model.K)
-    return sum((h.values[i] * model.mu[i] for i in sigma), Fraction(0))
+    return sum((h[i] * model.mu[i] for i in sigma), Fraction(0))
 
 
-def integrate(model: MeasureSpaceModel, h: StepFunction) -> Fraction:
+def integrate(model: MeasureSpaceModel, h: tuple[int | Fraction, ...]) -> Fraction:
     return integrate_over(model, h, tuple(range(model.K + 1)))
 
 
-def l1_norm(model: MeasureSpaceModel, h: StepFunction) -> Fraction:
-    return integrate(model, h.abs())
-
-
-def mu_of(model: MeasureSpaceModel, sigma: tuple[int, ...]) -> Fraction:
-    return sum((model.mu[i] for i in sigma), Fraction(0))
+def l1_norm(model: MeasureSpaceModel, h: tuple[int | Fraction, ...]) -> Fraction:
+    return integrate(model, tuple(map(abs, h)))
 
 
 @dataclass(frozen=True)
@@ -297,7 +267,7 @@ def atom_subsets(K: int) -> list[tuple[int, ...]]:
 
 def small_set_breaches(
     model: MeasureSpaceModel,
-    hs: tuple[StepFunction, ...],
+    hs: tuple[tuple[int | Fraction, ...], ...],
     bound: Fraction,
     eps: Fraction,
     sigmas: Iterable[tuple[int, ...]],
@@ -317,9 +287,9 @@ def small_set_breaches(
     D_mu, (mu,) = integer_rows([model.mu])
     cases = []
     for n, h in enumerate(hs):
-        if len(h.values) != K + 1:
-            raise DimensionMismatch((len(h.values), K + 1))
-        D, (weighted,) = integer_rows([map(mul, h.abs().values, model.mu)])
+        if len(h) != K + 1:
+            raise DimensionMismatch((len(h), K + 1))
+        D, (weighted,) = integer_rows([map(mul, map(abs, h), model.mu)])
         mu_limit = ceil_rational(eps * D_mu / (bound * 2**n))
         cases.append((mu_limit, ceil_rational(eps * D), weighted))
     widest = max((mu_limit for mu_limit, _, _ in cases), default=0)
@@ -382,7 +352,7 @@ def check_identities(
         x = JVector(K, _random_coeffs(rng, K))
         x_star = DualFunctional.from_rationals(K, _random_coeffs(rng, K))
         px_star, px = pi_star(model, x_star), pi(model, x)
-        lhs = integrate(model, px_star * px)
+        lhs = integrate(model, tuple(map(mul, px_star, px)))
         rhs = sum(map(mul, x_star.rational_coeffs(), x.coeffs)) * model.d_star_d
         if lhs != rhs:
             pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
@@ -402,7 +372,7 @@ def check_identities(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
     )
 
-    certified = max(fn.sup_norm() / 2**n for n, fn in enumerate(model.fs))
+    certified = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for sigma, n in small_set_breaches(

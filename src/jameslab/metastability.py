@@ -31,7 +31,7 @@ from .measure_space import (
     small_set_breaches,
 )
 from .reporting import Report, ReportEntry
-from .scalars import ceil_inverse, ceil_rational, fmt_rational
+from .scalars import ceil_inverse, ceil_rational, check_exact_values, fmt_rational
 
 
 class BudgetExceeded(Exception):
@@ -75,14 +75,11 @@ class IndexFunction:
 
 
 def _check_values(values: tuple[int | Fraction, ...]) -> None:
-    """A chased sequence is a nonempty tuple of ints or Fractions (bool and
-    Fraction subclasses included), constant past its last value."""
+    """A chased sequence is a nonempty tuple of ints or Fractions (see
+    :func:`check_exact_values`), constant past its last value."""
     if not values:
         raise ValueError("sequence needs at least one tabulated value")
-    if not set(map(type, values)) <= {int, Fraction} and not all(
-        isinstance(v, (int, Fraction)) for v in values
-    ):
-        raise TypeError("sequence values must be ints or Fractions")
+    check_exact_values(values)
 
 
 @dataclass(frozen=True)
@@ -246,8 +243,8 @@ def fluctuation_harness(
     tests 2*|s - t| >= eps and hi - lo < eps on the exact integrals,
     multiplied through by b * D > 0, so every interval and every failure
     is the one the exact integrals give, and no Fraction enters the
-    chase.  ``integrate_over`` on step-function products is the test
-    oracle for these sums.
+    chase.  ``integrate_over`` on the products of the fs and gs is the
+    test oracle for these sums.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an

@@ -55,6 +55,16 @@ def integer_rows(
     return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
+def check_exact_values(values: tuple[int | Fraction, ...]) -> None:
+    """Refuse values that are not ints or Fractions (bool and Fraction
+    subclasses included): the exact values of a chased sequence or of a
+    function on atoms."""
+    if not set(map(type, values)) <= {int, Fraction} and not all(
+        isinstance(v, (int, Fraction)) for v in values
+    ):
+        raise TypeError("sequence values must be ints or Fractions")
+
+
 def ceil_rational(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from jameslab.basis_tools import (
     Basis,
@@ -37,7 +38,6 @@ from jameslab.measure_space import (
     StructureViolation,
     integrate,
     integrate_over,
-    mu_of,
 )
 from jameslab.metastability import (
     BudgetExceeded,
@@ -152,7 +152,7 @@ def reference_fluctuation_details(
     sigma_family: list[tuple[int, ...]],
 ) -> dict[str, str]:
     """Details dict of ``fluctuation_harness``, computed the slow way: each
-    sequence entry integrates a StepFunction product over sigma in
+    sequence entry integrates a product of fs and gs values over sigma in
     Fractions, and :func:`reference_stable_interval` chases it at
     accuracy eps itself."""
     budget = fluctuation_budget(B_hat, eps)
@@ -164,9 +164,9 @@ def reference_fluctuation_details(
     for sigma in sigma_family:
         for fixed in range(model.K + 1):
             if mode == "fix_p":
-                vals = [integrate_over(model, fn * gs[fixed], sigma) for fn in fs]
+                vals = [integrate_over(model, times(fn, gs[fixed]), sigma) for fn in fs]
             else:
-                vals = [integrate_over(model, fs[fixed] * gp, sigma) for gp in gs]
+                vals = [integrate_over(model, times(fs[fixed], gp), sigma) for gp in gs]
                 vals.append(Fraction(0))
             runs += 1
             try:
@@ -207,7 +207,7 @@ def reference_hypothesis_report(
     entries = []
     families = (("f", model.fs), ("g", model.gs))
     for name, hs in families:
-        norms = [integrate(model, h.abs()) for h in hs]
+        norms = [integrate(model, tuple(map(abs, h))) for h in hs]
         entries.append(
             ReportEntry(
                 f"l1_bound_{name}",
@@ -263,9 +263,9 @@ def reference_atom_products(
     model: MeasureSpaceModel,
 ) -> list[list[list[Fraction]]]:
     """A[i][n][p] = f_n(w_i) * g_p(w_i) * mu({w_i}) in Fractions, from the
-    StepFunction values: what ``model.atom_factors`` factors on each atom."""
+    values of fs and gs: what ``model.atom_factors`` factors on each atom."""
     return [
-        [[fn.values[i] * gp.values[i] * mu for gp in model.gs] for fn in model.fs]
+        [[fn[i] * gp[i] * mu for gp in model.gs] for fn in model.fs]
         for i, mu in enumerate(model.mu)
     ]
 
@@ -286,14 +286,14 @@ def count_atom_factor_builds(monkeypatch) -> list[MeasureSpaceModel]:
 
 
 def reference_product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """``product_matrix`` the long way: each StepFunction product f_n * g_p
+    """``product_matrix`` the long way: each product f_n * g_p
     integrated over all atoms in Fractions, with the same row-major
     structure check and ``StructureViolation`` message."""
     entries = []
     for n, fn in enumerate(model.fs):
         row = []
         for p, gp in enumerate(model.gs):
-            v = integrate(model, fn * gp)
+            v = integrate(model, times(fn, gp))
             expected = model.d_star_d if p <= n else Fraction(0)
             if v != expected:
                 raise StructureViolation(f"M[{n}][{p}] = {v}, expected {expected}")
@@ -565,6 +565,17 @@ def reference_build(basis: Basis) -> MeasureSpaceModel:
     )
 
 
+def times(h: tuple, k: tuple) -> tuple:
+    """The product of two functions on the atoms, value by value."""
+    assert len(h) == len(k)
+    return tuple(map(mul, h, k))
+
+
+def mu_of(model: MeasureSpaceModel, sigma: tuple[int, ...]) -> Fraction:
+    """mu(sigma): the atom weights summed in Fractions."""
+    return sum((model.mu[i] for i in sigma), Fraction(0))
+
+
 def reference_small_set_breaches(
     model: MeasureSpaceModel,
     hs: tuple,
@@ -578,7 +589,8 @@ def reference_small_set_breaches(
     for sigma in sigmas:
         m = mu_of(model, sigma)
         for n, h in enumerate(hs):
-            if m < eps / (bound * 2**n) and integrate_over(model, h.abs(), sigma) >= eps:
+            h_abs = tuple(map(abs, h))
+            if m < eps / (bound * 2**n) and integrate_over(model, h_abs, sigma) >= eps:
                 out.append((sigma, n))
     return out
 

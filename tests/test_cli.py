@@ -188,6 +188,38 @@ def test_norm_display_for_any_magnitude(tmp_path, capsys, coeffs, norm_sq, appro
     assert (obj["norm_sq"], obj["norm_decimal_approx"]) == (norm_sq, approx)
 
 
+_FLOAT_SEARCH_REFUSAL = (
+    "input error: a basis entry is beyond float range, which the float "
+    "coefficient search cannot represent"
+)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "columns, code, display",
+    [
+        # a bound beyond float range is displayed as norm displays one
+        ([["1", "0"], ["-1", "1e-200"]], 0, "2e+200"),
+        # an entry beyond float range cannot enter the float search
+        ([["1e400", "0"], ["0", "1"]], 2, None),
+        # one that underflows to 0.0 still can
+        ([["1e-400", "0"], ["0", "1"]], 0, "1"),
+    ],
+    ids=["bound_overflows", "entry_overflows", "entry_underflows"],
+)
+def test_uc_at_the_edges_of_float_range(tmp_path, capsys, json_flag, columns, code, display):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"K": 1, "columns": columns}))
+    got, out, err = run_cli(capsys, *json_flag, "uc", "--basis", str(path))
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.splitlines()[-1] == _FLOAT_SEARCH_REFUSAL
+    elif not json_flag:
+        assert f"lower_bound ~ {display} (approximate display)" in out.splitlines()
+
+
 def test_norm_oracle_refuses_k_above_its_limit_before_the_dp(tmp_path, monkeypatch, capsys):
     path = tmp_path / "vec.json"
     path.write_text(json.dumps({"K": 400, "coeffs": ["1"] * 401}))
@@ -841,9 +873,15 @@ _DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(_DIGESTS))
-def test_cli_output_matches_its_recorded_digest(capsys, command):
+def test_cli_output_matches_its_recorded_digest(tmp_path, monkeypatch, capsys, command):
     # exit code and SHA-256 of stdout of refute, metastable (F1 failing
-    # too), fgh under default and small budgets, threshold and verify:
-    # any change to how these are computed must leave the bytes as they are
+    # too), fgh under default and small budgets, threshold, verify, and
+    # space, matrix and metastable on canonical bases and on the seeded
+    # random basis files random-K2.json .. random-K5.json: any change to
+    # how these are computed must leave the bytes as they are
+    for K in range(2, 6):
+        basis = random_invertible_basis(K, random.Random(f"golden:{K}"))
+        (tmp_path / f"random-K{K}.json").write_text(json.dumps(basis.to_json_obj()))
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *shlex.split(command))
     assert [code, hashlib.sha256(out.encode()).hexdigest()] == _DIGESTS[command]

@@ -14,7 +14,6 @@ from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab import metastability
 from jameslab.james_core import canonical
 from jameslab.measure_space import (
-    StepFunction,
     StructureViolation,
     atom_subsets,
     build,
@@ -44,6 +43,7 @@ from helpers import (
     reference_hypothesis_report,
     reference_product_matrix,
     reference_stable_interval,
+    times,
 )
 
 
@@ -474,7 +474,7 @@ def test_model_families_are_the_embedded_d_and_e_star(model):
 def test_atom_factor_sums_match_step_function_integrals(model):
     K = model.K
     (D_u, U), (D_v, V) = model.atom_factors
-    products = [[fn * gp for gp in model.gs] for fn in model.fs]
+    products = [[times(fn, gp) for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
         for n in range(K + 1):
             for p in range(K + 1):
@@ -876,9 +876,9 @@ def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
     assert "atom_factors" not in vars(model)
     for family, (n, i) in perturbed.items():
         hs = list(getattr(model, family))
-        values = list(hs[n].values)
+        values = list(hs[n])
         values[i] += Fraction(1, 7)
-        hs[n] = StepFunction(tuple(values))
+        hs[n] = tuple(values)
         vars(model)[family] = tuple(hs)  # set before the atom factors are built
     with pytest.raises(StructureViolation) as expected:
         reference_product_matrix(model)
