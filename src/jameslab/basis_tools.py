@@ -25,7 +25,7 @@ from .james_core import (
     eval_functional,
     james_norm_sq_float,
 )
-from .scalars import fmt_rational, integer_rows
+from .scalars import fmt_rational, integer_rows, json_int
 
 
 class SingularBasis(ValueError):
@@ -197,7 +197,7 @@ class Basis:
     @classmethod
     def from_json_obj(cls, obj: dict) -> Basis:
         return cls(
-            int(obj["K"]),
+            json_int(obj, "K"),
             tuple(tuple(Fraction(s) for s in col) for col in obj["columns"]),
         )
 

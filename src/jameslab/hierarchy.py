@@ -22,7 +22,7 @@ OMEGA = "omega"
 
 class UndecidedComparison(AssertionError):
     """:func:`fgh_compare` used up its budgets without a certificate either
-    way; its budgets are chosen so that this does not happen."""
+    way.  No command compares, so no exit code is mapped to it."""
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,25 @@ class ExceedsBudget:
 
 @dataclass(frozen=True)
 class HierarchyExpr:
-    """Symbolic f_level(argument) with level a natural number or omega."""
+    """Symbolic f_level(argument), with level a natural number or omega
+    and argument a natural number: no expression nests."""
 
     level: int | str
-    argument: "int | HierarchyExpr"
+    argument: int
 
     def __post_init__(self) -> None:
         if isinstance(self.level, str) and self.level != OMEGA:
             raise ValueError(f"level must be a natural number or {OMEGA!r}")
         if isinstance(self.level, int) and self.level < 0:
             raise ValueError("level must be nonnegative")
-        if isinstance(self.argument, int) and self.argument < 0:
+        if not isinstance(self.argument, int):
+            raise ValueError("argument must be an int")
+        if self.argument < 0:
             raise ValueError("argument must be nonnegative")
 
     def render(self) -> str:
         name = "f_w" if self.level == OMEGA else f"f_{self.level}"
-        arg = (
-            self.argument.render()
-            if isinstance(self.argument, HierarchyExpr)
-            else _decimal(self.argument)
-        )
-        return f"{name}({arg})"
+        return f"{name}({_decimal(self.argument)})"
 
 
 class _DigitGate:
@@ -159,16 +157,10 @@ def fgh_omega(n: int, budget: EvalBudget | None = None) -> Exact | ExceedsBudget
 def eval_expr(
     expr: HierarchyExpr, budget: EvalBudget | None = None
 ) -> Exact | ExceedsBudget:
-    arg = expr.argument
-    if isinstance(arg, HierarchyExpr):
-        inner = eval_expr(arg, budget)
-        if isinstance(inner, ExceedsBudget):
-            # outer value dominates the inner one
-            return inner
-        arg = inner.value
+    """f_level(argument), evaluated under the budget."""
     if expr.level == OMEGA:
-        return fgh_omega(arg, budget)
-    return fgh_eval(expr.level, arg, budget)
+        return fgh_omega(expr.argument, budget)
+    return fgh_eval(expr.level, expr.argument, budget)
 
 
 def threshold_arg(B: Fraction) -> int:
@@ -214,48 +206,23 @@ def _certified_floor(level: int | str, arg_lb: int, N: int) -> bool:
     return arg_lb * 2**arg_lb >= N
 
 
-def _resolve_argument(
-    arg: int | HierarchyExpr, N: int
-) -> tuple[int | None, int]:
-    """(exact value or None, certified lower bound)."""
-    if isinstance(arg, int):
-        return arg, arg
-    result = _compare_eval(arg, N)
-    if isinstance(result, Exact):
-        return result.value, result.value
-    return None, result.certified_lower_bound
-
-
-def _compare_eval(expr: HierarchyExpr, N: int) -> Exact | ExceedsBudget:
-    digits = len(_decimal(N)) + 2
-    return eval_expr(expr, EvalBudget(max_digits=digits, max_steps=_COMPARE_STEPS))
-
-
 def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
     """Decide f_level(arg) < N or >= N without materializing huge values.
 
     Order: first the conservative monotonicity certificate (which can
     prove only >=), then budgeted partial evaluation whose digit budget
     is pinned just above N so a breach itself certifies >=.  Raises
-    :class:`UndecidedComparison` when neither yields a certificate.
+    :class:`UndecidedComparison` when the step budget runs out below N.
     """
     if N < 0:
         raise ValueError("comparison target must be nonnegative")
-    exact_arg, arg_lb = _resolve_argument(expr.argument, N)
-    if _certified_floor(expr.level, arg_lb, N):
+    if _certified_floor(expr.level, expr.argument, N):
         return CompareResult.GREATER_OR_EQUAL
-    if exact_arg is None:
-        # the argument alone already breached a budget pinned above N,
-        # yet the floor certificate failed: only tiny targets reach here
-        raise UndecidedComparison("indeterminate comparison; argument not resolvable")
-    result = _compare_eval(HierarchyExpr(expr.level, exact_arg), N)
-    if isinstance(result, Exact):
-        return (
-            CompareResult.LESS
-            if result.value < N
-            else CompareResult.GREATER_OR_EQUAL
-        )
-    if result.certified_lower_bound >= N:
+    digits = len(_decimal(N)) + 2
+    result = eval_expr(expr, EvalBudget(max_digits=digits, max_steps=_COMPARE_STEPS))
+    if isinstance(result, Exact) and result.value < N:
+        return CompareResult.LESS
+    if isinstance(result, Exact) or result.certified_lower_bound >= N:
         return CompareResult.GREATER_OR_EQUAL
     raise UndecidedComparison("comparison budgets exhausted without a certificate")
 

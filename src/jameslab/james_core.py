@@ -27,6 +27,7 @@ from .scalars import (
     ceil_sqrt_rational,
     fmt_rational,
     integer_rows,
+    json_int,
 )
 
 ORACLE_MAX_DIMENSION = 14
@@ -104,7 +105,7 @@ class JVector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> JVector:
-        return cls(int(obj["K"]), tuple(Fraction(s) for s in obj["coeffs"]))
+        return cls(json_int(obj, "K"), tuple(Fraction(s) for s in obj["coeffs"]))
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ class DualFunctional:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DualFunctional:
-        return cls(int(obj["K"]), tuple(Root2Scalar.from_pair(p) for p in obj["coeffs"]))
+        return cls(json_int(obj, "K"), tuple(map(Root2Scalar.from_pair, obj["coeffs"])))
 
 
 def canonical(kind: str, i: int, K: int) -> JVector | DualFunctional:

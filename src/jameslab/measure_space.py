@@ -274,7 +274,8 @@ def small_set_breaches(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield each (sigma, n), sigma-major, that breaks small-set continuity:
     mu(sigma) < eps / (bound * 2^n) while the integral of |h_n| over sigma
-    is at least eps.
+    is at least eps.  A bound or an eps that is not positive raises
+    ``ValueError`` at the first step.
 
     mu and each |h_n| * mu are put over one denominator per call, so both
     tests compare integer subset sums with integer thresholds (an integer
@@ -284,6 +285,10 @@ def small_set_breaches(
     """
     K = model.K
     bound, eps = Fraction(bound), Fraction(eps)
+    if bound <= 0:
+        raise ValueError("the bound must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     D_mu, (mu,) = integer_rows([model.mu])
     cases = []
     for n, h in enumerate(hs):

@@ -96,9 +96,11 @@ def count_fluctuations(
 ) -> int:
     """Greedy eps-jump count over [start, end] of the sequence that holds
     its last value past the tuple: re-anchor at each index whose value
-    strays at least eps from the current anchor."""
+    strays at least eps from the current anchor.  eps must be positive."""
     _check_values(values)
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     start, end = index_range
     if start > end or start < 0:
         raise ValueError("empty or invalid index range")

@@ -65,6 +65,13 @@ def check_exact_values(values: tuple[int | Fraction, ...]) -> None:
         raise TypeError("sequence values must be ints or Fractions")
 
 
+def json_int(obj: dict, key: str) -> int:
+    """obj[key], a JSON integer: a float, bool or string is refused."""
+    if type(obj[key]) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {obj[key]!r}")
+    return obj[key]
+
+
 def ceil_rational(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 

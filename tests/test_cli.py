@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jameslab import basis_tools, cli, hierarchy, measure_space
+from jameslab import basis_tools, cli, measure_space
 from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
 from jameslab.measure_space import StructureViolation, build
-from jameslab.metastability import FoundPair, hypothesis_report
+from jameslab.metastability import hypothesis_report
 
 from helpers import count_atom_factor_builds
 
@@ -82,17 +82,6 @@ def test_run_refutation_api():
     report = run_refutation(Basis.canonical(3), Fraction(2))
     assert report.threshold_argument == 8589934597
     assert report.threshold_symbolic == "f_w(8589934597)"
-
-
-def test_found_conclusion_is_invariant_failure(monkeypatch, capsys):
-    # build refuses d*(d) < 1/4 = 20 * (1/80), so a conclusion found at
-    # epsilon = 1/80 can only mean a broken identity
-    found = FoundPair(m=0, s=1, q=0, l=1, gap=Fraction(0))
-    monkeypatch.setattr(cli, "conclusion_search", lambda model, eps: found)
-    code, out, err = run_cli(capsys, "refute", "--canonical", "3")
-    assert (code, out) == (1, "")
-    assert err.startswith("invariant failure: ")
-    assert len(err.splitlines()) == 1
 
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
@@ -383,20 +372,6 @@ def test_wrong_inverse_is_invariant_failure(monkeypatch, capsys):
     assert err == "invariant failure: biorthogonality check failed\n"
 
 
-def test_undecided_comparison_is_invariant_failure(monkeypatch, capsys):
-    # no command compares hierarchy values yet; threshold stands in for one
-    monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)
-    expr = hierarchy.HierarchyExpr(3, 3)
-    monkeypatch.setattr(cli, "threshold_arg", lambda B: hierarchy.fgh_compare(expr, 100))
-    code, out, err = run_cli(capsys, "threshold", "--B", "2/1")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "invariant failure: comparison budgets exhausted without a certificate\n"
-    )
-    assert "Traceback" not in err
-
-
 def test_basis_file_commands(tmp_path, capsys):
     basis = {"K": 1, "columns": [["1/1", "0/1"], ["1/2", "1/1"]]}
     path = tmp_path / "basis.json"
@@ -559,6 +534,29 @@ def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        (("norm", "--input"), {"K": 1.9, "coeffs": ["1", "2"]}),
+        *(
+            (command, {"K": K, "columns": [["1", "0"], ["0", "1"]]})
+            for command in (("space", "--basis"), ("refute", "--basis"), ("uc", "--basis"))
+            for K in (1.5, True, "1")
+        ),
+    ],
+    ids=repr,
+)
+def test_a_k_that_is_not_a_json_integer_is_input_error(tmp_path, capsys, command, body):
+    # "K": int in every file format; int() would truncate 1.9 and 1.5 and
+    # coerce true and "1" to the K = 1 that the coefficients fit
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 _JSON_VALUES = st.recursive(
@@ -875,7 +873,8 @@ _DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 @pytest.mark.parametrize("command", sorted(_DIGESTS))
 def test_cli_output_matches_its_recorded_digest(tmp_path, monkeypatch, capsys, command):
     # exit code and SHA-256 of stdout of refute, metastable (F1 failing
-    # too), fgh under default and small budgets, threshold, verify, and
+    # too), fgh at levels 0..4 and w under default and small budgets, text
+    # and --json, threshold with and without --eps, text and --json, verify, and
     # space, matrix and metastable on canonical bases and on the seeded
     # random basis files random-K2.json .. random-K5.json: any change to
     # how these are computed must leave the bytes as they are

@@ -13,32 +13,41 @@ def test_every_export_resolves_and_is_listed_once():
     assert missing == []
 
 
-def _unmarked_unused_imports(path: Path) -> list[str]:
-    """'module:line name' for each top-level import that binds a name the
-    module never reads and that is not on a line marked ``# noqa: F401``;
-    a name listed in the module's ``__all__`` counts as read."""
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source)
-    lines = source.splitlines()
+# imports that bind a name their module never reads, kept on purpose
+_KEPT_UNREAD = [
+    # re-exported: pi_star raises it, and callers catch it from here
+    "measure_space.py IrrationalAtomValue",
+    # bench/test_bench.py checks that the tracer wraps it at this binding site
+    "metastability.py integrate_over",
+]
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """'module name' for each name an import anywhere in the module binds
+    and the module never reads; a name listed in its ``__all__`` counts as
+    read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read |= set(ast.literal_eval(node.value))
-    unused = []
-    for node in tree.body:
+    unread = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
-                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
-                    unused.append(f"{path.name}:{alias.lineno} {name}")
-    return unused
+                if name not in read:
+                    unread.append(f"{path.name} {name}")
+    return unread
 
 
-def test_every_top_level_import_is_used_or_marked():
+def test_every_import_is_read_or_kept_on_purpose():
+    # no linter runs here: an import left behind by a deletion fails this,
+    # and so does an entry of the kept list that is read again or gone
     sources = sorted(Path(jameslab.__file__).parent.glob("*.py"))
     assert len(sources) > 1
-    assert [bad for path in sources for bad in _unmarked_unused_imports(path)] == []
+    assert [bad for path in sources for bad in _unread_imports(path)] == _KEPT_UNREAD

@@ -13,7 +13,6 @@ from jameslab.hierarchy import (
     ExceedsBudget,
     HierarchyExpr,
     UndecidedComparison,
-    eval_expr,
     fgh_compare,
     fgh_eval,
     fgh_omega,
@@ -255,20 +254,10 @@ def test_compare_omega_threshold_without_evaluation():
     assert fgh_compare(expr, 10**100) == CompareResult.GREATER_OR_EQUAL
 
 
-def test_compare_nested_expression():
-    # f_2(f_2(2)) = 2048
-    expr = HierarchyExpr(2, HierarchyExpr(2, 2))
-    assert fgh_compare(expr, 2048) == CompareResult.GREATER_OR_EQUAL
-    assert fgh_compare(expr, 2049) == CompareResult.LESS
-    assert eval_expr(expr) == Exact(2048)
-
-
 def test_compare_without_a_certificate_is_undecided(monkeypatch):
-    # one evaluation step and no floor certificate leave both raise sites
+    # one evaluation step and no floor certificate leave the raise site
     monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)
     monkeypatch.setattr(hierarchy, "_certified_floor", lambda level, arg_lb, N: False)
-    with pytest.raises(UndecidedComparison, match="argument not resolvable"):
-        fgh_compare(HierarchyExpr(2, HierarchyExpr(3, 3)), 100)
     with pytest.raises(UndecidedComparison, match="budgets exhausted"):
         fgh_compare(HierarchyExpr(3, 3), 100)
 
@@ -279,7 +268,6 @@ def test_compare_without_a_certificate_is_undecided(monkeypatch):
 
 def test_render_symbolic():
     assert HierarchyExpr(OMEGA, 8589934597).render() == "f_w(8589934597)"
-    assert HierarchyExpr(3, HierarchyExpr(2, 7)).render() == "f_3(f_2(7))"
 
 
 def test_expr_validation():
@@ -289,6 +277,13 @@ def test_expr_validation():
         HierarchyExpr(-1, 3)
     with pytest.raises(ValueError):
         HierarchyExpr(2, -3)
+
+
+@pytest.mark.parametrize("argument", [HierarchyExpr(2, 2), "3", -1], ids=repr)
+def test_expr_argument_is_a_natural_number(argument):
+    # the headline bound is f_w of one integer; no expression nests
+    with pytest.raises(ValueError, match="argument must be"):
+        HierarchyExpr(2, argument)
 
 
 def test_format_value():

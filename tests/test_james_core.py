@@ -776,3 +776,12 @@ def test_dual_functional_json_roundtrip():
     obj = y.to_json_obj()
     assert obj["coeffs"][0] == ["1/2", "3/1"]
     assert DualFunctional.from_json_obj(obj) == y
+
+
+@pytest.mark.parametrize("K", [1.0, 1.5, True, "1", None])
+def test_json_readers_refuse_a_k_that_is_not_an_integer(K):
+    # "K": int in the file formats: nothing is truncated or coerced
+    with pytest.raises(TypeError, match="'K' must be an integer"):
+        JVector.from_json_obj({"K": K, "coeffs": ["1/1", "2/1"]})
+    with pytest.raises(TypeError, match="'K' must be an integer"):
+        DualFunctional.from_json_obj({"K": K, "coeffs": [["1/1", "0/1"], ["0/1", "1/1"]]})

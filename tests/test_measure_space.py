@@ -436,6 +436,22 @@ def test_small_set_breaches_check_the_atoms_they_integrate():
         list(small_set_breaches(model, model.fs, tiny, Fraction(1), [(-1,)]))
 
 
+@pytest.mark.parametrize(
+    "bound, eps, message",
+    [
+        (Fraction(1), Fraction(0), "eps must be positive"),
+        (Fraction(1), Fraction(-1, 4), "eps must be positive"),
+        (Fraction(0), Fraction(1, 4), "bound must be positive"),
+        (Fraction(-1), Fraction(1, 4), "bound must be positive"),
+    ],
+)
+def test_small_set_breaches_refuse_a_nonpositive_bound_or_eps(bound, eps, message):
+    # a bound of 0 divided by zero, and the others reported no breach
+    model = build(Basis.canonical(2))
+    with pytest.raises(ValueError, match=message):
+        list(small_set_breaches(model, model.fs, bound, eps, atom_subsets(2)))
+
+
 def test_atom_subsets_enumeration():
     subsets = atom_subsets(2)
     assert len(subsets) == 8

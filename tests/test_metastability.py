@@ -184,6 +184,13 @@ def test_count_fluctuations_alternating():
     assert count_fluctuations(values, Fraction(1, 2), (0, 4)) == 4
 
 
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 2)])
+def test_count_fluctuations_refuses_a_nonpositive_eps(eps):
+    # at eps = 0 every step of a constant sequence would count
+    with pytest.raises(ValueError, match="eps must be positive"):
+        count_fluctuations((0, 0, 0, 0), eps, (0, 3))
+
+
 def test_count_fluctuations_monotone_staircase():
     k = 7
     eps = Fraction(1, 3)
