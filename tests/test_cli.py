@@ -874,11 +874,13 @@ _DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 def test_cli_output_matches_its_recorded_digest(tmp_path, monkeypatch, capsys, command):
     # exit code and SHA-256 of stdout of refute, metastable (F1 failing
     # too), fgh at levels 0..4 and w under default and small budgets, text
-    # and --json, threshold with and without --eps, text and --json, verify, and
+    # and --json, threshold with and without --eps, text and --json, verify,
     # space, matrix and metastable on canonical bases and on the seeded
-    # random basis files random-K2.json .. random-K5.json: any change to
-    # how these are computed must leave the bytes as they are
-    for K in range(2, 6):
+    # random basis files random-K2.json .. random-K5.json, and uc on
+    # canonical bases (K = 0..6, seeds 0-2, budgets 1-3) and, with both
+    # strategies, on random-K3.json .. random-K6.json: any change to how
+    # these are computed must leave the bytes as they are
+    for K in range(2, 7):
         basis = random_invertible_basis(K, random.Random(f"golden:{K}"))
         (tmp_path / f"random-K{K}.json").write_text(json.dumps(basis.to_json_obj()))
     monkeypatch.chdir(tmp_path)
