@@ -134,9 +134,11 @@ class Basis:
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
-        self.K = int(K)
-        if self.K < 0:
+        if type(K) is not int:  # a bool, float or Fraction is refused
+            raise ValueError(f"dimension index must be an int, got {K!r}")
+        if K < 0:
             raise ValueError("dimension index must be nonnegative")
+        self.K = K
         self.columns = tuple(tuple(Fraction(v) for v in col) for col in columns)
         if len(self.columns) != self.K + 1 or any(
             len(col) != self.K + 1 for col in self.columns
@@ -312,12 +314,18 @@ def _ascend_alpha(
     skipped +-0.0 products a no-op, and the floats are those of the dense
     sum, still accumulated in ascending i.  (``sum``, ``math.fsum`` and
     ``math.sumprod`` would round differently.)  On the canonical basis a
-    combination is a copy of its scales.
+    combination is its scales: the sum 0.0 + s * 1.0 is s up to the sign
+    of an exact zero, which the float norm ignores.  Norms are memoised
+    for the one ascent (see :func:`james_norm_sq_float`).
     """
     K = len(alpha) - 1
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
+    identity = all(entries == [(i, 1.0)] for i, entries in enumerate(nonzero))
+    memo: dict = {}
 
     def combine(scales: list[float]) -> list[float]:
+        if identity:
+            return scales
         out = [0.0] * (K + 1)
         for s, entries in zip(scales, nonzero):
             for j, c in entries:
@@ -325,10 +333,10 @@ def _ascend_alpha(
         return out
 
     def objective(a: list[float]) -> float:
-        den = james_norm_sq_float(combine(a))
+        den = james_norm_sq_float(combine(a), memo)
         if den <= 1e-12:
             return 0.0
-        num = james_norm_sq_float(combine([e * v for e, v in zip(eps, a)]))
+        num = james_norm_sq_float(combine([e * v for e, v in zip(eps, a)]), memo)
         return num / den
 
     return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))

@@ -209,13 +209,16 @@ def _certified_floor(level: int | str, arg_lb: int, N: int) -> bool:
 def fgh_compare(expr: HierarchyExpr, N: int) -> CompareResult:
     """Decide f_level(arg) < N or >= N without materializing huge values.
 
-    Order: first the conservative monotonicity certificate (which can
-    prove only >=), then budgeted partial evaluation whose digit budget
-    is pinned just above N so a breach itself certifies >=.  Raises
+    Order: first argument 1, where every level gives 2, then the
+    conservative monotonicity certificate (which can prove only >=), then
+    budgeted partial evaluation whose digit budget is pinned just above N
+    so a breach itself certifies >=.  Raises
     :class:`UndecidedComparison` when the step budget runs out below N.
     """
     if N < 0:
         raise ValueError("comparison target must be nonnegative")
+    if expr.argument == 1:  # f_0(1) = 2, f_{m+1}(1) = f_m(1), f_w(1) = f_1(1)
+        return CompareResult.LESS if 2 < N else CompareResult.GREATER_OR_EQUAL
     if _certified_floor(expr.level, expr.argument, N):
         return CompareResult.GREATER_OR_EQUAL
     digits = len(_decimal(N)) + 2

@@ -255,7 +255,49 @@ def _scaled_int_coords(x: JVector) -> tuple[list[int], int]:
     return nums, den
 
 
-def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
+def _index_table(vals: list, a: int) -> list:
+    """Table g of start a (see :func:`_longest_cycle_table`), relaxing
+    each g[i] over every later index; entries before a stay 0."""
+    T = len(vals)
+    base = vals[a]
+    g = [0] * T
+    for i in range(T - 1, a - 1, -1):
+        vi = vals[i]
+        d0 = vi - base
+        bi = d0 * d0
+        for j in range(i + 1, T):
+            d = vi - vals[j]
+            v = d * d + g[j]
+            if v > bi:
+                bi = v
+        g[i] = bi
+    return g
+
+
+def _value_table(vals: list, a: int) -> list:
+    """:func:`_index_table`, relaxing each g[i] once per distinct later
+    value instead (see :func:`_longest_cycle_table`)."""
+    T = len(vals)
+    base = vals[a]
+    g = [0] * T
+    later = {}  # value -> g[j] at the least j > i holding it
+    for i in range(T - 1, a - 1, -1):
+        vi = vals[i]
+        d0 = vi - base
+        bi = d0 * d0
+        for w, gw in later.items():
+            d = vi - w
+            v = d * d + gw
+            if v > bi:
+                bi = v
+        g[i] = bi
+        later[vi] = bi
+    return g
+
+
+def _longest_cycle_table(
+    vals: list, by_value: bool = False
+) -> tuple[int | float, int, list]:
     """Longest-path dynamic program over the index DAG of ``vals`` (ints or
     floats, virtual zero already appended).
 
@@ -268,28 +310,28 @@ def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
     the tables of a and b agree from b on, so g_a[a] >= g_a[b] = g_b[b]:
     start b cannot strictly beat the best found by then, and it would not
     be the first start reaching the maximum.  That holds in floats too, as
-    the two tables are the same float computations.  O(U * len(vals)^2)
-    for U distinct values.
+    the two tables are the same float computations.
+
+    g[i] = max(d0^2, max over j > i of (v_i - v_j)^2 + g[j]), d0 = v_i - v_a.
+    With ``by_value`` the inner maximum runs once per distinct later value
+    w instead of once per later index: every j with v_j = w has the same
+    square (v_i - w)^2, and adding it is monotone, so the best such j is
+    one with the largest g[j], and that is the least one, since for j < j'
+    with equal values g[j] >= 0 + g[j'].  Float addition is monotone and
+    adds 0 exactly, so the table is the same bit for bit (signed zeros
+    compare and hash as one value, and their differences square to the
+    same +0.0).  O(U * len(vals)^2) for U distinct values, and
+    O(U^2 * len(vals)) with ``by_value``; the index loop is faster when
+    the values are nearly all distinct.
     """
-    T = len(vals)
+    table = _value_table if by_value else _index_table
     best, best_a, best_g = 0, 0, []
     seen = set()
-    for a in range(T):
-        base = vals[a]
+    for a, base in enumerate(vals):
         if base in seen:
             continue
         seen.add(base)
-        g = [0] * T
-        for i in range(T - 1, a - 1, -1):
-            vi = vals[i]
-            d0 = vi - base
-            bi = d0 * d0
-            for j in range(i + 1, T):
-                d = vi - vals[j]
-                v = d * d + g[j]
-                if v > bi:
-                    bi = v
-            g[i] = bi
+        g = table(vals, a)
         if g[a] > best:
             best, best_a, best_g = g[a], a, g
     return best, best_a, best_g
@@ -333,11 +375,40 @@ def _turning_points(vals: list) -> list:
     return out
 
 
-def cycle_sum_max(vals: list) -> int | float:
+def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     """Twice the squared norm of ``vals`` (ints or floats, virtual zero
     appended), for callers that need no certificate: the norm DP on
-    :func:`_turning_points` of the values."""
-    return _longest_cycle_table(_turning_points(vals))[0]
+    :func:`_turning_points` of the values.
+
+    The table of a start a reads only the turning points from a on, so
+    with a ``memo`` dict its value g[a] is stored under that suffix, and a
+    suffix met before, in this call or an earlier one, is not run again.
+    Starts are skipped as in :func:`_longest_cycle_table`, and the maximum
+    is the same.
+
+    Swapping an exact 0.0 for -0.0 changes neither the result nor any
+    start value: the turning points compare values with == and <, the
+    DP's start set and comparisons treat the two zeros as one value, and a
+    difference with either zero squares to the same float.  So suffixes
+    that differ only in the sign of a zero can share a memo entry.
+    """
+    points = _turning_points(vals)
+    if memo is None:
+        return _longest_cycle_table(points)[0]
+    points = tuple(points)
+    best = 0
+    seen = set()
+    for a, base in enumerate(points):
+        if base in seen:
+            continue
+        seen.add(base)
+        suffix = points[a:]
+        value = memo.get(suffix)
+        if value is None:
+            value = memo[suffix] = _index_table(points, a)[a]
+        if value > best:
+            best = value
+    return best
 
 
 def _norm_sq_value(x: JVector) -> Fraction:
@@ -349,12 +420,12 @@ def _norm_sq_value(x: JVector) -> Fraction:
 def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     """Exact squared James norm with an optimal-cycle certificate.
 
-    Runs :func:`_longest_cycle_table` on integer numerators over a common
-    denominator, then walks the winning start's table forward.  Ties
-    between optimal cycles are broken toward the lexicographically least
-    index tuple.  O(U K^2) integer arithmetic for the table after clearing
-    denominators, with U <= K + 2 distinct values, plus O(K^2) for the
-    walk.
+    Runs :func:`_longest_cycle_table` by value on integer numerators over
+    a common denominator, then walks the winning start's table forward.
+    Ties between optimal cycles are broken toward the lexicographically
+    least index tuple.  O(U^2 K) integer arithmetic for the table after
+    clearing denominators, with U <= K + 2 distinct values, plus O(K^2)
+    for the walk.
 
     The table is built on every index, not on :func:`_turning_points`:
     the walk takes the least next index j whose table entry g[j] completes
@@ -363,7 +434,7 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     the turning points drop indices 1-3.
     """
     nums, den = _scaled_int_coords(x)
-    best_val, a, g = _longest_cycle_table(nums)
+    best_val, a, g = _longest_cycle_table(nums, by_value=True)
     if best_val == 0:
         zero = Fraction(0)
         return zero, NormCertificate(Cycle((0,)), zero)
@@ -389,15 +460,20 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     return value_sq, NormCertificate(Cycle(tuple(path)), value_sq)
 
 
-def james_norm_sq_float(coords: list[float]) -> float:
+def james_norm_sq_float(
+    coords: list[float], memo: dict | None = None
+) -> float:
     """Float analogue of the norm DP, for search heuristics only.
 
     Runs on the turning points of the coordinates (:func:`cycle_sum_max`),
     which removes about a fifth of the values of generic float vectors.
     The cycles left are computed with the same float operations as in the
-    full DP, so the value is the full DP's up to rounding.
+    full DP, so the value is the full DP's up to rounding.  A ``memo``
+    dict, kept across the calls of one search, skips the starts whose
+    turning points it has seen (:func:`cycle_sum_max`); the value is the
+    same bit for bit.
     """
-    return cycle_sum_max(list(coords) + [0.0]) / 2.0
+    return cycle_sum_max(list(coords) + [0.0], memo) / 2.0
 
 
 def james_norm_sq_oracle(x: JVector) -> Fraction:

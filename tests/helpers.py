@@ -24,6 +24,7 @@ from jameslab.james_core import (
     DualBallCertificate,
     DualFunctional,
     JVector,
+    _coordinate_ascent,
     _longest_cycle_table,
     canonical,
     eval_functional,
@@ -652,6 +653,32 @@ def reference_ascend_alpha(
         if not improved:
             break
     return alpha
+
+
+def sparse_ascend_alpha(
+    cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
+) -> list[float]:
+    """``_ascend_alpha`` with sparse combinations on every basis, the
+    canonical one included, and no memo: each objective runs both float
+    norm DPs."""
+    K = len(alpha) - 1
+    nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
+
+    def combine(scales: list[float]) -> list[float]:
+        out = [0.0] * (K + 1)
+        for s, entries in zip(scales, nonzero):
+            for j, c in entries:
+                out[j] += s * c
+        return out
+
+    def objective(a: list[float]) -> float:
+        den = james_norm_sq_float(combine(a))
+        if den <= 1e-12:
+            return 0.0
+        num = james_norm_sq_float(combine([e * v for e, v in zip(eps, a)]))
+        return num / den
+
+    return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))
 
 
 def reference_uc_lower_bound(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jameslab import basis_tools
+from jameslab import basis_tools, james_core
 from jameslab.basis_tools import (
     Basis,
     SignPattern,
@@ -45,6 +45,7 @@ from helpers import (
     reference_modulus_functional,
     reference_ratio_sq,
     reference_uc_lower_bound,
+    sparse_ascend_alpha,
 )
 
 
@@ -181,6 +182,13 @@ def test_dual_basis_biorthogonality_random():
                     r * c for r, c in zip(basis.dual.rows[i], basis.columns[j])
                 )
                 assert value == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("K", [-1, 1.5, 1.0, True, Fraction(1), "1"], ids=repr)
+def test_basis_refuses_a_dimension_index_that_is_not_a_natural_number(K):
+    # int(K) would build a K = 1 basis from 1.5 or True
+    with pytest.raises(ValueError, match="dimension index must be"):
+        Basis(K, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
 
 
 def test_singular_basis_rejected():
@@ -495,6 +503,54 @@ def test_sparse_ascent_matches_the_dense_reference():
         start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
         expected = reference_ascend_alpha(cols_float, eps, list(start))
         assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
+
+
+def _ascent_start(rng: random.Random, K: int) -> list[float]:
+    # steps of the ascent's deltas from these starts reach exact zeros,
+    # which a -1 sign turns into -0.0
+    return [
+        rng.choice((0.0, 0.15, -0.15, 0.6, rng.uniform(-1.0, 1.0))) for _ in range(K + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["canonical", "diagonal", "random"])
+def test_memoised_ascent_matches_the_sparse_ascent(kind):
+    # canonical bases take the identity path, which returns the scales
+    # themselves; the others combine sparse columns as before
+    rng = random.Random(f"ascent:{kind}")
+    for _ in range(25):
+        K = rng.randint(0, 6)
+        if kind == "canonical":
+            basis = Basis.canonical(K)
+        elif kind == "diagonal":
+            basis = Basis(
+                K,
+                tuple(
+                    tuple(Fraction(rng.choice((1, -1, 2)) if i == j else 0) for j in range(K + 1))
+                    for i in range(K + 1)
+                ),
+            )
+        else:
+            basis = random_invertible_basis(K, rng)
+        cols_float = [[float(v) for v in col] for col in basis.columns]
+        eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
+        start = _ascent_start(rng, K)
+        expected = sparse_ascend_alpha(cols_float, eps, list(start))
+        assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
+
+
+def test_memoised_ascent_runs_fewer_starts_than_the_sparse_ascent(monkeypatch):
+    runs = []
+    table = james_core._index_table
+    monkeypatch.setattr(
+        james_core, "_index_table", lambda vals, a: runs.append(a) or table(vals, a)
+    )
+    cols_float = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    sparse_ascend_alpha(cols_float, (1, -1, 1), [0.5, 0.2, -0.3])
+    fresh = len(runs)
+    runs.clear()
+    basis_tools._ascend_alpha(cols_float, (1, -1, 1), [0.5, 0.2, -0.3])
+    assert 0 < len(runs) < fresh
 
 
 def _uc_cases():

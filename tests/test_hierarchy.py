@@ -254,6 +254,21 @@ def test_compare_omega_threshold_without_evaluation():
     assert fgh_compare(expr, 10**100) == CompareResult.GREATER_OR_EQUAL
 
 
+@pytest.mark.parametrize("level", [10**6 + 3, OMEGA], ids=repr)
+@pytest.mark.parametrize(
+    "N, expected", [(2, CompareResult.GREATER_OR_EQUAL), (3, CompareResult.LESS)]
+)
+def test_compare_at_argument_one_needs_no_evaluation(level, N, expected):
+    # f_m(1) = 2 at every level, and f_w(1) = f_1(1): a level of 10^6
+    # would otherwise take 10^6 frame steps and run out of budget
+    assert fgh_compare(HierarchyExpr(level, 1), N) is expected
+
+
+def test_every_level_maps_one_to_two():
+    assert {fgh_eval(m, 1) for m in range(8)} == {Exact(2)}
+    assert fgh_omega(1) == Exact(2)
+
+
 def test_compare_without_a_certificate_is_undecided(monkeypatch):
     # one evaluation step and no floor certificate leave the raise site
     monkeypatch.setattr(hierarchy, "_COMPARE_STEPS", 1)

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jameslab import james_core
 from jameslab.james_core import (
     CertTerm,
     ChainError,
@@ -279,6 +280,112 @@ def test_value_skip_keeps_every_start_table_at_k120():
     vals = [rng.choice((-5, -1, 0, 0, 1, 2, 7)) * rng.randint(1, 3) for _ in range(121)]
     vals.append(0)
     assert _longest_cycle_table(vals) == every_start_cycle_table(vals)
+
+
+# value lists with heavy repeats (virtual zero appended): runs of 1-5 over
+# a small alphabet of ints, or of floats with both signed zeros, cut to
+# 1-40 coordinates, so plateaus and values shared far apart are common
+@st.composite
+def _repeated_values(draw):
+    if draw(st.booleans()):
+        alphabet, zero = st.integers(-4, 4), 0
+    else:
+        alphabet = st.sampled_from([0.0, -0.0, 0.1, -0.3, 0.7, 2.5, 1e-20])
+        zero = draw(st.sampled_from([0.0, -0.0]))
+    runs = draw(st.lists(st.tuples(alphabet, st.integers(1, 5)), min_size=1))
+    coords = [v for v, n in runs for _ in range(n)][: draw(st.integers(1, 40))]
+    return coords + [zero]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_repeated_values(), _kernel_values()))
+@example([7] * 40 + [0])
+@example([-0.0, 1.5, 0.0, -2.0, -0.0, 0.0])
+@example([0.0, -0.0, 0.0, -0.0])
+def test_value_relaxation_is_the_index_relaxation_bit_for_bit(vals):
+    table = _longest_cycle_table(vals, by_value=True)
+    assert repr(table) == repr(every_start_cycle_table(vals))
+    assert repr(table) == repr(_longest_cycle_table(vals))
+
+
+def test_value_relaxation_keeps_every_start_table_exhaustively_at_small_k():
+    for K in range(5):
+        for coords in product(range(-2, 3), repeat=K + 1):
+            vals = [*coords, 0]
+            assert _longest_cycle_table(vals, by_value=True) == every_start_cycle_table(vals)
+
+
+def _index_relaxation(vals, by_value=False):
+    return every_start_cycle_table(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _repeated_values().map(lambda vals: vals[:-1]),
+    st.sampled_from([1, 3, 10]),
+)
+@example([2] * 40, 1)
+@example([1, 0] * 20, 1)
+def test_certificate_cycle_is_the_same_on_the_every_start_table(coords, den):
+    # the walk reads g at every index, so the certificate is the same
+    # cycle when the table comes from the index relaxation of every start
+    x = JVector(len(coords) - 1, tuple(Fraction(c).limit_denominator(10) / den for c in coords))
+    result = james_norm_sq(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(james_core, "_longest_cycle_table", _index_relaxation)
+        assert james_norm_sq(x) == result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 0.25, -1.5, 3.0, 1e-30]), min_size=1, max_size=20),
+    st.randoms(use_true_random=False),
+)
+@example([0.0], random.Random(0))
+def test_cycle_sum_max_ignores_the_sign_of_a_zero(coords, rng):
+    vals = coords + [0.0]
+    flipped = [-0.0 if v == 0 and rng.random() < 0.5 else v for v in vals]
+    assert repr(cycle_sum_max(flipped)) == repr(cycle_sum_max(vals))
+    assert repr(cycle_sum_max([-v if v == 0 else v for v in vals])) == repr(
+        cycle_sum_max(vals)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_repeated_values(), _kernel_values()), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_memoised_cycle_sum_max_is_the_unmemoised_value(batch, rng):
+    # one memo across a batch of float lists, re-fed with some zeros'
+    # signs flipped: every hit must give the value a fresh DP gives
+    batch = [[float(v) for v in vals] for vals in batch]
+    flipped = [[-v if v == 0 and rng.random() < 0.5 else v for v in vals] for vals in batch]
+    memo: dict = {}
+    for vals in batch + flipped:
+        assert repr(cycle_sum_max(vals, memo)) == repr(cycle_sum_max(vals))
+
+
+def test_float_norm_memo_runs_each_suffix_once(monkeypatch):
+    runs = []
+    table = james_core._index_table
+    monkeypatch.setattr(
+        james_core, "_index_table", lambda vals, a: runs.append(vals[a:]) or table(vals, a)
+    )
+    rng = random.Random(77)
+    batch = [
+        [rng.choice((0.0, -0.0, 0.5, -1.25, 2.0)) for _ in range(rng.randint(1, 8))]
+        for _ in range(300)
+    ]
+    memo: dict = {}
+    memoised = [james_norm_sq_float(coords, memo) for coords in batch]
+    misses = len(runs)
+    runs.clear()
+    assert repr(memoised) == repr([james_norm_sq_float(coords) for coords in batch])
+    assert misses == len(memo) < len(runs)  # one run per new suffix
+    runs.clear()
+    assert [james_norm_sq_float(coords, memo) for coords in batch] == memoised
+    assert not runs  # a second pass is all hits
 
 
 # ---------------------------------------------------------------------------
