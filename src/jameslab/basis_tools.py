@@ -313,15 +313,20 @@ def _ascend_alpha(
     starts at +0.0 and so never becomes -0.0, which makes adding the
     skipped +-0.0 products a no-op, and the floats are those of the dense
     sum, still accumulated in ascending i.  (``sum``, ``math.fsum`` and
-    ``math.sumprod`` would round differently.)  On the canonical basis a
-    combination is its scales: the sum 0.0 + s * 1.0 is s up to the sign
-    of an exact zero, which the float norm ignores.  Norms are memoised
-    for the one ascent (see :func:`james_norm_sq_float`).
+    ``math.sumprod`` would round differently.)
+
+    On the canonical basis a combination is its scales: the sum
+    0.0 + s * 1.0 is s up to the sign of an exact zero, which the float
+    norm ignores.  There a move changes one coordinate, so the turning
+    points after it repeat, and the norms share one memo for the ascent
+    (see :func:`cycle_sum_max`).  On a dense basis a move changes every
+    coordinate, few starts repeat, and a memo would cost more than it
+    saves.
     """
     K = len(alpha) - 1
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
     identity = all(entries == [(i, 1.0)] for i, entries in enumerate(nonzero))
-    memo: dict = {}
+    memo = {} if identity else None
 
     def combine(scales: list[float]) -> list[float]:
         if identity:

@@ -255,49 +255,7 @@ def _scaled_int_coords(x: JVector) -> tuple[list[int], int]:
     return nums, den
 
 
-def _index_table(vals: list, a: int) -> list:
-    """Table g of start a (see :func:`_longest_cycle_table`), relaxing
-    each g[i] over every later index; entries before a stay 0."""
-    T = len(vals)
-    base = vals[a]
-    g = [0] * T
-    for i in range(T - 1, a - 1, -1):
-        vi = vals[i]
-        d0 = vi - base
-        bi = d0 * d0
-        for j in range(i + 1, T):
-            d = vi - vals[j]
-            v = d * d + g[j]
-            if v > bi:
-                bi = v
-        g[i] = bi
-    return g
-
-
-def _value_table(vals: list, a: int) -> list:
-    """:func:`_index_table`, relaxing each g[i] once per distinct later
-    value instead (see :func:`_longest_cycle_table`)."""
-    T = len(vals)
-    base = vals[a]
-    g = [0] * T
-    later = {}  # value -> g[j] at the least j > i holding it
-    for i in range(T - 1, a - 1, -1):
-        vi = vals[i]
-        d0 = vi - base
-        bi = d0 * d0
-        for w, gw in later.items():
-            d = vi - w
-            v = d * d + gw
-            if v > bi:
-                bi = v
-        g[i] = bi
-        later[vi] = bi
-    return g
-
-
-def _longest_cycle_table(
-    vals: list, by_value: bool = False
-) -> tuple[int | float, int, list]:
+def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
     """Longest-path dynamic program over the index DAG of ``vals`` (ints or
     floats, virtual zero already appended).
 
@@ -312,26 +270,38 @@ def _longest_cycle_table(
     be the first start reaching the maximum.  That holds in floats too, as
     the two tables are the same float computations.
 
-    g[i] = max(d0^2, max over j > i of (v_i - v_j)^2 + g[j]), d0 = v_i - v_a.
-    With ``by_value`` the inner maximum runs once per distinct later value
-    w instead of once per later index: every j with v_j = w has the same
-    square (v_i - w)^2, and adding it is monotone, so the best such j is
-    one with the largest g[j], and that is the least one, since for j < j'
-    with equal values g[j] >= 0 + g[j'].  Float addition is monotone and
-    adds 0 exactly, so the table is the same bit for bit (signed zeros
-    compare and hash as one value, and their differences square to the
-    same +0.0).  O(U * len(vals)^2) for U distinct values, and
-    O(U^2 * len(vals)) with ``by_value``; the index loop is faster when
-    the values are nearly all distinct.
+    g[i] = max(d0^2, max over j > i of (v_i - v_j)^2 + g[j]), d0 = v_i - v_a,
+    and the inner maximum runs once per distinct later value w, not once
+    per later index as in :func:`cycle_sum_max`: every j with v_j = w has
+    the same square (v_i - w)^2, and adding it is monotone, so the best
+    such j is one with the largest g[j], and that is the least one, since
+    for j < j' with equal values g[j] >= 0 + g[j'].  Float addition is
+    monotone and adds 0 exactly, so the table is that of the index
+    relaxation bit for bit: signed zeros compare and hash as one value,
+    and their differences square to the same +0.0.  O(U^2 * len(vals))
+    for U distinct values, against O(U * len(vals)^2) by index.
     """
-    table = _value_table if by_value else _index_table
+    T = len(vals)
     best, best_a, best_g = 0, 0, []
     seen = set()
-    for a, base in enumerate(vals):
+    for a in range(T):
+        base = vals[a]
         if base in seen:
             continue
         seen.add(base)
-        g = table(vals, a)
+        g = [0] * T
+        later = {}  # value -> g[j] at the least j > i holding it
+        for i in range(T - 1, a - 1, -1):
+            vi = vals[i]
+            d0 = vi - base
+            bi = d0 * d0
+            for w, gw in later.items():
+                d = vi - w
+                v = d * d + gw
+                if v > bi:
+                    bi = v
+            g[i] = bi
+            later[vi] = bi
         if g[a] > best:
             best, best_a, best_g = g[a], a, g
     return best, best_a, best_g
@@ -380,11 +350,14 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     appended), for callers that need no certificate: the norm DP on
     :func:`_turning_points` of the values.
 
-    The table of a start a reads only the turning points from a on, so
-    with a ``memo`` dict its value g[a] is stored under that suffix, and a
-    suffix met before, in this call or an earlier one, is not run again.
-    Starts are skipped as in :func:`_longest_cycle_table`, and the maximum
-    is the same.
+    Starts are skipped as in :func:`_longest_cycle_table`, and each g[i]
+    is relaxed over every later index: on turning points the values are
+    nearly all distinct, and there this loop is faster than relaxing by
+    value.  The table of a start a reads only the turning points from a
+    on, so with a ``memo`` dict its value g[a] is stored under that
+    suffix, and a suffix the memo holds is not run again.  A caller that
+    passes one dict to many calls, such as one coordinate ascent, skips
+    every start it has seen.
 
     Swapping an exact 0.0 for -0.0 changes neither the result nor any
     start value: the turning points compare values with == and <, the
@@ -392,22 +365,37 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     difference with either zero squares to the same float.  So suffixes
     that differ only in the sign of a zero can share a memo entry.
     """
-    points = _turning_points(vals)
-    if memo is None:
-        return _longest_cycle_table(points)[0]
-    points = tuple(points)
+    points = tuple(_turning_points(vals))
+    T = len(points)
     best = 0
     seen = set()
-    for a, base in enumerate(points):
+    for a in range(T):
+        base = points[a]
         if base in seen:
             continue
         seen.add(base)
-        suffix = points[a:]
-        value = memo.get(suffix)
-        if value is None:
-            value = memo[suffix] = _index_table(points, a)[a]
-        if value > best:
-            best = value
+        if memo is not None:
+            suffix = points[a:]
+            value = memo.get(suffix)
+            if value is not None:
+                if value > best:
+                    best = value
+                continue
+        g = [0] * T
+        for i in range(T - 1, a - 1, -1):
+            vi = points[i]
+            d0 = vi - base
+            bi = d0 * d0
+            for j in range(i + 1, T):
+                d = vi - points[j]
+                v = d * d + g[j]
+                if v > bi:
+                    bi = v
+            g[i] = bi
+        if memo is not None:
+            memo[suffix] = bi
+        if bi > best:
+            best = bi
     return best
 
 
@@ -420,8 +408,8 @@ def _norm_sq_value(x: JVector) -> Fraction:
 def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     """Exact squared James norm with an optimal-cycle certificate.
 
-    Runs :func:`_longest_cycle_table` by value on integer numerators over
-    a common denominator, then walks the winning start's table forward.
+    Runs :func:`_longest_cycle_table` on integer numerators over a common
+    denominator, then walks the winning start's table forward.
     Ties between optimal cycles are broken toward the lexicographically
     least index tuple.  O(U^2 K) integer arithmetic for the table after
     clearing denominators, with U <= K + 2 distinct values, plus O(K^2)
@@ -434,7 +422,7 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     the turning points drop indices 1-3.
     """
     nums, den = _scaled_int_coords(x)
-    best_val, a, g = _longest_cycle_table(nums, by_value=True)
+    best_val, a, g = _longest_cycle_table(nums)
     if best_val == 0:
         zero = Fraction(0)
         return zero, NormCertificate(Cycle((0,)), zero)

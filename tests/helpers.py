@@ -61,8 +61,9 @@ def random_vector(
 
 
 def every_start_cycle_table(vals: list) -> tuple:
-    """The norm DP's (best, first best start, table), running every start:
-    the reference for the start skipping of ``_longest_cycle_table``."""
+    """The norm DP's (best, first best start, table), running every start
+    and relaxing over every later index: the reference for the start
+    skipping and the value relaxation of ``_longest_cycle_table``."""
     T = len(vals)
     best, best_a, best_g = 0, 0, []
     for a in range(T):

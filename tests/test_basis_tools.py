@@ -540,17 +540,21 @@ def test_memoised_ascent_matches_the_sparse_ascent(kind):
 
 
 def test_memoised_ascent_runs_fewer_starts_than_the_sparse_ascent(monkeypatch):
-    runs = []
-    table = james_core._index_table
+    memos = []
+    norm = basis_tools.james_norm_sq_float
     monkeypatch.setattr(
-        james_core, "_index_table", lambda vals, a: runs.append(a) or table(vals, a)
+        basis_tools,
+        "james_norm_sq_float",
+        lambda coords, memo=None: memos.append(memo) or norm(coords, memo),
     )
-    cols_float = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    sparse_ascend_alpha(cols_float, (1, -1, 1), [0.5, 0.2, -0.3])
-    fresh = len(runs)
-    runs.clear()
-    basis_tools._ascend_alpha(cols_float, (1, -1, 1), [0.5, 0.2, -0.3])
-    assert 0 < len(runs) < fresh
+    basis_tools._ascend_alpha([[1.0, 0.0], [0.0, 1.0]], (1, -1), [0.5, 0.2])
+    memo = memos[0]
+    assert memo and all(m is memo for m in memos)  # one memo per ascent
+    starts = len(memos) * 3  # at most 3 turning points with the virtual zero
+    assert len(memo) < starts
+    memos.clear()
+    basis_tools._ascend_alpha([[2.0, 0.0], [1.0, 1.0]], (1, -1), [0.5, 0.2])
+    assert memos and all(m is None for m in memos)  # no memo on a dense basis
 
 
 def _uc_cases():

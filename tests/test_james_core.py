@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -303,20 +303,8 @@ def _repeated_values(draw):
 @example([-0.0, 1.5, 0.0, -2.0, -0.0, 0.0])
 @example([0.0, -0.0, 0.0, -0.0])
 def test_value_relaxation_is_the_index_relaxation_bit_for_bit(vals):
-    table = _longest_cycle_table(vals, by_value=True)
-    assert repr(table) == repr(every_start_cycle_table(vals))
-    assert repr(table) == repr(_longest_cycle_table(vals))
-
-
-def test_value_relaxation_keeps_every_start_table_exhaustively_at_small_k():
-    for K in range(5):
-        for coords in product(range(-2, 3), repeat=K + 1):
-            vals = [*coords, 0]
-            assert _longest_cycle_table(vals, by_value=True) == every_start_cycle_table(vals)
-
-
-def _index_relaxation(vals, by_value=False):
-    return every_start_cycle_table(vals)
+    assert repr(_longest_cycle_table(vals)) == repr(every_start_cycle_table(vals))
+    assert repr(cycle_sum_max(vals)) == repr(_longest_cycle_table(_turning_points(vals))[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,7 +320,7 @@ def test_certificate_cycle_is_the_same_on_the_every_start_table(coords, den):
     x = JVector(len(coords) - 1, tuple(Fraction(c).limit_denominator(10) / den for c in coords))
     result = james_norm_sq(x)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(james_core, "_longest_cycle_table", _index_relaxation)
+        mp.setattr(james_core, "_longest_cycle_table", every_start_cycle_table)
         assert james_norm_sq(x) == result
 
 
@@ -358,20 +346,16 @@ def test_cycle_sum_max_ignores_the_sign_of_a_zero(coords, rng):
 )
 def test_memoised_cycle_sum_max_is_the_unmemoised_value(batch, rng):
     # one memo across a batch of float lists, re-fed with some zeros'
-    # signs flipped: every hit must give the value a fresh DP gives
+    # signs flipped: every hit must give the value of the certificate DP
     batch = [[float(v) for v in vals] for vals in batch]
     flipped = [[-v if v == 0 and rng.random() < 0.5 else v for v in vals] for vals in batch]
     memo: dict = {}
     for vals in batch + flipped:
-        assert repr(cycle_sum_max(vals, memo)) == repr(cycle_sum_max(vals))
+        expected = _longest_cycle_table(_turning_points(vals))[0]
+        assert repr(cycle_sum_max(vals, memo)) == repr(expected)
 
 
-def test_float_norm_memo_runs_each_suffix_once(monkeypatch):
-    runs = []
-    table = james_core._index_table
-    monkeypatch.setattr(
-        james_core, "_index_table", lambda vals, a: runs.append(vals[a:]) or table(vals, a)
-    )
+def test_float_norm_memo_holds_one_entry_per_start_run():
     rng = random.Random(77)
     batch = [
         [rng.choice((0.0, -0.0, 0.5, -1.25, 2.0)) for _ in range(rng.randint(1, 8))]
@@ -379,13 +363,23 @@ def test_float_norm_memo_runs_each_suffix_once(monkeypatch):
     ]
     memo: dict = {}
     memoised = [james_norm_sq_float(coords, memo) for coords in batch]
-    misses = len(runs)
-    runs.clear()
     assert repr(memoised) == repr([james_norm_sq_float(coords) for coords in batch])
-    assert misses == len(memo) < len(runs)  # one run per new suffix
-    runs.clear()
+    starts = sum(len(set(_turning_points(coords + [0.0]))) for coords in batch)
+    assert 0 < len(memo) < starts  # repeated suffixes share an entry
+    for suffix, value in memo.items():
+        # the best cycle through the suffix's first index; dyadic values
+        # make every sum exact, so brute force gives the same float
+        cycles = (
+            (0, *rest)
+            for m in range(len(suffix))
+            for rest in combinations(range(1, len(suffix)), m)
+        )
+        assert value == max(
+            sum((suffix[p] - suffix[q]) ** 2 for p, q in zip(c, c[1:] + c[:1])) for c in cycles
+        )
+    frozen = dict(memo)
     assert [james_norm_sq_float(coords, memo) for coords in batch] == memoised
-    assert not runs  # a second pass is all hits
+    assert memo == frozen  # a second pass is all hits
 
 
 # ---------------------------------------------------------------------------
