@@ -422,11 +422,11 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     """Exact squared James norm with an optimal-cycle certificate.
 
     Runs :func:`_longest_cycle_table` on integer numerators over a common
-    denominator, then walks the winning start's table forward.
-    Ties between optimal cycles are broken toward the lexicographically
-    least index tuple.  O(U^2 K) integer arithmetic for the table after
-    clearing denominators, with U <= K + 2 distinct values, plus O(K^2)
-    for the walk.
+    denominator, then walks the winning start's table forward.  Ties
+    between optimal cycles are broken toward the lexicographically least
+    index tuple.  O(U^2 K) integer arithmetic for the table after clearing
+    denominators, with U <= K + 2 distinct values, plus O(K^2) for the
+    walk.
 
     The table is built on every index, not on :func:`_turning_points`:
     the walk takes the least next index j whose table entry g[j] completes
