@@ -320,8 +320,8 @@ def _ascend_alpha(
     norm ignores.  There a move changes one coordinate, so the turning
     points after it repeat, and the norms share one memo for the ascent
     (see :func:`cycle_sum_max`).  On a dense basis a move changes every
-    coordinate, few starts repeat, and a memo would cost more than it
-    saves.
+    coordinate, few suffixes repeat, and the lookups cost about what the
+    memo saves.
     """
     K = len(alpha) - 1
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jameslab import basis_tools, james_core
+from jameslab import basis_tools
 from jameslab.basis_tools import (
     Basis,
     SignPattern,
@@ -516,7 +516,8 @@ def _ascent_start(rng: random.Random, K: int) -> list[float]:
 @pytest.mark.parametrize("kind", ["canonical", "diagonal", "random"])
 def test_memoised_ascent_matches_the_sparse_ascent(kind):
     # canonical bases take the identity path, which returns the scales
-    # themselves; the others combine sparse columns as before
+    # themselves, and share one memo per ascent; the others combine
+    # sparse columns with no memo, as before
     rng = random.Random(f"ascent:{kind}")
     for _ in range(25):
         K = rng.randint(0, 6)
