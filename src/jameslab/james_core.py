@@ -375,10 +375,10 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     T = len(points)
     if memo is None:
         best = 0
-        starts = {}  # first index of each value, in index order
-        for a in range(T):
-            starts.setdefault(points[a], a)
-        starts = starts.values()
+        first_of = {}
+        for a, v in enumerate(points):
+            first_of.setdefault(v, a)
+        starts = first_of.values()  # one start per value, in index order
     else:
         best = memo.get(points)
         if best is not None:
