@@ -96,9 +96,11 @@ class _DigitGate:
 def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | ExceedsBudget:
     """Evaluate f_m(n) by the defining iteration, under a budget.
 
-    Levels 0 and 1 use their exact iterate collapses (n+1 and 2n); from
-    level 2 on the iteration runs on an explicit frame stack, one budget
-    step per function application.  A frame above level 2 spends a step on
+    Levels 0 and 1 use their exact iterate collapses (n+1 and 2n), under
+    the digit gate: a value past it is returned as its own lower bound,
+    as a level-2 frame returns its first doubling past it.  From level 2
+    on the iteration runs on an explicit frame stack, one budget step per
+    function application.  A frame above level 2 spends a step on
     each child frame it starts.  A level-2 frame iterates f_1, doubling,
     so its k = min(left, steps remaining) next doublings are taken at once
     as acc << k and charged k steps: the same steps the one-at-a-time
@@ -117,10 +119,9 @@ def fgh_eval(m: int, n: int, budget: EvalBudget | None = None) -> Exact | Exceed
     gate = _DigitGate(budget.max_digits)
     steps = 0
 
-    if m == 0:
-        return Exact(n + 1)
-    if m == 1:
-        return Exact(2 * n)
+    if m < 2:
+        value = n + 1 if m == 0 else 2 * n
+        return ExceedsBudget(value) if gate.exceeds(value) else Exact(value)
 
     # frame = [level, iterations_left, accumulator]: f_{level-1}^{left}(acc)
     frames: list[list[int]] = [[m, n, n]]

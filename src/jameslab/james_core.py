@@ -15,7 +15,7 @@ certificates.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -182,15 +182,6 @@ class DualFunctional:
     def scale(self, c: Fraction | Root2Scalar) -> DualFunctional:
         return DualFunctional(self.K, tuple(v * c for v in self.coeffs))
 
-    def d_prefix_values(self) -> tuple[Root2Scalar, ...]:
-        """prefix[n] = value on d_n for n = 0..K (constant for n > K)."""
-        out = []
-        acc = Root2Scalar.zero()
-        for c in self.coeffs:
-            acc = acc + c
-            out.append(acc)
-        return tuple(out)
-
     def to_json_obj(self) -> dict:
         return {"K": self.K, "coeffs": [c.to_pair() for c in self.coeffs]}
 
@@ -332,16 +323,29 @@ def _turning_points(vals: list) -> list:
     move leaves one dropped index fewer in the cycle, equal neighbours and
     plateaus included, so induction ends on a cycle of kept indices worth
     at least the first.
+
+    The first loop runs up to the second kept value; from there on, prev
+    and last hold the last two kept values.
     """
-    out = [vals[0]]
-    for v in vals[1:]:
-        last = out[-1]
+    it = iter(vals)
+    last = next(it)
+    out = [last]
+    for v in it:
+        if v != last:
+            out.append(v)
+            prev, last = last, v
+            break
+    else:
+        return out
+    for v in it:
         if v == last:
             continue
-        if len(out) > 1 and (out[-2] < last) == (last < v):
+        if (prev < last) == (last < v):
             out[-1] = v
         else:
             out.append(v)
+            prev = last
+        last = v
     return out
 
 
@@ -352,7 +356,12 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
 
     Each g[i] is relaxed over every later index: on turning points the
     values are nearly all distinct, and there this loop is faster than the
-    value relaxation of :func:`_longest_cycle_table`.
+    value relaxation of :func:`_longest_cycle_table`.  The later entries
+    are a list of (v_j, g[j]) pairs, so the relaxation reads no index.
+    It visits j from right to left, and the order is free: each
+    candidate d*d + g[j] is the same float in any order, equal
+    candidates are the same float (none is -0.0), a NaN candidate never
+    wins a ``>`` comparison, and a NaN start value d0*d0 is never beaten.
 
     A ``memo`` dict maps a tuple of turning points to its value M, the
     best g[a] over its starts.  A longest cycle of p starts at its first
@@ -393,22 +402,22 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
             best = 0
         starts = range(first - 1, -1, -1)
     for a in starts:
-        base = points[a]
-        g = [0] * T
-        for i in range(T - 1, a - 1, -1):
-            vi = points[i]
+        suffix = points[a:]
+        base = suffix[0]
+        later = []  # (v_j, g[j]) for j > i, from j = T - 1 down
+        for vi in reversed(suffix):
             d0 = vi - base
             bi = d0 * d0
-            for j in range(i + 1, T):
-                d = vi - points[j]
-                v = d * d + g[j]
+            for w, gw in later:
+                d = vi - w
+                v = d * d + gw
                 if v > bi:
                     bi = v
-            g[i] = bi
+            later.append((vi, bi))
         if bi > best:
             best = bi
         if memo is not None:
-            memo[points[a:]] = best
+            memo[suffix] = best
     return best
 
 
@@ -474,7 +483,7 @@ def james_norm_sq_float(
     turning points it has seen (:func:`cycle_sum_max`); the value is the
     same bit for bit.
     """
-    return cycle_sum_max(list(coords) + [0.0], memo) / 2.0
+    return cycle_sum_max([*coords, 0.0], memo) / 2.0
 
 
 def james_norm_sq_oracle(x: JVector) -> Fraction:
@@ -662,7 +671,10 @@ def dual_norm_lower_bound(
     rng = random.Random(0xD0A1)
     for _ in range(budget):
         coords = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-        _coordinate_ascent(partial(_ratio_float, yf), coords, (-0.5, -0.1, 0.1, 0.5))
+        # a move changes one coordinate, so the norms of one ascent share
+        # turning-point suffixes: one memo per ascent (see cycle_sum_max)
+        objective = partial(_ratio_float, yf, {})
+        _coordinate_ascent(objective, coords, (-0.5, -0.1, 0.1, 0.5))
         snapped = tuple(
             Fraction(c).limit_denominator(1000) for c in coords
         )
@@ -676,15 +688,26 @@ def _coordinate_ascent(
     """Float coordinate ascent on x, in place; heuristic only.  Up to four
     sweeps try x[i] + delta for each delta in turn, keeping a move that
     beats the best objective by a relative 1e-12; a sweep that keeps no
-    move ends the search, since the next would repeat it."""
+    move ends the search, since the next would repeat it.
+
+    The value of each point is kept for the ascent, and a point equal to
+    one already evaluated is looked up, not evaluated again: a move and
+    its reverse can land on the same floats, and a sweep retries the
+    moves of the last one where nothing changed since.  So the objective
+    must give equal points the same value; equal includes 0.0 and -0.0,
+    which both callers' objectives treat alike."""
     best = objective(x)
+    values = {tuple(x): best}
     for _sweep in range(4):
         improved = False
         for i in range(len(x)):
             base = x[i]
             for delta in deltas:
                 x[i] = base + delta
-                obj = objective(x)
+                key = tuple(x)
+                obj = values.get(key)
+                if obj is None:
+                    obj = values[key] = objective(x)
                 if obj > best * (1 + 1e-12):
                     best = obj
                     base = x[i]
@@ -695,8 +718,8 @@ def _coordinate_ascent(
     return x
 
 
-def _ratio_float(yf: list[float], coords: list[float]) -> float:
-    n = james_norm_sq_float(coords)
+def _ratio_float(yf: list[float], memo: dict, coords: list[float]) -> float:
+    n = james_norm_sq_float(coords, memo)
     if n <= 0:
         return 0.0
     val = sum(a * b for a, b in zip(yf, coords))
@@ -756,22 +779,43 @@ def _validate_chain(chain: tuple[int, ...]) -> None:
         raise ChainError("chain indices must be nonnegative")
 
 
+def _chain_values(y: DualFunctional, chain: tuple[int, ...]) -> Iterator[Root2Scalar]:
+    """y(d_n) for each n of an increasing chain, in order, as a generator:
+    one running sum of the nonzero coefficients of y up to the current
+    index, taken no further than the caller reads (y(d_n) = y(d_K) for
+    n > K).  Zero coefficients leave the exact sum as it is."""
+    coeffs = y.coeffs
+    acc = Root2Scalar.zero()
+    done = 0  # coefficients summed so far
+    for n in chain:
+        stop = min(n, y.K) + 1
+        for c in coeffs[done:stop]:
+            if c.a or c.b:
+                acc = acc + c
+        done = stop
+        yield acc
+
+
 def chain_stability_check(
     y: DualFunctional, eps: Fraction, chain: tuple[int, ...]
 ) -> StableIndex | Violation:
-    """Least i with |y(d_{n_i}) - y(d_{n_{i+1}})| < eps, else all gaps."""
+    """Least i with |y(d_{n_i}) - y(d_{n_{i+1}})| < eps, else all gaps.
+
+    The values y(d_n) are summed along the chain only up to the first
+    stable gap (:func:`_chain_values`)."""
     _validate_chain(chain)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    prefix = y.d_prefix_values()
-    vals = [prefix[min(n, y.K)] for n in chain]
+    values = _chain_values(y, chain)
+    prev = next(values)
     gaps = []
-    for i in range(len(chain) - 1):
-        gap = abs(vals[i] - vals[i + 1])
+    for i, v in enumerate(values):
+        gap = abs(prev - v)
         if gap < eps:
             return StableIndex(i)
         gaps.append(gap)
+        prev = v
     return Violation(tuple(gaps))
 
 
@@ -798,8 +842,7 @@ def violation_to_witness(
         raise WitnessPreconditionError(
             f"need at least {need} gaps for eps={eps}, got {k}"
         )
-    prefix = y.d_prefix_values()
-    vals = [prefix[min(n, y.K)] for n in chain]
+    vals = list(_chain_values(y, chain))
     side_gt = tuple(i for i in range(k) if vals[i] > vals[i + 1])
     side_lt = tuple(i for i in range(k) if vals[i] < vals[i + 1])
     if len(side_gt) >= len(side_lt):

@@ -24,6 +24,8 @@ from jameslab.james_core import (
     DualBallCertificate,
     DualFunctional,
     JVector,
+    StableIndex,
+    Violation,
     _coordinate_ascent,
     _longest_cycle_table,
     canonical,
@@ -75,6 +77,86 @@ def every_start_cycle_table(vals: list) -> tuple:
         if g[a] > best:
             best, best_a, best_g = g[a], a, g
     return best, best_a, best_g
+
+
+def reference_turning_points(vals: list) -> list:
+    """``_turning_points`` reading the last two kept values back from the
+    list it builds."""
+    out = [vals[0]]
+    for v in vals[1:]:
+        last = out[-1]
+        if v == last:
+            continue
+        if len(out) > 1 and (out[-2] < last) == (last < v):
+            out[-1] = v
+        else:
+            out.append(v)
+    return out
+
+
+def reference_cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
+    """``cycle_sum_max`` with its earlier relaxation: each g[i] over every
+    later index j, by index into the turning points and the table, from
+    j = i + 1 up."""
+    points = tuple(reference_turning_points(vals))
+    T = len(points)
+    if memo is None:
+        best = 0
+        first_of = {}
+        for a, v in enumerate(points):
+            first_of.setdefault(v, a)
+        starts = first_of.values()
+    else:
+        best = memo.get(points)
+        if best is not None:
+            return best
+        first = 1
+        while first < T:
+            best = memo.get(points[first:])
+            if best is not None:
+                break
+            first += 1
+        else:
+            best = 0
+        starts = range(first - 1, -1, -1)
+    for a in starts:
+        base = points[a]
+        g = [0] * T
+        for i in range(T - 1, a - 1, -1):
+            vi = points[i]
+            d0 = vi - base
+            bi = d0 * d0
+            for j in range(i + 1, T):
+                d = vi - points[j]
+                v = d * d + g[j]
+                if v > bi:
+                    bi = v
+            g[i] = bi
+        if bi > best:
+            best = bi
+        if memo is not None:
+            memo[points[a:]] = best
+    return best
+
+
+def reference_chain_stability_check(
+    y: DualFunctional, eps: Fraction, chain: tuple[int, ...]
+) -> StableIndex | Violation:
+    """``chain_stability_check`` on every prefix value: y(d_n) for all
+    n = 0..K first, then the gaps along the chain."""
+    prefix = []
+    acc = Root2Scalar.zero()
+    for c in y.coeffs:
+        acc = acc + c
+        prefix.append(acc)
+    vals = [prefix[min(n, y.K)] for n in chain]
+    gaps = []
+    for i in range(len(chain) - 1):
+        gap = abs(vals[i] - vals[i + 1])
+        if gap < eps:
+            return StableIndex(i)
+        gaps.append(gap)
+    return Violation(tuple(gaps))
 
 
 def random_chain(rng: random.Random, top: int, length: int) -> tuple[int, ...]:
@@ -327,7 +409,8 @@ def reference_fgh_eval(
 ) -> Exact | ExceedsBudget:
     """``fgh_eval`` with its earlier frame loop: a level-1 branch, the
     digit gate also after each pop, and the breach bound taken as the
-    largest accumulator on the stack."""
+    largest accumulator on the stack.  Levels 0 and 1 are the gated
+    closed forms, n+1 and 2n."""
     if m < 0 or n < 0:
         raise ValueError("hierarchy arguments must be nonnegative")
     budget = budget or EvalBudget()
@@ -342,9 +425,9 @@ def reference_fgh_eval(
         return best
 
     if m == 0:
-        return Exact(n + 1)
+        return ExceedsBudget(n + 1) if gate.exceeds(n + 1) else Exact(n + 1)
     if m == 1:
-        return Exact(2 * n)
+        return ExceedsBudget(2 * n) if gate.exceeds(2 * n) else Exact(2 * n)
 
     # frame = [level, iterations_left, accumulator]: f_{level-1}^{left}(acc)
     frames: list[list[int]] = [[m, n, n]]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jameslab import basis_tools
+from jameslab import basis_tools, james_core
 from jameslab.basis_tools import (
     Basis,
     SignPattern,
@@ -29,6 +29,7 @@ from jameslab.james_core import (
     JVector,
     canonical,
     dual_ball_sample,
+    dual_norm_lower_bound,
     eval_functional,
     james_norm_sq_oracle,
 )
@@ -538,6 +539,68 @@ def test_memoised_ascent_matches_the_sparse_ascent(kind):
         start = _ascent_start(rng, K)
         expected = sparse_ascend_alpha(cols_float, eps, list(start))
         assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
+        assert reference_ascend_alpha(cols_float, eps, list(start)) == expected
+
+
+def _dense_sum(scales: list[float], cols: list[list[float]]) -> list[float]:
+    out = [0.0] * len(cols)
+    for s, col in zip(scales, cols):
+        for j, c in enumerate(col):
+            out[j] += s * c
+    return out
+
+
+def test_column_sums_are_the_dense_sums_of_each_call():
+    # runs of calls that move one scale, to zeros of either sign too, or
+    # draw all of them again: each result is the pair of dense
+    # ascending-i sums of the call's own scales and of the flipped ones,
+    # whatever prefix the last call left
+    rng = random.Random(31)
+    for _ in range(60):
+        K = rng.randint(0, 6)
+        cols = [
+            [rng.choice((0.0, 0.0, 0.5, -1.5, 1 / 3, 2.0)) for _ in range(K + 1)]
+            for _ in range(K + 1)
+        ]
+        eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
+        combine = basis_tools._column_sums(
+            [[(j, c) for j, c in enumerate(col) if c] for col in cols], eps
+        )
+        scales = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+        for _ in range(40):
+            if rng.random() < 0.1:
+                scales = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+            i = rng.randrange(K + 1)
+            scales[i] = rng.choice((0.0, -0.0, scales[i], rng.uniform(-1.0, 1.0)))
+            flipped = [e * s for e, s in zip(eps, scales)]
+            expected = (_dense_sum(scales, cols), _dense_sum(flipped, cols))
+            assert repr(combine(list(scales))) == repr(expected)
+
+
+def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
+    # wrap the objective of every ascent: within one ascent no two
+    # evaluated points are equal, on the canonical path, the column sums
+    # and the dual-norm search
+    ascents = []
+    ascent = james_core._coordinate_ascent
+
+    def recording(objective, x, deltas):
+        points = []
+        ascents.append(points)
+
+        def wrapped(p: list[float]) -> float:
+            points.append(tuple(p))
+            return objective(p)
+
+        return ascent(wrapped, x, deltas)
+
+    monkeypatch.setattr(basis_tools, "_coordinate_ascent", recording)
+    monkeypatch.setattr(james_core, "_coordinate_ascent", recording)
+    uc_lower_bound(Basis.canonical(3), "exhaustive", 2, 0)
+    uc_lower_bound(random_invertible_basis(3, random.Random(5)), "exhaustive", 2, 0)
+    dual_norm_lower_bound(dual_ball_sample(3, 12, 4)[0], 4)
+    assert len(ascents) == 2 * 16 * 2 + 4
+    assert all(len(set(points)) == len(points) for points in ascents)
 
 
 def test_memoised_ascent_runs_fewer_starts_than_the_sparse_ascent(monkeypatch):

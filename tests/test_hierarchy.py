@@ -130,6 +130,24 @@ def test_digit_budget_breach_reports_intermediate():
     assert r.certified_lower_bound >= 1000  # first intermediate past 3 digits
 
 
+@pytest.mark.parametrize(
+    "m, n, expected",
+    [
+        (0, 8, Exact(9)),
+        (0, 9, ExceedsBudget(10)),
+        (1, 4, Exact(8)),
+        (1, 5, ExceedsBudget(10)),
+        (1, 9, ExceedsBudget(18)),
+        (2, 9, ExceedsBudget(18)),
+    ],
+)
+def test_every_level_applies_the_digit_gate(m, n, expected):
+    # the closed forms n+1 and 2n breach a one-digit budget as the
+    # level-2 iteration does: the value past 10 is its own lower bound
+    budget = EvalBudget(max_digits=1)
+    assert fgh_eval(m, n, budget) == expected == reference_fgh_eval(m, n, budget)
+
+
 def test_eval_matches_the_earlier_frame_loop_on_a_budget_grid():
     # every frame has level >= 2, the top accumulator is the largest on the
     # stack and a popped value already passed the digit gate, so dropping

@@ -48,7 +48,10 @@ from helpers import (
     planted_violator,
     random_chain,
     random_vector,
+    reference_chain_stability_check,
+    reference_cycle_sum_max,
     reference_dual_norm_lower_bound,
+    reference_turning_points,
     rescale_into_unit_ball,
     zigzag_functional,
 )
@@ -355,6 +358,42 @@ def test_memoised_cycle_sum_max_is_the_unmemoised_value(batch, rng):
         assert repr(cycle_sum_max(vals, memo)) == repr(expected)
 
 
+# floats at the edges of the DP: both signed zeros, repeats, squares that
+# overflow to inf, +-inf, whose differences with themselves are NaN, and NaN
+@st.composite
+def _special_floats(draw):
+    alphabet = [
+        0.0, -0.0, 0.5, -1.25, 2.0, 1e-200, 1e200, -1e200, math.inf, -math.inf, math.nan
+    ]
+    coords = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=12))
+    return coords + [draw(st.sampled_from([0.0, -0.0]))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(_special_floats(), _repeated_values(), _kernel_values()),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([[math.inf, 1.0, math.inf, 0.0]])
+@example([[-0.0, math.inf, -math.inf, 0.5, math.inf, -0.0], [math.inf, -0.0, 0.0]])
+@example([[1e200, -1e200, 1e200, 0.0]])
+def test_cycle_sum_max_is_the_index_relaxation_bit_for_bit(batch):
+    # the pair list visits the later turning points from the right, the
+    # reference by index from the left: the same floats, NaN and inf
+    # included, with and without a memo shared across the batch (twice)
+    memo: dict = {}
+    reference_memo: dict = {}
+    for vals in batch + batch:
+        assert repr(cycle_sum_max(vals)) == repr(reference_cycle_sum_max(vals))
+        assert repr(cycle_sum_max(vals, memo)) == repr(
+            reference_cycle_sum_max(vals, reference_memo)
+        )
+    assert repr(memo) == repr(reference_memo)
+
+
 def test_float_norm_memo_holds_each_suffix_value():
     rng = random.Random(77)
     batch = [
@@ -420,6 +459,14 @@ def test_turning_points_examples(vals, kept):
 def test_turning_points_keep_the_norm(coords):
     vals = coords + [0]
     assert _longest_cycle_table(_turning_points(vals))[0] == _longest_cycle_table(vals)[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_special_floats(), _repeated_values(), _kernel_values()))
+@example([math.nan, 1.0, math.nan, 2.0, 0.0])
+@example([1.0, math.nan, 2.0, 3.0, 0.0])
+def test_turning_points_are_the_list_reading_loop(vals):
+    assert repr(_turning_points(vals)) == repr(reference_turning_points(vals))
 
 
 @settings(max_examples=150, deadline=None)
@@ -493,7 +540,7 @@ def test_e_star_on_d_prefix_rule():
             dn = canonical("d", n, 3)
             expect = Root2Scalar(1 if p <= n else 0)
             assert eval_functional(es, dn) == expect
-            assert es.d_prefix_values()[n] == expect
+            assert list(james_core._chain_values(es, (n,))) == [expect]
 
 
 def test_zero_functional_evaluates_to_zero():
@@ -521,9 +568,9 @@ def test_prefix_values_agree_with_direct_evaluation():
     for trial in range(10):
         K = rng.randint(0, 7)
         y, _ = dual_ball_sample(seed=trial, K=K, num_terms=rng.randint(0, 4))
-        for n in (0, 1, K, K + 3):
-            direct = eval_functional(y, canonical("d", min(n, K), K))
-            assert y.d_prefix_values()[min(n, K)] == direct
+        chain = tuple(sorted({0, 1, K, K + 3}))
+        direct = [eval_functional(y, canonical("d", min(n, K), K)) for n in chain]
+        assert list(james_core._chain_values(y, chain)) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +697,41 @@ def test_dual_norm_lower_bound_matches_its_ascent_oracle():
         )
 
 
+def test_dual_ascent_shares_one_memo_per_ascent(monkeypatch):
+    # a move changes one canonical coordinate, so each ascent keeps one
+    # memo for its norms; the bound is the reference's, which has none
+    calls = []
+    norm = james_core.james_norm_sq_float
+
+    def recording(coords: list[float], memo: dict | None = None) -> float:
+        calls.append((coords + [0.0], memo))
+        return norm(coords, memo)
+
+    monkeypatch.setattr(james_core, "james_norm_sq_float", recording)
+    y, _ = dual_ball_sample(3, 20, 4)
+    assert dual_norm_lower_bound(y, 3) == reference_dual_norm_lower_bound(y, 3)
+    memos = {id(memo): memo for _, memo in calls}
+    assert len(memos) == 3 and None not in memos.values()
+    starts = sum(len(_turning_points(vals)) for vals, _ in calls)
+    assert sum(map(len, memos.values())) < starts / 2  # most starts are hits
+
+
+def test_an_ascent_evaluates_each_point_once():
+    # dyadic moves land on the same floats again: the second coordinate's
+    # last move returns to (0.75, 0.0), and the closing sweep retries
+    # points of the first; each is looked up, not evaluated
+    points = []
+
+    def objective(x: list[float]) -> float:
+        points.append(tuple(x))
+        return 10.0 - (x[0] - 0.75) ** 2 - (x[1] + 0.5) ** 2
+
+    x = james_core._coordinate_ascent(objective, [0.0, 0.0], (-0.5, -0.25, 0.25, 0.5))
+    assert x == [0.75, -0.5]
+    assert len(set(points)) == len(points)
+    assert len(points) < 1 + 2 * 2 * 4  # the trials of two sweeps
+
+
 # ---------------------------------------------------------------------------
 # chain stability (dual side)
 # ---------------------------------------------------------------------------
@@ -682,6 +764,43 @@ def test_chain_validation_errors():
         chain_stability_check(y, Fraction(1, 2), (3, 2))
     with pytest.raises(ChainError):
         chain_stability_check(y, Fraction(1, 2), (3,))
+
+
+def test_lazy_chain_check_is_the_prefix_check():
+    # sparse dual-ball samples, planted chains and dense rationals, on
+    # chains that may run past K, where y(d_n) = y(d_K): the same stable
+    # index, or a violation with the same gaps
+    rng = random.Random(4242)
+    outcomes = set()
+    for trial in range(150):
+        K = rng.randint(0, 30)
+        eps = rng.choice((Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(3)))
+        chain = random_chain(rng, K + 4, rng.randint(2, min(K + 5, 12)))
+        kind = trial % 3
+        if kind == 0:
+            y, _ = dual_ball_sample(rng.randrange(2**32), K, rng.randint(0, 4))
+        elif kind == 1:
+            y, _, _ = planted_violator(chain, eps)
+            chain += tuple(range(max(chain) + 1, max(chain) + rng.randint(1, 3)))
+        else:
+            y = DualFunctional.from_rationals(
+                K, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(K + 1))
+            )
+        expected = reference_chain_stability_check(y, eps, chain)
+        assert chain_stability_check(y, eps, chain) == expected
+        outcomes.add((type(expected), max(chain) > y.K))
+    assert len(outcomes) == 4  # both outcomes, with chains inside and past K
+
+
+def test_chain_check_sums_no_further_than_the_first_stable_gap(monkeypatch):
+    # e*_0 at K = 10^4: the gap between d_0 and d_3 is 0, found after one
+    # nonzero coefficient, where every prefix would take 10^4 additions
+    adds = []
+    add = Root2Scalar.__add__
+    monkeypatch.setattr(Root2Scalar, "__add__", lambda a, b: adds.append(1) or add(a, b))
+    y = canonical("e_star", 0, 10**4)
+    assert chain_stability_check(y, Fraction(1, 2), (0, 3, 7, 9000)) == StableIndex(0)
+    assert len(adds) <= 2
 
 
 def test_lemma_property_sampled_dual_ball():
