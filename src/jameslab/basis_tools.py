@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 from operator import mul
 
 from .james_core import (
@@ -25,7 +26,7 @@ from .james_core import (
     eval_functional,
     james_norm_sq_float,
 )
-from .scalars import fmt_rational, integer_rows, json_int
+from .scalars import fmt_rational, integer_rows, json_int, json_rational
 
 
 class SingularBasis(ValueError):
@@ -51,27 +52,27 @@ class IrrationalAtomValue(ValueError):
     are not all rational."""
 
 
-def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss
-    1968); pivot on the first nonzero entry.
+def integer_inverse(D: int, m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(E, E * A^-1) for the matrix A = m / D of integers m over D > 0, E
+    the lcm of the denominators of A^-1, by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968); pivot on the first nonzero entry.
 
-    The rows are scaled by the lcm D of their denominators to an integer
-    matrix M = D * A, and [M | I] is reduced in integers: each step on a
-    pivot p replaces every other row by (p * row - f * pivot_row) / prev,
-    where prev is the previous pivot; a row with f = 0 when p = prev would
-    come out unchanged, so it is skipped.  Every entry is a minor of
-    [M | I] (Sylvester's identity), so the divisions are exact and the
-    zero entries are those of rational Gauss-Jordan, which picks the same
+    [m | I] is reduced in integers: each step on a pivot p replaces every
+    other row by (p * row - f * pivot_row) / prev, where prev is the
+    previous pivot; a row with f = 0 when p = prev would come out
+    unchanged, so it is skipped.  Every entry is a minor of [m | I]
+    (Sylvester's identity), so the divisions are exact and the zero
+    entries are those of rational Gauss-Jordan, which picks the same
     pivots.  The left block ends as det * I and the right one as
-    det * M^-1, so A^-1 = D * (right block) / det.
+    R = det * m^-1, det the last pivot (det m up to the sign of the row
+    swaps), so A^-1 = D * R / det.  With g the gcd of det and every entry
+    of D * R, the lcm of the denominators is E = |det| / g, and
+    E * A^-1 = D * R / g with the sign of det.
     """
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != n for row in a):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    D, m = integer_rows(a)
-    for i, row in enumerate(m):
-        row.extend(int(i == j) for j in range(n))
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -85,38 +86,55 @@ def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             if r != col and (f or p != prev):
                 m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], pivot_row)]
         prev = p
-    return [[Fraction(D * v, prev) for v in row[n:]] for row in m]
+    scaled = [[D * v for v in row[n:]] for row in m]
+    g = gcd(prev, *(v for row in scaled for v in row))
+    if prev < 0:
+        g = -g
+    return prev // g, [[v // g for v in row] for row in scaled]
 
 
-def _dots(v: Iterable[Fraction], D: int, lines: Iterable) -> tuple[Fraction, ...]:
-    """(line . v) / D for each integer line, v rational: v is scaled once
-    to integers over its lcm denominator S, then each value is one
-    integer dot product over D * S."""
+def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix: :func:`integer_inverse`
+    on its integer form, as Fractions."""
+    E, inverse = integer_inverse(*integer_rows(rows))
+    return [[Fraction(v, E) for v in row] for row in inverse]
+
+
+def _int_dots(v: Iterable[Fraction], lines: Iterable) -> tuple[int, list[int]]:
+    """(S, line . (S * v) for each integer line), v rational and S the lcm
+    of its denominators: v is scaled to integers once."""
     S, (scaled,) = integer_rows([v])
-    den = D * S
-    return tuple(Fraction(sum(map(mul, line, scaled)), den) for line in lines)
+    return S, [sum(map(mul, line, scaled)) for line in lines]
 
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Rows g*_i over e*_j with g*_i(w_j) = 1 exactly when i == j."""
+    """The rows g*_i over e*_j with g*_i(w_j) = 1 exactly when i == j, held
+    as integers: ``int_rows`` = (E, rows of E * W^-1), E the lcm of the
+    denominators of W^-1, so row i is E * g*_i."""
 
     K: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[int, tuple[tuple[int, ...], ...]]
 
     @cached_property
-    def int_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(E, rows of E * W^-1), E the lcm of the row denominators: row i
-        is E * g*_i in integers.  Derived once per dual basis."""
-        E, rows = integer_rows(self.rows)
-        return E, tuple(map(tuple, rows))
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of W^-1 as Fractions, built on first use."""
+        E, rows = self.int_rows
+        return tuple(tuple(Fraction(v, E) for v in row) for row in rows)
 
-    def coords_of(self, x: JVector) -> tuple[Fraction, ...]:
-        """Basis coordinates (g*_0(x), ..., g*_K(x)) = W^-1 x."""
+    def scaled_coords(self, x: JVector) -> tuple[int, list[int]]:
+        """(den, nums) with g*_i(x) = nums[i] / den: integer dot products of
+        the rows of E * W^-1 with x scaled to integers."""
         if x.K != self.K:
             raise DimensionMismatch((x.K, self.K))
         E, rows = self.int_rows
-        return _dots(x.coeffs, E, rows)
+        S, values = _int_dots(x.coeffs, rows)
+        return E * S, values
+
+    def coords_of(self, x: JVector) -> tuple[Fraction, ...]:
+        """Basis coordinates (g*_0(x), ..., g*_K(x)) = W^-1 x."""
+        den, values = self.scaled_coords(x)
+        return tuple(Fraction(v, den) for v in values)
 
     def functional(self, i: int) -> DualFunctional:
         return DualFunctional.from_rationals(self.K, self.rows[i])
@@ -125,12 +143,12 @@ class DualBasis:
 class Basis:
     """Basis (w_0..w_K) of J_K given by the columns w_i of W.
 
-    Invertibility is checked exactly at construction, which also builds
-    the dual basis ``self.dual`` (the rows of W^-1) and re-verifies
-    biorthogonality on the package's only integer forms of W and W^-1:
-    ``self.int_columns`` = (F, the columns of F * W), F the lcm of their
-    denominators, and ``self.dual.int_rows``.  Every map between
-    canonical and basis coordinates is a product with one of them.
+    The basis is held in integer forms: ``self.int_columns`` = (F, the
+    columns of F * W), F the lcm of their denominators, and
+    ``self.dual.int_rows`` = (E, the rows of E * W^-1), which the exact
+    inversion at construction returns.  Every map between canonical and
+    basis coordinates is a product with one of them.  Construction
+    re-verifies biorthogonality, (E * W^-1)(F * W) = E * F * I, on them.
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -139,20 +157,22 @@ class Basis:
         if K < 0:
             raise ValueError("dimension index must be nonnegative")
         self.K = K
-        self.columns = tuple(tuple(Fraction(v) for v in col) for col in columns)
+        # a Fraction is immutable, so one is kept as given, not copied
+        self.columns = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in col)
+            for col in columns
+        )
         if len(self.columns) != self.K + 1 or any(
             len(col) != self.K + 1 for col in self.columns
         ):
             raise DimensionMismatch("basis must be a (K+1) x (K+1) matrix")
-        # row j of W = canonical coordinate j of each w_i
-        inverse = invert_rational_matrix(list(zip(*self.columns)))
-        self.dual = DualBasis(self.K, tuple(tuple(row) for row in inverse))
-        # (E * W^-1)(F * W) = E * F * I in integers, for W^-1 as returned;
-        # a singular W has no pivot, so only a wrong inverse fails here
-        E, dual_rows = self.dual.int_rows
         F, columns = integer_rows(self.columns)
         self.int_columns = (F, tuple(map(tuple, columns)))
-        for i, g in enumerate(dual_rows):
+        # row j of F * W = F * (canonical coordinate j of each w_i)
+        E, inverse = integer_inverse(F, [list(row) for row in zip(*columns)])
+        self.dual = DualBasis(self.K, (E, tuple(map(tuple, inverse))))
+        # a singular W has no pivot, so only a wrong inverse fails here
+        for i, g in enumerate(inverse):
             for j, w in enumerate(columns):
                 if sum(map(mul, g, w)) != (E * F if i == j else 0):
                     raise StructureViolation("biorthogonality check failed")
@@ -177,18 +197,25 @@ class Basis:
         if len(alpha) != self.K + 1:
             raise DimensionMismatch("one coefficient per basis vector required")
         F, columns = self.int_columns
-        return JVector(self.K, _dots(alpha, F, zip(*columns)))
+        S, values = _int_dots(alpha, zip(*columns))
+        return JVector(self.K, tuple(Fraction(v, F * S) for v in values))
 
-    def functional_values(self, x_star: DualFunctional) -> tuple[Fraction, ...]:
-        """(x*(w_0), ..., x*(w_K)) = x* W for a functional with rational
-        coefficients; one with a sqrt(2) part raises
+    def scaled_functional_values(self, x_star: DualFunctional) -> tuple[int, list[int]]:
+        """(den, nums) with x*(w_i) = nums[i] / den, for a functional with
+        rational coefficients; one with a sqrt(2) part raises
         :class:`IrrationalAtomValue`."""
         if x_star.K != self.K:
             raise DimensionMismatch((x_star.K, self.K))
         if not x_star.has_rational_coeffs:
             raise IrrationalAtomValue("functional has a sqrt(2) part")
         F, columns = self.int_columns
-        return _dots(x_star.rational_coeffs(), F, columns)
+        S, values = _int_dots(x_star.rational_coeffs(), columns)
+        return F * S, values
+
+    def functional_values(self, x_star: DualFunctional) -> tuple[Fraction, ...]:
+        """(x*(w_0), ..., x*(w_K)) = x* W (see :meth:`scaled_functional_values`)."""
+        den, values = self.scaled_functional_values(x_star)
+        return tuple(Fraction(v, den) for v in values)
 
     def to_json_obj(self) -> dict:
         return {
@@ -200,23 +227,33 @@ class Basis:
     def from_json_obj(cls, obj: dict) -> Basis:
         return cls(
             json_int(obj, "K"),
-            tuple(tuple(Fraction(s) for s in col) for col in obj["columns"]),
+            tuple(tuple(map(json_rational, col)) for col in obj["columns"]),
         )
 
 
 def modulus_vector(basis: Basis, x: JVector) -> JVector:
-    """|x| = sum_i |g*_i(x)| w_i, exactly, in canonical coordinates."""
-    coords = basis.dual.coords_of(x)
-    return basis.combine(tuple(abs(c) for c in coords))
+    """|x| = sum_i |g*_i(x)| w_i, exactly, in canonical coordinates: the
+    integer coordinates of x, made absolute, times F * W."""
+    den, coords = basis.dual.scaled_coords(x)
+    F, columns = basis.int_columns
+    coords = list(map(abs, coords))
+    return JVector(
+        basis.K,
+        tuple(Fraction(sum(map(mul, row, coords)), F * den) for row in zip(*columns)),
+    )
 
 
 def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
     """|x*| = sum_i |x*(w_i)| g*_i, exactly, with coefficients over e*_j:
-    the row of absolute values times W^-1.  x* must be rational (see
-    :meth:`Basis.functional_values`)."""
-    values = map(abs, basis.functional_values(x_star))
+    the row of absolute values times W^-1, as integers times E * W^-1.
+    x* must be rational (see :meth:`Basis.functional_values`)."""
+    den, values = basis.scaled_functional_values(x_star)
     E, rows = basis.dual.int_rows
-    return DualFunctional.from_rationals(basis.K, _dots(values, E, zip(*rows)))
+    values = list(map(abs, values))
+    return DualFunctional.from_rationals(
+        basis.K,
+        tuple(Fraction(sum(map(mul, values, col)), E * den) for col in zip(*rows)),
+    )
 
 
 def sign_align(
@@ -267,10 +304,13 @@ class UCEstimate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> UCEstimate:
+        signs = tuple(obj["sign_pattern"])
+        if any(type(e) is not int for e in signs):  # int() truncates 1.9
+            raise TypeError(f"sign pattern entries must be integers, got {signs!r}")
         return cls(
-            Fraction(obj["lower_bound_sq"]),
-            SignPattern(tuple(int(e) for e in obj["sign_pattern"])),
-            tuple(Fraction(a) for a in obj["alpha"]),
+            json_rational(obj["lower_bound_sq"]),
+            SignPattern(signs),
+            tuple(map(json_rational, obj["alpha"])),
         )
 
 

@@ -28,6 +28,7 @@ from .scalars import (
     fmt_rational,
     integer_rows,
     json_int,
+    json_rational,
 )
 
 ORACLE_MAX_DIMENSION = 14
@@ -62,7 +63,12 @@ class JVector:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        # a Fraction is immutable, so one is kept as given, not copied
+        object.__setattr__(
+            self,
+            "coeffs",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
+        )
         if self.K < 0:
             raise ValueError("dimension index must be nonnegative")
         if len(self.coeffs) != self.K + 1:
@@ -105,7 +111,7 @@ class JVector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> JVector:
-        return cls(json_int(obj, "K"), tuple(Fraction(s) for s in obj["coeffs"]))
+        return cls(json_int(obj, "K"), tuple(map(json_rational, obj["coeffs"])))
 
 
 @dataclass(frozen=True)

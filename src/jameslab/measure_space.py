@@ -23,7 +23,13 @@ from .basis_tools import StructureViolation
 from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
 from .james_core import DimensionMismatch, DualFunctional, JVector
 from .reporting import Report, ReportEntry
-from .scalars import ceil_rational, check_exact_values, fmt_rational, integer_rows
+from .scalars import (
+    ceil_rational,
+    check_exact_values,
+    fmt_rational,
+    integer_rows,
+    rational_dot,
+)
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
 IDENTITY_SMALL_SET_EPS = Fraction(1, 4)
@@ -52,22 +58,46 @@ class MeasureSpaceModel:
         return self.basis.dual
 
     @cached_property
+    def vector_scales(self) -> tuple[tuple[int, int], ...]:
+        """(a_i, b_i) with d*(d)/g*_i(d) = a_i / b_i: the factor by which pi
+        turns the basis coordinate g*_i(x) into the value on atom i."""
+        a, b = self.d_star_d.as_integer_ratio()
+        return tuple((a * g.denominator, b * g.numerator) for g in self.gamma_d)
+
+    @cached_property
+    def functional_scales(self) -> tuple[tuple[int, int], ...]:
+        """(a_i, b_i) with d*(d)/d*(w_i) = a_i / b_i: the factor by which
+        pi_star turns x*(w_i) into the value on atom i."""
+        a, b = self.d_star_d.as_integer_ratio()
+        return tuple((a * v.denominator, b * v.numerator) for v in self.d_star_atoms)
+
+    @cached_property
+    def int_mu(self) -> tuple[int, tuple[int, ...]]:
+        """(D, D * mu): the atom weights over the lcm D of their denominators."""
+        D, (mu,) = integer_rows([self.mu])
+        return D, tuple(mu)
+
+    @cached_property
     def fs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n)."""
-        scales = [self.d_star_d / g for g in self.gamma_d]
-        gamma = [list(accumulate(row)) for row in self.dual.rows]  # g*_i(d_n)
+        """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n),
+        one Fraction per value from the prefix sums E * g*_i(d_n) of the
+        rows of E * W^-1."""
+        E, rows = self.dual.int_rows
+        gamma = [list(accumulate(row)) for row in rows]  # E * g*_i(d_n)
+        scales = self.vector_scales
         return tuple(
-            tuple(s * row[n] for s, row in zip(scales, gamma))
+            tuple(Fraction(a * row[n], b * E) for (a, b), row in zip(scales, gamma))
             for n in range(self.K + 1)
         )
 
     @cached_property
     def gs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i]."""
-        scales = [self.d_star_d / v for v in self.d_star_atoms]
-        columns = self.basis.columns
+        """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i],
+        one Fraction per value from the columns of F * W."""
+        F, columns = self.basis.int_columns
+        scales = self.functional_scales
         return tuple(
-            tuple(s * col[p] for s, col in zip(scales, columns))
+            tuple(Fraction(a * col[p], b * F) for (a, b), col in zip(scales, columns))
             for p in range(self.K + 1)
         )
 
@@ -76,29 +106,35 @@ class MeasureSpaceModel:
         """The two factors of the product integrands, as integers over one
         denominator each: the only place they are read off the model.
 
-        ((D_u, U), (D_v, V)) with U[i][n] / D_u = f_n(w_i) * mu({w_i}) and
-        V[i][p] / D_v = g_p(w_i), for 0 <= i, n, p <= K.  On one atom f_n g_p
-        has rank one, so the integral of f_n g_p over an atom subset sigma
-        is the sum of U[i][n] * V[i][p] over i in sigma, divided by
-        D_u * D_v.  The values come from the model's own fs, gs and mu, so
-        no identity is assumed.
+        ((E, U), (b * F, V)) with U[i][n] = E * g*_i(d_n), the prefix sums
+        of the rows of E * W^-1, and V[i][p] = a * F * W[p][i], where
+        d*(d) = a/b, for 0 <= i, n, p <= K.  On atom i,
+        f_n g_p mu = d*(d) * g*_i(d_n) * W[p][i]: the scales of f_n and g_p
+        cancel against mu({w_i}) = g*_i(d) d*(w_i) / d*(d).  So the
+        integral of f_n g_p over an atom subset sigma is the sum of
+        U[i][n] * V[i][p] over i in sigma, divided by E * b * F.
         """
-        f_at = zip(*self.fs)  # f_at[i][n] = f_n(w_i)
-        u = integer_rows([f * mu for f in f_i] for f_i, mu in zip(f_at, self.mu))
-        return u, integer_rows(zip(*self.gs))
+        E, rows = self.dual.int_rows
+        F, columns = self.basis.int_columns
+        a, b = self.d_star_d.as_integer_ratio()
+        U = [list(accumulate(row)) for row in rows]
+        V = [[a * w for w in col] for col in columns]
+        return (E, U), (b * F, V)
 
     @cached_property
     def product_matrix(self) -> ProductMatrix:
         """M[n][p] = integral of f_n * g_p = sum_i U[i][n] V[i][p] / (D_u D_v)
         from the atom factors; the triangular structure is checked row-major.
 
-        Each integer sum is tested against d*(d) * D_u * D_v or 0, so no
-        entry is reduced over D_u * D_v: a checked matrix holds the d*(d)
-        and 0 objects themselves, and only a violation builds its entry.
+        Each integer sum is tested against d*(d) * D_u * D_v = a * E * F or
+        0, so no entry is reduced over D_u * D_v: a checked matrix holds the
+        d*(d) and 0 objects themselves, and only a violation builds its
+        entry.
         """
         (D_u, U), (D_v, V) = self.atom_factors
         D = D_u * D_v
-        on_or_below = (self.d_star_d, self.d_star_d * D)
+        a, b = self.d_star_d.as_integer_ratio()
+        on_or_below = (self.d_star_d, a * (D // b))  # D = E * b * F
         above = (Fraction(0), 0)
         v_columns = list(zip(*V))
         entries = []
@@ -189,33 +225,40 @@ def pi(model: MeasureSpaceModel, x: JVector) -> tuple[Fraction, ...]:
     """Embed a vector: the values d*(d)/g*_i(d) * g*_i(x) on atoms 0..K."""
     if x.K != model.K:
         raise DimensionMismatch((x.K, model.K))
-    coords = model.dual.coords_of(x)
-    return tuple(model.d_star_d / g * c for g, c in zip(model.gamma_d, coords))
+    den, coords = model.dual.scaled_coords(x)
+    return tuple(
+        Fraction(a * c, b * den) for (a, b), c in zip(model.vector_scales, coords)
+    )
 
 
 def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> tuple[Fraction, ...]:
     """Embed a functional: the values d*(d)/d*(w_i) * x*(w_i) on atoms 0..K.
 
     Requires a rational functional; one with a sqrt(2) part raises
-    :class:`IrrationalAtomValue` (from :meth:`Basis.functional_values`).
+    :class:`IrrationalAtomValue` (from :meth:`Basis.scaled_functional_values`).
     """
     if x_star.K != model.K:
         raise DimensionMismatch((x_star.K, model.K))
-    values = model.basis.functional_values(x_star)
-    return tuple(model.d_star_d / a * v for a, v in zip(model.d_star_atoms, values))
+    den, values = model.basis.scaled_functional_values(x_star)
+    return tuple(
+        Fraction(a * v, b * den) for (a, b), v in zip(model.functional_scales, values)
+    )
 
 
 def integrate_over(
     model: MeasureSpaceModel, h: tuple[int | Fraction, ...], sigma: tuple[int, ...]
 ) -> Fraction:
     """Integral over the atom subset sigma of the function whose value at
-    atom i is h[i]: the sum of value * weight.  h holds K + 1 ints or
-    Fractions; any other value raises ``TypeError``."""
+    atom i is h[i]: the sum of value * weight, one integer dot product of
+    the values over sigma, scaled to integers, with ``model.int_mu``.  h
+    holds K + 1 ints or Fractions; any other value raises ``TypeError``."""
     if len(h) != model.K + 1:
         raise DimensionMismatch((len(h), model.K + 1))
     check_exact_values(h)
     _check_atoms(sigma, model.K)
-    return sum((h[i] * model.mu[i] for i in sigma), Fraction(0))
+    D, mu = model.int_mu
+    S, (values,) = integer_rows([[h[i] for i in sigma]])
+    return Fraction(sum(map(mul, values, map(mu.__getitem__, sigma))), S * D)
 
 
 def integrate(model: MeasureSpaceModel, h: tuple[int | Fraction, ...]) -> Fraction:
@@ -277,11 +320,11 @@ def small_set_breaches(
     is at least eps.  A bound or an eps that is not positive raises
     ``ValueError`` at the first step.
 
-    mu and each |h_n| * mu are put over one denominator per call, so both
-    tests compare integer subset sums with integer thresholds (an integer
-    s is below a rational x exactly when it is below ceil(x)).  Integrals
-    are summed only for small sigma, whose atoms are checked as
-    ``integrate_over`` checks them.
+    mu is ``model.int_mu`` and each |h_n| * mu is |h_n| scaled to integers
+    times it, over one denominator each, so both tests compare integer
+    subset sums with integer thresholds (an integer s is below a rational
+    x exactly when it is below ceil(x)).  Integrals are summed only for
+    small sigma, whose atoms are checked as ``integrate_over`` checks them.
     """
     K = model.K
     bound, eps = Fraction(bound), Fraction(eps)
@@ -289,14 +332,15 @@ def small_set_breaches(
         raise ValueError("the bound must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    D_mu, (mu,) = integer_rows([model.mu])
+    D_mu, mu = model.int_mu
     cases = []
     for n, h in enumerate(hs):
         if len(h) != K + 1:
             raise DimensionMismatch((len(h), K + 1))
-        D, (weighted,) = integer_rows([map(mul, map(abs, h), model.mu)])
+        S, (values,) = integer_rows([h])
+        weighted = [abs(v) * m for v, m in zip(values, mu)]
         mu_limit = ceil_rational(eps * D_mu / (bound * 2**n))
-        cases.append((mu_limit, ceil_rational(eps * D), weighted))
+        cases.append((mu_limit, ceil_rational(eps * (S * D_mu)), weighted))
     widest = max((mu_limit for mu_limit, _, _ in cases), default=0)
     for sigma in sigmas:
         s = sum(map(mu.__getitem__, sigma))
@@ -358,14 +402,14 @@ def check_identities(
         x_star = DualFunctional.from_rationals(K, _random_coeffs(rng, K))
         px_star, px = pi_star(model, x_star), pi(model, x)
         lhs = integrate(model, tuple(map(mul, px_star, px)))
-        rhs = sum(map(mul, x_star.rational_coeffs(), x.coeffs)) * model.d_star_d
+        rhs = rational_dot(x_star.rational_coeffs(), x.coeffs) * model.d_star_d
         if lhs != rhs:
             pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
         mod_x = modulus_vector(model.basis, x)
-        if l1_norm(model, px) != sum(map(mul, d_star, mod_x.coeffs)):
+        if l1_norm(model, px) != rational_dot(d_star, mod_x.coeffs):
             l1_vec_fail[f"sample_{s}"] = "mismatch"
         mod_star = modulus_functional(model.basis, x_star).rational_coeffs()
-        if l1_norm(model, px_star) != sum(map(mul, mod_star, model.d.coeffs)):
+        if l1_norm(model, px_star) != rational_dot(mod_star, model.d.coeffs):
             l1_fun_fail[f"sample_{s}"] = "mismatch"
     entries.append(
         ReportEntry("pairing_identity", not pairing_fail, details=pairing_fail)
@@ -377,7 +421,10 @@ def check_identities(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
     )
 
-    certified = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
+    certified = max(
+        Fraction(max(map(abs, values)), S << n)
+        for n, (S, (values,)) in enumerate(integer_rows([fn]) for fn in model.fs)
+    )
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for sigma, n in small_set_breaches(

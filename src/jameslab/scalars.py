@@ -12,6 +12,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
+from operator import mul
 
 _SQRT2_DIGITS = 40
 _SQRT2_DEN = 10**_SQRT2_DIGITS
@@ -20,6 +21,8 @@ _SQRT2_NUM = isqrt(2 * _SQRT2_DEN * _SQRT2_DEN)
 # SQRT2_LOWER < sqrt(2) < SQRT2_UPPER, both rational, 40 decimal digits apart.
 SQRT2_LOWER = Fraction(_SQRT2_NUM, _SQRT2_DEN)
 SQRT2_UPPER = Fraction(_SQRT2_NUM + 1, _SQRT2_DEN)
+
+_ZERO = Fraction(0)  # the sqrt(2) part of a Root2Scalar built without one
 
 
 def _decimal(n: int) -> str:
@@ -55,6 +58,13 @@ def integer_rows(
     return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
+def rational_dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
+    """The dot product of two rational vectors: one integer dot product of
+    their integer forms (see :func:`integer_rows`), as one Fraction."""
+    (S, (u,)), (T, (v,)) = integer_rows([u]), integer_rows([v])
+    return Fraction(sum(map(mul, u, v)), S * T)
+
+
 def check_exact_values(values: tuple[int | Fraction, ...]) -> None:
     """Refuse values that are not ints or Fractions (bool and Fraction
     subclasses included): the exact values of a chased sequence or of a
@@ -70,6 +80,14 @@ def json_int(obj: dict, key: str) -> int:
     if type(obj[key]) is not int:
         raise TypeError(f"{key!r} must be an integer, got {obj[key]!r}")
     return obj[key]
+
+
+def json_rational(value: object) -> Fraction:
+    """A JSON entry as a rational: a "p/q" string or an integer.  A bool or
+    a float is refused, not read as 1, 0 or a binary fraction."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f'a rational must be a "p/q" string or an integer, got {value!r}')
+    return Fraction(value)
 
 
 def ceil_rational(x: Fraction) -> int:
@@ -103,7 +121,7 @@ class Root2Scalar:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Fraction | int, b: Fraction | int = 0) -> None:
+    def __init__(self, a: Fraction | int, b: Fraction | int = _ZERO) -> None:
         # a Fraction is immutable, so one is kept as given, not copied
         object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
         object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
@@ -227,4 +245,4 @@ class Root2Scalar:
     @classmethod
     def from_pair(cls, pair: list[str]) -> Root2Scalar:
         a, b = pair
-        return cls(Fraction(a), Fraction(b))
+        return cls(json_rational(a), json_rational(b))

@@ -199,13 +199,16 @@ def test_singular_basis_rejected():
 
 
 def test_basis_rejects_dual_failing_biorthogonality(monkeypatch):
-    # an inverse that is off in one entry must not become the basis's dual
-    def bad_inverse(rows):
-        inv = invert_rational_matrix(rows)
-        inv[0][0] += 1
-        return inv
+    # an integer inverse that is off in one entry must not become the
+    # basis's dual
+    invert = basis_tools.integer_inverse
 
-    monkeypatch.setattr(basis_tools, "invert_rational_matrix", bad_inverse)
+    def bad_inverse(D, m):
+        E, inv = invert(D, m)
+        inv[0][0] += 1
+        return E, inv
+
+    monkeypatch.setattr(basis_tools, "integer_inverse", bad_inverse)
     with pytest.raises(StructureViolation, match="biorthogonality check failed"):
         Basis.canonical(2)
 
@@ -729,6 +732,13 @@ def test_basis_json_roundtrip():
     assert obj == {"K": 1, "columns": [["1/1", "2/1"], ["0/1", "1/3"]]}
     again = Basis.from_json_obj(obj)
     assert again.columns == basis.columns
+    assert Basis.from_json_obj({"K": 0, "columns": [[2]]}).columns == ((Fraction(2),),)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 0.1])
+def test_basis_json_refuses_a_bool_or_float_entry(entry):
+    with pytest.raises(TypeError, match="must be a \"p/q\" string or an integer"):
+        Basis.from_json_obj({"K": 1, "columns": [["1/1", "0/1"], ["0/1", entry]]})
 
 
 def test_uc_estimate_json_roundtrip():
@@ -737,5 +747,24 @@ def test_uc_estimate_json_roundtrip():
     )
     again = UCEstimate.from_json_obj(est.to_json_obj())
     assert again == est
+    assert UCEstimate.from_json_obj(
+        {"lower_bound_sq": 8, "sign_pattern": [1, -1], "alpha": ["1/2", 1]}
+    ) == UCEstimate(Fraction(8), SignPattern((1, -1)), (Fraction(1, 2), Fraction(1)))
     # replay from the serialized certificate
     assert ratio_sq(Basis.canonical(3), again.sign_pattern, again.alpha) == 8
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"lower_bound_sq": 0.1, "sign_pattern": [1], "alpha": ["1/1"]},
+        {"lower_bound_sq": "1/1", "sign_pattern": [1], "alpha": [True]},
+        {"lower_bound_sq": "1/1", "sign_pattern": [True], "alpha": ["1/1"]},
+        {"lower_bound_sq": "1/1", "sign_pattern": [1.9], "alpha": ["1/1"]},
+    ],
+    ids=repr,
+)
+def test_uc_estimate_json_refuses_bools_and_floats(obj):
+    # true would be read as 1 and 1.9 truncated to the sign +1
+    with pytest.raises(TypeError):
+        UCEstimate.from_json_obj(obj)

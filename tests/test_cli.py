@@ -358,15 +358,15 @@ def test_structure_violation_is_invariant_failure(monkeypatch, capsys):
 
 
 def test_wrong_inverse_is_invariant_failure(monkeypatch, capsys):
-    # a completed inversion whose result is off in one entry is a bug
-    invert = basis_tools.invert_rational_matrix
+    # a completed inversion whose integer result is off in one entry is a bug
+    invert = basis_tools.integer_inverse
 
-    def bad_inverse(rows):
-        inv = invert(rows)
+    def bad_inverse(D, m):
+        E, inv = invert(D, m)
         inv[0][0] += 1
-        return inv
+        return E, inv
 
-    monkeypatch.setattr(basis_tools, "invert_rational_matrix", bad_inverse)
+    monkeypatch.setattr(basis_tools, "integer_inverse", bad_inverse)
     code, out, err = run_cli(capsys, "space", "--canonical", "2")
     assert (code, out) == (1, "")
     assert err == "invariant failure: biorthogonality check failed\n"
@@ -432,10 +432,10 @@ def test_k_above_the_limit_is_refused_before_its_basis_is_built(
     # inverting the (K+1) x (K+1) matrix alone took a second at K = 128
     # before the refusal; a file's K counts once it lists K+1 columns, and
     # its one-entry columns would be a DimensionMismatch if they were read
-    def uninvertible(rows):
-        raise AssertionError("invert_rational_matrix called")
+    def uninvertible(D, m):
+        raise AssertionError("integer_inverse called")
 
-    monkeypatch.setattr(basis_tools, "invert_rational_matrix", uninvertible)
+    monkeypatch.setattr(basis_tools, "integer_inverse", uninvertible)
     where = str(K)
     if source == "--basis":
         where = str(tmp_path / "basis.json")
@@ -557,6 +557,43 @@ def test_a_k_that_is_not_a_json_integer_is_input_error(tmp_path, capsys, command
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: {path}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        *(
+            (command, {"K": 0, "columns": [[entry]]})
+            for command in (
+                ("space", "--basis"),
+                ("refute", "--basis"),
+                ("matrix", "--basis"),
+                ("uc", "--basis"),
+            )
+            for entry in (True, 1.0, 0.1)
+        ),
+        *((("norm", "--input"), {"K": 0, "coeffs": [entry]}) for entry in (True, False, 0.1)),
+    ],
+    ids=repr,
+)
+def test_a_bool_or_float_entry_is_input_error(tmp_path, capsys, command, body):
+    # rationals are "p/q" strings or integers; Fraction() would read true
+    # as 1 and 0.1 as 3602879701896397/36028797018963968
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", ["1", "1/1", 1])
+def test_a_string_or_integer_entry_is_read(tmp_path, capsys, entry):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"K": 0, "coeffs": [entry]}))
+    code, out, _ = run_cli(capsys, "norm", "--input", str(path))
+    assert code == 0
+    assert "norm_sq = 1/1" in out
 
 
 _JSON_VALUES = st.recursive(

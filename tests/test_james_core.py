@@ -997,3 +997,21 @@ def test_json_readers_refuse_a_k_that_is_not_an_integer(K):
         JVector.from_json_obj({"K": K, "coeffs": ["1/1", "2/1"]})
     with pytest.raises(TypeError, match="'K' must be an integer"):
         DualFunctional.from_json_obj({"K": K, "coeffs": [["1/1", "0/1"], ["0/1", "1/1"]]})
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 0.1])
+def test_json_readers_refuse_a_bool_or_float_entry(entry):
+    # an entry is a "p/q" string or an integer: nothing is coerced
+    with pytest.raises(TypeError, match="must be a \"p/q\" string or an integer"):
+        JVector.from_json_obj({"K": 1, "coeffs": ["1/1", entry]})
+    with pytest.raises(TypeError, match="must be a \"p/q\" string or an integer"):
+        DualFunctional.from_json_obj({"K": 1, "coeffs": [["1/1", "0/1"], ["0/1", entry]]})
+
+
+def test_json_readers_take_strings_and_integers():
+    assert JVector.from_json_obj({"K": 1, "coeffs": ["1/2", 3]}) == JVector(
+        1, (Fraction(1, 2), Fraction(3))
+    )
+    assert DualFunctional.from_json_obj({"K": 0, "coeffs": [[-2, "1/3"]]}) == DualFunctional(
+        0, (Root2Scalar(-2, Fraction(1, 3)),)
+    )

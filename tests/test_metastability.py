@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jameslab.basis_tools import Basis, random_invertible_basis
+from jameslab.basis_tools import Basis, DualBasis, random_invertible_basis
 from jameslab import metastability
 from jameslab.james_core import canonical
 from jameslab.measure_space import (
@@ -879,14 +879,25 @@ def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
 def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
     basis, perturbed
 ):
+    # the product matrix reads the basis's integer forms, and so do fs and
+    # gs: one entry of f_n or g_p is moved by perturbing the entries of
+    # E * W^-1 whose prefix sums give f_n, or one entry of F * W, before
+    # either family or the atom factors are built
     model = build(basis)
-    assert "atom_factors" not in vars(model)
+    assert not {"fs", "gs", "atom_factors"} & set(vars(model))
+    E, rows = basis.dual.int_rows
+    rows = [list(row) for row in rows]
+    F, columns = basis.int_columns
+    columns = [list(col) for col in columns]
     for family, (n, i) in perturbed.items():
-        hs = list(getattr(model, family))
-        values = list(hs[n])
-        values[i] += Fraction(1, 7)
-        hs[n] = tuple(values)
-        vars(model)[family] = tuple(hs)  # set before the atom factors are built
+        if family == "fs":
+            rows[i][n] += 1
+            if n < basis.K:
+                rows[i][n + 1] -= 1
+        else:
+            columns[i][n] += 1
+    basis.dual = DualBasis(basis.K, (E, tuple(map(tuple, rows))))
+    basis.int_columns = (F, tuple(map(tuple, columns)))
     with pytest.raises(StructureViolation) as expected:
         reference_product_matrix(model)
     with pytest.raises(StructureViolation) as got:

@@ -123,6 +123,16 @@ def test_serialization_roundtrip():
     assert x.to_pair() == ["-3/7", "5/2"]
 
 
+@pytest.mark.parametrize("pair", [[True, "0/1"], ["1/2", 0.5], [0.0, 1], ["1/1", False]])
+def test_from_pair_refuses_a_bool_or_float(pair):
+    with pytest.raises(TypeError, match="must be a \"p/q\" string or an integer"):
+        Root2Scalar.from_pair(pair)
+
+
+def test_from_pair_reads_strings_and_integers():
+    assert Root2Scalar.from_pair(["-3/7", 2]) == Root2Scalar(Fraction(-3, 7), 2)
+
+
 def test_root2_scalar_keeps_fractions_and_converts_ints():
     third = Fraction(1, 3)
     x = Root2Scalar(third, third)
