@@ -351,29 +351,24 @@ def _ascend_alpha(
 
     On the canonical basis a combination is its scales: the sum
     0.0 + s * 1.0 is s up to the sign of an exact zero, which the float
-    norm ignores.  There a move changes one coordinate, so the turning
-    points after it repeat, and the norms share one memo for the ascent
-    (see :func:`cycle_sum_max`).  On a dense basis a move changes every
-    coordinate, few suffixes repeat, and the lookups cost about what the
-    memo saves; there both combinations come from :func:`_column_sums`.
+    norm ignores, so the scales stand for the combination.  On any other
+    basis both combinations come from :func:`_column_sums`.
     """
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
     if all(entries == [(i, 1.0)] for i, entries in enumerate(nonzero)):
-        memo = {}
 
         def combine(a: list[float]) -> tuple[list[float], list[float]]:
             return a, [e * v for e, v in zip(eps, a)]
 
     else:
-        memo = None
         combine = _column_sums(nonzero, eps)
 
     def objective(a: list[float]) -> float:
         base, flipped = combine(a)
-        den = james_norm_sq_float(base, memo)
+        den = james_norm_sq_float(base)
         if den <= 1e-12:
             return 0.0
-        return james_norm_sq_float(flipped, memo) / den
+        return james_norm_sq_float(flipped) / den
 
     return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))
 

@@ -355,10 +355,39 @@ def _turning_points(vals: list) -> list:
     return out
 
 
-def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
-    """Twice the squared norm of ``vals`` (ints or floats, virtual zero
-    appended), for callers that need no certificate: the norm DP on
-    :func:`_turning_points` of the values.
+def cycle_sum_max(vals: list) -> int | float:
+    """Twice the squared norm of ``vals`` (ints, Fractions or floats,
+    virtual zero appended), for callers that need no certificate: the
+    norm DP on :func:`_turning_points` of the values, from one start.
+
+    The value is a maximum over the cycles of a cyclic sequence, the
+    turning points with the virtual zero last, and a cycle's sum does not
+    change when all positions are rotated.  Insert a position m holding a
+    largest value M into a cycle, between its cyclic neighbours x and y
+    (x = y in a one-point cycle): the sum changes by
+    (M - x)^2 + (M - y)^2 - (x - y)^2 = 2(M - x)(M - y) >= 0.  So some
+    optimal cycle passes through m, and the DP runs only start 0 of the
+    points rotated to begin at m: O(T^2) for T points, in place of one
+    O(T^2) start per distinct value.  On ints and Fractions the value is
+    exact.
+
+    In floats each step fl(d*d + g[j]) is monotone in g[j], so the DP
+    gives the largest float sum of the cycles from its start.  A cycle of
+    n <= T points sums n squared differences, each rounded at most three
+    times, in n - 1 additions of nonnegative terms; while no difference,
+    square or sum leaves the normal range, its float sum is within
+    relative gamma = (T + 2)u / (1 - (T + 2)u), u = 2^-53, of its exact
+    sum (of the exact differences of the given floats).  A start set
+    that meets an optimal cycle therefore gives a value within gamma of
+    the exact maximum: this one start does, as does one start per
+    distinct value, so the two differ by at most 2 * gamma of it.
+
+    The lemma needs the order of the reals, so with an inf or NaN among
+    the points (inf - inf is NaN) the DP runs one start per distinct
+    value, as :func:`_longest_cycle_table` does, with the floats of the
+    index relaxation.  One ``sum`` of the points is inf or NaN whenever a
+    point is; a finite sum that overflows sends finite points there too,
+    which costs time but keeps the bound above.
 
     Each g[i] is relaxed over every later index: on turning points the
     values are nearly all distinct, and there this loop is faster than the
@@ -369,49 +398,26 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
     candidates are the same float (none is -0.0), a NaN candidate never
     wins a ``>`` comparison, and a NaN start value d0*d0 is never beaten.
 
-    A ``memo`` dict maps a tuple of turning points to its value M, the
-    best g[a] over its starts.  A longest cycle of p starts at its first
-    index or lies in p[1:], so M(p) = max(g_0(p), M(p[1:])), and M of a
-    suffix depends on the suffix alone.  With a memo, the longest suffix
-    it holds is found, the starts before it are run from right to left,
-    and M of each longer suffix is stored; a caller that passes one dict
-    to many calls, such as one coordinate ascent, runs no start twice on
-    the same suffix.  Those starts include repeated values, which the
-    first-start skipping of :func:`_longest_cycle_table` would drop, but
-    a repeat never beats its first start, so M is the same maximum.
-
-    Swapping an exact 0.0 for -0.0 changes neither the result nor any
-    start value: the turning points compare values with == and <, the
-    DP's start set and comparisons treat the two zeros as one value, and a
-    difference with either zero squares to the same float.  So suffixes
-    that differ only in the sign of a zero can share a memo entry.
+    Swapping an exact 0.0 for -0.0 does not change the result: the
+    turning points and the rotation compare values with == and <, and a
+    difference with either zero squares to the same float.
     """
-    points = tuple(_turning_points(vals))
-    T = len(points)
-    if memo is None:
-        best = 0
+    points = _turning_points(vals)
+    total = sum(points)
+    if total - total == 0:  # no inf or NaN
+        m = points.index(max(points))
+        points = points[m:] + points[:m]
+        starts = (0,)
+    else:
         first_of = {}
         for a, v in enumerate(points):
             first_of.setdefault(v, a)
         starts = first_of.values()  # one start per value, in index order
-    else:
-        best = memo.get(points)
-        if best is not None:
-            return best
-        first = 1
-        while first < T:
-            best = memo.get(points[first:])
-            if best is not None:
-                break
-            first += 1
-        else:
-            best = 0
-        starts = range(first - 1, -1, -1)
+    best = 0
     for a in starts:
-        suffix = points[a:]
-        base = suffix[0]
+        base = points[a]
         later = []  # (v_j, g[j]) for j > i, from j = T - 1 down
-        for vi in reversed(suffix):
+        for vi in reversed(points[a:]):
             d0 = vi - base
             bi = d0 * d0
             for w, gw in later:
@@ -422,8 +428,6 @@ def cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
             later.append((vi, bi))
         if bi > best:
             best = bi
-        if memo is not None:
-            memo[suffix] = best
     return best
 
 
@@ -476,20 +480,18 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     return value_sq, NormCertificate(Cycle(tuple(path)), value_sq)
 
 
-def james_norm_sq_float(
-    coords: list[float], memo: dict | None = None
-) -> float:
+def james_norm_sq_float(coords: list[float]) -> float:
     """Float analogue of the norm DP, for search heuristics only.
 
-    Runs on the turning points of the coordinates (:func:`cycle_sum_max`),
-    which removes about a fifth of the values of generic float vectors.
-    The cycles left are computed with the same float operations as in the
-    full DP, so the value is the full DP's up to rounding.  A ``memo``
-    dict, kept across the calls of one search, skips the starts whose
-    turning points it has seen (:func:`cycle_sum_max`); the value is the
-    same bit for bit.
+    Runs :func:`cycle_sum_max` on the turning points of the coordinates
+    and the virtual zero: one start, from a largest point, since some
+    optimal cycle passes through it.  While the differences, squares and
+    sums stay in the normal range, the value is within relative
+    (T + 2)u / (1 - (T + 2)u), u = 2^-53, of the exact squared norm of the
+    given floats, for T turning points.  With an inf or NaN coordinate
+    that lemma fails, and the DP runs one start per distinct value.
     """
-    return cycle_sum_max([*coords, 0.0], memo) / 2.0
+    return cycle_sum_max([*coords, 0.0]) / 2.0
 
 
 def james_norm_sq_oracle(x: JVector) -> Fraction:
@@ -677,9 +679,7 @@ def dual_norm_lower_bound(
     rng = random.Random(0xD0A1)
     for _ in range(budget):
         coords = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-        # a move changes one coordinate, so the norms of one ascent share
-        # turning-point suffixes: one memo per ascent (see cycle_sum_max)
-        objective = partial(_ratio_float, yf, {})
+        objective = partial(_ratio_float, yf)
         _coordinate_ascent(objective, coords, (-0.5, -0.1, 0.1, 0.5))
         snapped = tuple(
             Fraction(c).limit_denominator(1000) for c in coords
@@ -724,8 +724,8 @@ def _coordinate_ascent(
     return x
 
 
-def _ratio_float(yf: list[float], memo: dict, coords: list[float]) -> float:
-    n = james_norm_sq_float(coords, memo)
+def _ratio_float(yf: list[float], coords: list[float]) -> float:
+    n = james_norm_sq_float(coords)
     if n <= 0:
         return 0.0
     val = sum(a * b for a, b in zip(yf, coords))

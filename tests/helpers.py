@@ -94,32 +94,18 @@ def reference_turning_points(vals: list) -> list:
     return out
 
 
-def reference_cycle_sum_max(vals: list, memo: dict | None = None) -> int | float:
-    """``cycle_sum_max`` with its earlier relaxation: each g[i] over every
-    later index j, by index into the turning points and the table, from
+def reference_cycle_sum_max(vals: list) -> int | float:
+    """``cycle_sum_max`` before one start sufficed: one start per distinct
+    value of the turning points, in index order, each g[i] relaxed over
+    every later index j, by index into the points and the table, from
     j = i + 1 up."""
-    points = tuple(reference_turning_points(vals))
+    points = reference_turning_points(vals)
     T = len(points)
-    if memo is None:
-        best = 0
-        first_of = {}
-        for a, v in enumerate(points):
-            first_of.setdefault(v, a)
-        starts = first_of.values()
-    else:
-        best = memo.get(points)
-        if best is not None:
-            return best
-        first = 1
-        while first < T:
-            best = memo.get(points[first:])
-            if best is not None:
-                break
-            first += 1
-        else:
-            best = 0
-        starts = range(first - 1, -1, -1)
-    for a in starts:
+    first_of = {}
+    for a, v in enumerate(points):
+        first_of.setdefault(v, a)
+    best = 0
+    for a in first_of.values():
         base = points[a]
         g = [0] * T
         for i in range(T - 1, a - 1, -1):
@@ -134,8 +120,6 @@ def reference_cycle_sum_max(vals: list, memo: dict | None = None) -> int | float
             g[i] = bi
         if bi > best:
             best = bi
-        if memo is not None:
-            memo[points[a:]] = best
     return best
 
 
@@ -743,8 +727,7 @@ def sparse_ascend_alpha(
     cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
 ) -> list[float]:
     """``_ascend_alpha`` with sparse combinations on every basis, the
-    canonical one included, and no memo: each objective runs both float
-    norm DPs."""
+    canonical one included, summed afresh for each objective."""
     K = len(alpha) - 1
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
 

@@ -518,10 +518,9 @@ def _ascent_start(rng: random.Random, K: int) -> list[float]:
 
 
 @pytest.mark.parametrize("kind", ["canonical", "diagonal", "random"])
-def test_memoised_ascent_matches_the_sparse_ascent(kind):
+def test_ascent_matches_the_sparse_ascent(kind):
     # canonical bases take the identity path, which returns the scales
-    # themselves, and share one memo per ascent; the others combine
-    # sparse columns with no memo, as before
+    # themselves; the others combine sparse columns
     rng = random.Random(f"ascent:{kind}")
     for _ in range(25):
         K = rng.randint(0, 6)
@@ -606,24 +605,6 @@ def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
     assert all(len(set(points)) == len(points) for points in ascents)
 
 
-def test_memoised_ascent_runs_fewer_starts_than_the_sparse_ascent(monkeypatch):
-    memos = []
-    norm = basis_tools.james_norm_sq_float
-    monkeypatch.setattr(
-        basis_tools,
-        "james_norm_sq_float",
-        lambda coords, memo=None: memos.append(memo) or norm(coords, memo),
-    )
-    basis_tools._ascend_alpha([[1.0, 0.0], [0.0, 1.0]], (1, -1), [0.5, 0.2])
-    memo = memos[0]
-    assert memo and all(m is memo for m in memos)  # one memo per ascent
-    starts = len(memos) * 3  # at most 3 turning points with the virtual zero
-    assert len(memo) < starts
-    memos.clear()
-    basis_tools._ascend_alpha([[2.0, 0.0], [1.0, 1.0]], (1, -1), [0.5, 0.2])
-    assert memos and all(m is None for m in memos)  # no memo on a dense basis
-
-
 def _uc_cases():
     rng = random.Random(9090)
     for K in range(5):
@@ -632,13 +613,21 @@ def _uc_cases():
             for strategy in ("exhaustive", "anneal"):
                 for budget in (1, 2):
                     yield pytest.param(
-                        basis, strategy, budget, id=f"{kind}-K{K}-{strategy}-budget{budget}"
+                        basis,
+                        strategy,
+                        budget,
+                        K + budget,
+                        id=f"{kind}-K{K}-{strategy}-budget{budget}",
                     )
+    # the benchmark's exhaustive searches
+    for K in (5, 6):
+        yield pytest.param(
+            Basis.canonical(K), "exhaustive", 2, 0, id=f"canonical-K{K}-exhaustive-budget2-seed0"
+        )
 
 
-@pytest.mark.parametrize("basis, strategy, budget", list(_uc_cases()))
-def test_uc_lower_bound_matches_the_reference_search(basis, strategy, budget):
-    seed = basis.K + budget
+@pytest.mark.parametrize("basis, strategy, budget, seed", list(_uc_cases()))
+def test_uc_lower_bound_matches_the_reference_search(basis, strategy, budget, seed):
     expected = reference_uc_lower_bound(basis, strategy, budget, seed)
     assert uc_lower_bound(basis, strategy, budget, seed) == expected
 
