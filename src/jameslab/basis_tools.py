@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import mul, ne
 
 from .james_core import (
     DimensionMismatch,
@@ -435,6 +435,34 @@ def uc_lower_bound(
     candidate is snapped to rationals and replayed exactly, so the result
     is always a valid lower bound and is nondecreasing in `budget`.  A
     basis entry beyond float range raises ``ValueError``.
+
+    A pattern is skipped, replays and ascents included, when a bound on
+    its ratio cannot beat the best ratio found so far.  The bound
+    (:func:`_sign_change_bound`) rests on this lemma.  Call the basis
+    monomial when each column of W has exactly one nonzero entry (the
+    canonical basis, its rescalings and permutations).  Write x = W alpha
+    in canonical coordinates and sigma for eps read along them: sigma_j =
+    eps_i where column i's nonzero sits in row j, so W(eps alpha) =
+    D_sigma x.  On a cycle, the sum for D_sigma x minus the sum for x is
+    the sum of 4 x_p x_q over the cycle's edges (p, q) with sigma_p !=
+    sigma_q; an edge at the virtual zero adds nothing.  A cycle is
+    increasing, so its forward edges span disjoint index ranges and at most
+    s of them change sign, s the number of sign changes of sigma; the wrap
+    edge adds at most one more, and around a cycle without the zero the
+    number of sign changes is even.  So at most e = s + (s mod 2) edges
+    change sign.  Each adds at most 4 max_j x_j^2 <= 4 ||x||^2, as the
+    cycle (j, zero) gives ||x||^2 >= x_j^2, and halving the cycle sums
+    gives ratio_sq(eps, alpha) <= 1 + 2e for every alpha.  On any basis a
+    constant pattern (s = 0) has flipped = +-base, so its ratio is exactly
+    1; other patterns on a non-monomial basis have no bound.  The bound is
+    tight: at even K the alternating pattern with alpha all ones gives
+    2K + 1.
+
+    Skipping changes no result.  `best` changes only on a strict `>`, and
+    a skipped pattern's ratios are at most its bound, which is at most
+    `best` when it is skipped, so it holds no winning candidate.  Each
+    restart draws its start from its own generator, seeded by the seed,
+    the pattern's index and the restart, so no other pattern's starts move.
     """
     K = basis.K
     patterns = uc_sign_patterns(K, strategy, budget, seed)
@@ -448,6 +476,7 @@ def uc_lower_bound(
     ones = SignPattern((1,) * (K + 1))
     alpha0 = (Fraction(1),) + (Fraction(0),) * K
     best = UCEstimate(ratio_sq(basis, ones, alpha0), ones, alpha0)
+    bound = _sign_change_bound(basis)
 
     def consider(eps: SignPattern, alpha: tuple[Fraction, ...]) -> None:
         nonlocal best
@@ -459,6 +488,9 @@ def uc_lower_bound(
             best = UCEstimate(r, eps, alpha)
 
     for p_index, entries in enumerate(patterns):
+        b = bound(entries)
+        if b is not None and b <= best.lower_bound_sq:
+            continue
         eps = SignPattern(entries)
         consider(eps, (Fraction(1),) * (K + 1))
         for restart in range(budget):
@@ -472,13 +504,37 @@ def uc_lower_bound(
     return best
 
 
+def _sign_change_bound(
+    basis: Basis,
+) -> Callable[[tuple[int, ...]], int | None]:
+    """A function from a sign pattern eps to 1 + 2e, e = s + (s mod 2) and
+    s the number of sign changes of eps read along the canonical
+    coordinates, which bounds ``ratio_sq(basis, eps, alpha)`` for every
+    alpha on a monomial basis (see :func:`uc_lower_bound`).  On any other
+    basis it gives 1 for a constant pattern and None for the rest."""
+    rows = [[j for j, w in enumerate(col) if w] for col in basis.int_columns[1]]
+    monomial = all(len(r) == 1 for r in rows)
+    # on a monomial basis, order[j] is the column whose nonzero is in row j
+    order = sorted(range(basis.K + 1), key=rows.__getitem__)
+
+    def bound(entries: tuple[int, ...]) -> int | None:
+        sigma = [entries[i] for i in order]
+        s = sum(map(ne, sigma, sigma[1:]))
+        if monomial or s == 0:
+            return 1 + 2 * (s + s % 2)
+        return None
+
+    return bound
+
+
 def uc_sign_patterns(
     K: int, strategy: str, budget: int, seed: int = 0
 ) -> list[tuple[int, ...]]:
     """Check the arguments of :func:`uc_lower_bound` and return the sign
     patterns it searches: all 2^(K+1) ("exhaustive", K <= 12) or
-    2^min(K+1, 7) seeded samples ("anneal").  Each pattern costs
-    1 + budget exact replays."""
+    2^min(K+1, 7) seeded samples ("anneal").  Each pattern costs at most
+    1 + budget exact replays: none when its sign-change bound cannot beat
+    the best ratio found before it."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if strategy == "exhaustive":

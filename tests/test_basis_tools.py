@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -601,8 +602,107 @@ def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
     uc_lower_bound(Basis.canonical(3), "exhaustive", 2, 0)
     uc_lower_bound(random_invertible_basis(3, random.Random(5)), "exhaustive", 2, 0)
     dual_norm_lower_bound(dual_ball_sample(3, 12, 4)[0], 4)
-    assert len(ascents) == 2 * 16 * 2 + 4
+    # two restarts per pattern the sign-change bound leaves: on canonical
+    # K=3, 4 of 16 (the first pattern with s = 1 and with s = 2, then both
+    # alternating ones, bound 9 against the 8 found), on the random basis
+    # all but the 2 constant ones; and 4 dual ascents
+    assert len(ascents) == 2 * (4 + 14) + 4
     assert all(len(set(points)) == len(points) for points in ascents)
+
+
+_MONOMIAL_SCALES = tuple(map(Fraction, ("1", "-1", "2", "-3", "1/2", "-2/3", "5/7")))
+
+
+def _monomial_basis(rng: random.Random, K: int, permuted: bool) -> tuple[list[int], Basis]:
+    """(rows, basis): column i of the basis is a nonzero scale, negative or
+    fractional too, in row rows[i], the identity unless permuted."""
+    rows = list(range(K + 1))
+    if permuted:
+        rng.shuffle(rows)
+    columns = tuple(
+        tuple(rng.choice(_MONOMIAL_SCALES) if j == rows[i] else Fraction(0) for j in range(K + 1))
+        for i in range(K + 1)
+    )
+    return rows, Basis(K, columns)
+
+
+def _changing_edges_bound(sigma) -> int:
+    """e(sigma) = s + (s mod 2), s the number of sign changes of sigma."""
+    s = sum(a != b for a, b in zip(sigma, sigma[1:]))
+    return s + s % 2
+
+
+def _row_signs(rows: list[int], entries) -> list[int]:
+    """eps read along canonical coordinates: sigma[rows[i]] = eps_i."""
+    sigma = [0] * len(rows)
+    for row, e in zip(rows, entries):
+        sigma[row] = e
+    return sigma
+
+
+@pytest.mark.parametrize("T", range(1, 9))
+def test_no_cycle_has_more_sign_changing_edges_than_e(T):
+    # every sign vector on T real indices, every increasing cycle on them
+    # and the virtual zero T: the most edges (p, q) of one cycle, wrap
+    # included, with two real ends of opposite sign is exactly e(sigma)
+    cycles = [
+        [t for t in range(T + 1) if mask >> t & 1]
+        for mask in range(1, 2 ** (T + 1))
+        if mask & (mask - 1)
+    ]
+    for sigma in product((-1, 1), repeat=T):
+        signs = [*sigma, 0]
+        most = max(
+            sum(
+                signs[p] * signs[q] < 0
+                for p, q in zip(cycle, cycle[1:] + cycle[:1])
+            )
+            for cycle in cycles
+        )
+        assert most == _changing_edges_bound(sigma)
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["scaled", "permuted"])
+def test_monomial_ratio_is_at_most_the_sign_change_bound(permuted):
+    # exact ratios on random monomial bases at K <= 8 never pass 1 + 2e of
+    # eps read along the rows, and that is the bound the search prunes by
+    rng = random.Random(f"monomial-bound:{permuted}")
+    for _ in range(600):
+        K = rng.randint(0, 8)
+        rows, basis = _monomial_basis(rng, K, permuted)
+        entries = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
+        if rng.random() < 0.3:
+            alpha = (Fraction(1),) * (K + 1)
+        else:
+            alpha = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K + 1))
+            if not any(alpha):
+                continue
+        bound = 1 + 2 * _changing_edges_bound(_row_signs(rows, entries))
+        assert basis_tools._sign_change_bound(basis)(entries) == bound
+        assert ratio_sq(basis, SignPattern(entries), alpha) <= bound
+
+
+def test_sign_change_bound_off_monomial_bases_covers_constant_patterns_only():
+    rng = random.Random(4242)
+    for K in range(1, 6):
+        basis = random_invertible_basis(K, rng)
+        if all(sum(map(bool, col)) == 1 for col in basis.columns):
+            continue
+        bound = basis_tools._sign_change_bound(basis)
+        for entries in uc_sign_patterns(K, "exhaustive", 1):
+            expected = 1 if len(set(entries)) == 1 else None
+            assert bound(entries) == expected
+            if expected == 1:
+                alpha = tuple(Fraction(rng.randint(1, 3)) for _ in range(K + 1))
+                assert ratio_sq(basis, SignPattern(entries), alpha) == 1
+
+
+@pytest.mark.parametrize("K", range(17))
+def test_alternating_pattern_on_ones_meets_the_bound_at_even_k(K):
+    # s = K sign changes: 2K + 1 = 1 + 2e at even K, 2K + 2 = 1 + 2e - 1 at odd K
+    entries = tuple((-1) ** i for i in range(K + 1))
+    r = ratio_sq(Basis.canonical(K), SignPattern(entries), (Fraction(1),) * (K + 1))
+    assert r == (2 * K + 1 if K % 2 == 0 else 2 * K + 2)
 
 
 def _uc_cases():
@@ -610,6 +710,20 @@ def _uc_cases():
     for K in range(5):
         bases = {"canonical": Basis.canonical(K), "random": random_invertible_basis(K, rng)}
         for kind, basis in bases.items():
+            for strategy in ("exhaustive", "anneal"):
+                for budget in (1, 2):
+                    yield pytest.param(
+                        basis,
+                        strategy,
+                        budget,
+                        K + budget,
+                        id=f"{kind}-K{K}-{strategy}-budget{budget}",
+                    )
+    # monomial bases, whose sign-change bound reads eps in row order
+    rng = random.Random(9191)
+    for K in range(1, 6):
+        for kind in ("scaled", "permuted"):
+            _, basis = _monomial_basis(rng, K, kind == "permuted")
             for strategy in ("exhaustive", "anneal"):
                 for budget in (1, 2):
                     yield pytest.param(
