@@ -446,8 +446,8 @@ def _cmd_uc(args: argparse.Namespace) -> int:
     patterns = uc_sign_patterns(K, args.strategy, args.budget, args.seed)
     basis = make_basis()
     print(
-        f"uc: searching {len(patterns)} sign patterns, "
-        f"{1 + args.budget} exact replays each",
+        f"uc: searching up to {len(patterns)} sign patterns, "
+        f"at most {1 + args.budget} exact replays each",
         file=sys.stderr,
     )
     est = uc_lower_bound(basis, args.strategy, args.budget, args.seed)

@@ -19,7 +19,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, pairwise
+from math import gcd
+from operator import mul
 
 from .scalars import (
     Root2Scalar,
@@ -29,6 +31,7 @@ from .scalars import (
     integer_rows,
     json_int,
     json_rational,
+    root2_sign,
 )
 
 ORACLE_MAX_DIMENSION = 14
@@ -212,15 +215,19 @@ def canonical(kind: str, i: int, K: int) -> JVector | DualFunctional:
 
 
 def eval_functional(y: DualFunctional, x: JVector) -> Root2Scalar:
-    """Exact dot product in Q(sqrt(2))."""
+    """Exact dot product in Q(sqrt(2)): y's rational and sqrt(2) parts over
+    one denominator and x over its own (:func:`integer_rows`), one integer
+    dot product per part, and one Fraction each."""
     if y.K != x.K:
         raise DimensionMismatch((y.K, x.K))
-    a = Fraction(0)
-    b = Fraction(0)
-    for c, v in zip(y.coeffs, x.coeffs):
-        a += c.a * v
-        b += c.b * v
-    return Root2Scalar(a, b)
+    S, (ya, yb) = integer_rows(
+        [[c.a for c in y.coeffs], [c.b for c in y.coeffs]]
+    )
+    T, (xs,) = integer_rows([x.coeffs])
+    den = S * T
+    return Root2Scalar(
+        Fraction(sum(map(mul, ya, xs)), den), Fraction(sum(map(mul, yb, xs)), den)
+    )
 
 
 def _validate_cycle_for(x: JVector, c: Cycle) -> None:
@@ -252,7 +259,9 @@ def _scaled_int_coords(x: JVector) -> tuple[list[int], int]:
     return nums, den
 
 
-def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
+def _longest_cycle_table(
+    vals: list, stop_at: int | None = None
+) -> tuple[int | float, int, list]:
     """Longest-path dynamic program over the index DAG of ``vals`` (ints or
     floats, virtual zero already appended).
 
@@ -260,6 +269,11 @@ def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
     squared differences, wrap term back to a included) of any increasing
     cycle from a that has reached i.  Returns the best g[a], the first start
     a that reaches it, and that start's table.
+
+    ``stop_at``, when given, is that best value, known beforehand (exactly,
+    so on ints: :func:`cycle_sum_max`).  The starts run in index order and
+    the scan stops at the first whose g[a] equals it, which is the start
+    and the table the full scan returns.  Without it every start runs.
 
     Only the first start with each value is run.  If a < b and v_a = v_b,
     the tables of a and b agree from b on, so g_a[a] >= g_a[b] = g_b[b]:
@@ -301,6 +315,8 @@ def _longest_cycle_table(vals: list) -> tuple[int | float, int, list]:
             later[vi] = bi
         if g[a] > best:
             best, best_a, best_g = g[a], a, g
+            if best == stop_at:
+                break
     return best, best_a, best_g
 
 
@@ -440,12 +456,13 @@ def _norm_sq_value(x: JVector) -> Fraction:
 def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     """Exact squared James norm with an optimal-cycle certificate.
 
-    Runs :func:`_longest_cycle_table` on integer numerators over a common
-    denominator, then walks the winning start's table forward.  Ties
-    between optimal cycles are broken toward the lexicographically least
-    index tuple.  O(U^2 K) integer arithmetic for the table after clearing
-    denominators, with U <= K + 2 distinct values, plus O(K^2) for the
-    walk.
+    On integer numerators over a common denominator, takes the maximum
+    from :func:`cycle_sum_max`, runs :func:`_longest_cycle_table` up to the
+    first start that reaches it, then walks that start's table forward.
+    Ties between optimal cycles are broken toward the lexicographically
+    least index tuple.  O(K^2) for the maximum and the walk, plus O(U K)
+    integer arithmetic for each start run, with U <= K + 2 distinct values:
+    O(U^2 K) when the first optimal start comes last.
 
     The table is built on every index, not on :func:`_turning_points`:
     the walk takes the least next index j whose table entry g[j] completes
@@ -454,10 +471,11 @@ def james_norm_sq(x: JVector) -> tuple[Fraction, NormCertificate]:
     the turning points drop indices 1-3.
     """
     nums, den = _scaled_int_coords(x)
-    best_val, a, g = _longest_cycle_table(nums)
+    best_val = cycle_sum_max(nums)
     if best_val == 0:
         zero = Fraction(0)
         return zero, NormCertificate(Cycle((0,)), zero)
+    _, a, g = _longest_cycle_table(nums, best_val)
     T = len(nums)
     base = nums[a]
     path = [a]
@@ -785,21 +803,52 @@ def _validate_chain(chain: tuple[int, ...]) -> None:
         raise ChainError("chain indices must be nonnegative")
 
 
-def _chain_values(y: DualFunctional, chain: tuple[int, ...]) -> Iterator[Root2Scalar]:
-    """y(d_n) for each n of an increasing chain, in order, as a generator:
-    one running sum of the nonzero coefficients of y up to the current
-    index, taken no further than the caller reads (y(d_n) = y(d_K) for
-    n > K).  Zero coefficients leave the exact sum as it is."""
+def _chain_values(
+    y: DualFunctional, chain: tuple[int, ...]
+) -> Iterator[tuple[int, int, int]]:
+    """y(d_n) = (P + Q*sqrt(2)) / D for each n of an increasing chain, in
+    order, as the integers (P, Q, D), from a generator: one running sum of
+    the nonzero coefficients of y up to the current index, taken no
+    further than the caller reads (y(d_n) = y(d_K) for n > K).  D is the
+    lcm of the denominators read so far, so each D divides the next."""
     coeffs = y.coeffs
-    acc = Root2Scalar.zero()
+    P = Q = 0
+    D = 1
     done = 0  # coefficients summed so far
     for n in chain:
         stop = min(n, y.K) + 1
         for c in coeffs[done:stop]:
-            if c.a or c.b:
-                acc = acc + c
+            a, b = c.a, c.b
+            if a:
+                q = a.denominator
+                if D % q:
+                    m = q // gcd(D, q)
+                    P, Q, D = P * m, Q * m, D * m
+                P += a.numerator * (D // q)
+            if b:
+                q = b.denominator
+                if D % q:
+                    m = q // gcd(D, q)
+                    P, Q, D = P * m, Q * m, D * m
+                Q += b.numerator * (D // q)
         done = stop
-        yield acc
+        yield P, Q, D
+
+
+def _chain_steps(
+    y: DualFunctional, chain: tuple[int, ...]
+) -> Iterator[tuple[int, int, int]]:
+    """y(d_{n_{i+1}}) - y(d_{n_i}) = (P + Q*sqrt(2)) / D for each step i of
+    an increasing chain, as the integers (P, Q, D) over the later value's
+    denominator (:func:`_chain_values`), read as lazily."""
+    values = _chain_values(y, chain)
+    P0, Q0, D0 = next(values)
+    for P, Q, D in values:
+        if D != D0:
+            m = D // D0
+            P0, Q0 = P0 * m, Q0 * m
+        yield P - P0, Q - Q0, D
+        P0, Q0, D0 = P, Q, D
 
 
 def chain_stability_check(
@@ -808,21 +857,25 @@ def chain_stability_check(
     """Least i with |y(d_{n_i}) - y(d_{n_{i+1}})| < eps, else all gaps.
 
     The values y(d_n) are summed along the chain only up to the first
-    stable gap (:func:`_chain_values`)."""
+    stable gap (:func:`_chain_steps`).  With eps = e1/e2, a step
+    (P + Q*sqrt(2)) / D of sign s is stable when
+    e1*D - s*e2*(P + Q*sqrt(2)) > 0, a sign decided on integers
+    (:func:`root2_sign`); the gaps become Root2Scalars only for a
+    returned Violation."""
     _validate_chain(chain)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    values = _chain_values(y, chain)
-    prev = next(values)
+    e1, e2 = eps.numerator, eps.denominator
     gaps = []
-    for i, v in enumerate(values):
-        gap = abs(prev - v)
-        if gap < eps:
+    for i, (P, Q, D) in enumerate(_chain_steps(y, chain)):
+        s = root2_sign(P, Q)
+        if root2_sign(e1 * D - s * e2 * P, -s * e2 * Q) > 0:
             return StableIndex(i)
-        gaps.append(gap)
-        prev = v
-    return Violation(tuple(gaps))
+        gaps.append((s * P, s * Q, D))
+    return Violation(
+        tuple(Root2Scalar(Fraction(P, D), Fraction(Q, D)) for P, Q, D in gaps)
+    )
 
 
 def violation_to_witness(
@@ -837,6 +890,20 @@ def violation_to_witness(
     side, and sums the corresponding d-differences: the functional picks up
     every kept gap while the norm only counts the blocks of consecutive
     ones, so squaring both sides yields a strict exact inequality.
+
+    The kept steps cover disjoint index ranges, so xhat has 0/1
+    coordinates and y(xhat) is the sum of the kept steps of
+    :func:`_chain_steps`, taken over the last step's denominator, which
+    every earlier one divides.  The directions and the inequality are
+    signs decided on integers (:func:`root2_sign`).
+
+    A 0/1 vector with m blocks of consecutive ones has squared norm m.
+    Around a cycle each change of value adds 1 to the sum of squared
+    differences, and the changes come two per run of ones in cyclic
+    order.  Two runs that follow each other in index order have a 0 at an
+    index between them, so their first ones lie in different blocks:
+    there are at most m runs, and the sum is at most 2m.  One 1 from each
+    block, each followed by a 0 (the virtual zero last), reaches 2m.
     """
     _validate_chain(chain)
     eps = Fraction(eps)
@@ -848,23 +915,31 @@ def violation_to_witness(
         raise WitnessPreconditionError(
             f"need at least {need} gaps for eps={eps}, got {k}"
         )
-    vals = list(_chain_values(y, chain))
-    side_gt = tuple(i for i in range(k) if vals[i] > vals[i + 1])
-    side_lt = tuple(i for i in range(k) if vals[i] < vals[i + 1])
+    steps = list(_chain_steps(y, chain))
+    signs = [root2_sign(P, Q) for P, Q, _ in steps]
+    side_gt = tuple(i for i, s in enumerate(signs) if s < 0)
+    side_lt = tuple(i for i, s in enumerate(signs) if s > 0)
     if len(side_gt) >= len(side_lt):
         side, label = side_gt, "I>"
     else:
         side, label = side_lt, "I<"
 
-    coeffs = [Fraction(0)] * (y.K + 1)
+    xs = [0] * (y.K + 1)
     for i in side:
         lo, hi = chain[i], chain[i + 1]
         for j in range(lo + 1, min(hi, y.K) + 1):
-            coeffs[j] += 1
-    xhat = JVector(y.K, tuple(coeffs))
-    lhs_sq = eval_functional(y, xhat).square()
-    rhs_sq = _norm_sq_value(xhat)
-    if not lhs_sq > Root2Scalar(rhs_sq):
+            xs[j] = 1
+    unit = (Fraction(0), Fraction(1))
+    xhat = JVector(y.K, tuple(unit[v] for v in xs))
+    D = steps[-1][2]
+    P = sum(steps[i][0] * (D // steps[i][2]) for i in side)
+    Q = sum(steps[i][1] * (D // steps[i][2]) for i in side)
+    D2 = D * D
+    lhs_sq = Root2Scalar(Fraction(P * P + 2 * Q * Q, D2), Fraction(2 * P * Q, D2))
+    blocks = sum(b > a for a, b in pairwise([0, *xs]))
+    rhs_sq = Fraction(blocks)
+    # lhs_sq - rhs_sq = (P^2 + 2Q^2 - blocks D^2 + 2PQ sqrt(2)) / D^2
+    if root2_sign(P * P + 2 * Q * Q - blocks * D2, 2 * P * Q) <= 0:
         raise WitnessUnsound(
             f"witness inequality failed: {lhs_sq} <= {rhs_sq}"
         )
@@ -881,6 +956,10 @@ def coordinate_chain_check(
     All gaps at least eps force a cycle value of at least k*eps^2/2, which
     reaches 1 once k >= 2*ceil(1/eps)^2: the returned certificate then
     shows the vector lies outside the unit ball.
+
+    Each gap is compared on the integers of its two coordinates' common
+    denominator, and only up to the first stable one; the gaps become
+    Fractions only for a returned certificate.
     """
     _validate_chain(chain)
     eps = Fraction(eps)
@@ -890,14 +969,16 @@ def coordinate_chain_check(
         raise ChainError(
             f"chain index {chain[-1]} exceeds virtual index {x.K + 1}"
         )
-    coords = [x.coord(p) for p in chain]
-    gaps = []
-    for i in range(len(chain) - 1):
-        gap = abs(coords[i] - coords[i + 1])
-        if gap < eps:
+    e1, e2 = eps.numerator, eps.denominator
+    coords = map(x.coord, chain)
+    u = next(coords)
+    for i, v in enumerate(coords):
+        b, d = u.denominator, v.denominator
+        if abs(u.numerator * d - v.numerator * b) * e2 < e1 * b * d:
             return StableIndex(i)
-        gaps.append(gap)
+        u = v
+    gaps = tuple(abs(u - v) for u, v in pairwise(map(x.coord, chain)))
     cyc = Cycle(tuple(chain))
     return NormCertificateOfExcess(
-        cycle=cyc, value_sq=cycle_value(x, cyc), gaps=tuple(gaps)
+        cycle=cyc, value_sq=cycle_value(x, cyc), gaps=gaps
     )

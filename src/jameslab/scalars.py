@@ -111,6 +111,21 @@ def ceil_sqrt_rational(x: Fraction) -> int:
     return t
 
 
+def root2_sign(a: int | Fraction, b: int | Fraction) -> int:
+    """The sign of a + b*sqrt(2), for ints or rationals a and b."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a:
+        return (b > 0) - (b < 0)
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs; a^2 - 2 b^2 = 0 would force sqrt(2) rational
+    m = a * a - 2 * b * b
+    if a > 0:
+        return 1 if m > 0 else -1
+    return -1 if m > 0 else 1
+
+
 @total_ordering
 class Root2Scalar:
     """Element a + b*sqrt(2) of Q(sqrt(2)).
@@ -194,18 +209,7 @@ class Root2Scalar:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs; a^2 - 2 b^2 = 0 would force sqrt(2) rational
-        m = a * a - 2 * b * b
-        if a > 0:
-            return 1 if m > 0 else -1
-        return -1 if m > 0 else 1
+        return root2_sign(self.a, self.b)
 
     def __abs__(self) -> Root2Scalar:
         return -self if self.sign() < 0 else self

@@ -24,11 +24,15 @@ from jameslab.james_core import (
     DualBallCertificate,
     DualFunctional,
     JVector,
+    NormCertificateOfExcess,
     StableIndex,
     Violation,
+    ViolationWitness,
+    WitnessUnsound,
     _coordinate_ascent,
     _longest_cycle_table,
     canonical,
+    cycle_value,
     eval_functional,
     functional_from_certificate,
     james_norm_sq,
@@ -50,7 +54,7 @@ from jameslab.metastability import (
     fluctuation_budget,
 )
 from jameslab.reporting import Report, ReportEntry
-from jameslab.scalars import Root2Scalar, ceil_sqrt_rational, fmt_rational
+from jameslab.scalars import Root2Scalar, ceil_sqrt_rational, fmt_rational, integer_rows
 
 
 def random_vector(
@@ -141,6 +145,78 @@ def reference_chain_stability_check(
             return StableIndex(i)
         gaps.append(gap)
     return Violation(tuple(gaps))
+
+
+def reference_chain_values(y: DualFunctional, chain: tuple[int, ...]) -> list[Root2Scalar]:
+    """y(d_n) for each n of the chain, as running Root2Scalar sums of the
+    coefficients (y(d_n) = y(d_K) for n > K): ``_chain_values`` before
+    its integer forms."""
+    out = []
+    acc = Root2Scalar.zero()
+    done = 0
+    for n in chain:
+        stop = min(n, y.K) + 1
+        for c in y.coeffs[done:stop]:
+            acc = acc + c
+        done = stop
+        out.append(acc)
+    return out
+
+
+def reference_eval_functional(y: DualFunctional, x: JVector) -> Root2Scalar:
+    """``eval_functional`` as one Fraction sum per part, term by term."""
+    if y.K != x.K:
+        raise DimensionMismatch((y.K, x.K))
+    a = Fraction(0)
+    b = Fraction(0)
+    for c, v in zip(y.coeffs, x.coeffs):
+        a += c.a * v
+        b += c.b * v
+    return Root2Scalar(a, b)
+
+
+def reference_violation_to_witness(
+    y: DualFunctional, eps: Fraction, chain: tuple[int, ...]
+) -> ViolationWitness:
+    """``violation_to_witness`` on Root2Scalar chain values: the majority
+    direction, xhat as a sum of d-differences, y(xhat) by
+    :func:`reference_eval_functional` and the norm by
+    :func:`every_start_cycle_table`.  The precondition checks are left
+    out."""
+    vals = reference_chain_values(y, chain)
+    k = len(chain) - 1
+    side_gt = tuple(i for i in range(k) if vals[i] > vals[i + 1])
+    side_lt = tuple(i for i in range(k) if vals[i] < vals[i + 1])
+    if len(side_gt) >= len(side_lt):
+        side, label = side_gt, "I>"
+    else:
+        side, label = side_lt, "I<"
+    coeffs = [Fraction(0)] * (y.K + 1)
+    for i in side:
+        for j in range(chain[i] + 1, min(chain[i + 1], y.K) + 1):
+            coeffs[j] += 1
+    xhat = JVector(y.K, tuple(coeffs))
+    lhs_sq = reference_eval_functional(y, xhat).square()
+    den, (nums,) = integer_rows([xhat.coeffs])
+    rhs_sq = Fraction(every_start_cycle_table([*nums, 0])[0], 2 * den * den)
+    if not lhs_sq > Root2Scalar(rhs_sq):
+        raise WitnessUnsound(f"witness inequality failed: {lhs_sq} <= {rhs_sq}")
+    return ViolationWitness(xhat, side, label, lhs_sq, rhs_sq)
+
+
+def reference_coordinate_chain_check(
+    x: JVector, eps: Fraction, chain: tuple[int, ...]
+) -> StableIndex | NormCertificateOfExcess:
+    """``coordinate_chain_check`` on Fraction gaps of every chain step."""
+    coords = [x.coord(p) for p in chain]
+    gaps = []
+    for i in range(len(chain) - 1):
+        gap = abs(coords[i] - coords[i + 1])
+        if gap < eps:
+            return StableIndex(i)
+        gaps.append(gap)
+    cyc = Cycle(tuple(chain))
+    return NormCertificateOfExcess(cyc, cycle_value(x, cyc), tuple(gaps))
 
 
 def random_chain(rng: random.Random, top: int, length: int) -> tuple[int, ...]:

@@ -829,10 +829,13 @@ def test_uc_command(capsys):
 @pytest.mark.parametrize(
     "argv, line",
     [
-        (["uc", "--canonical", "3"], "uc: searching 16 sign patterns, 3 exact replays each"),
+        (
+            ["uc", "--canonical", "3"],
+            "uc: searching up to 16 sign patterns, at most 3 exact replays each",
+        ),
         (
             ["--budget", "1", "uc", "--canonical", "6", "--strategy", "anneal"],
-            "uc: searching 128 sign patterns, 2 exact replays each",
+            "uc: searching up to 128 sign patterns, at most 2 exact replays each",
         ),
     ],
     ids=["exhaustive", "anneal"],

@@ -50,9 +50,13 @@ from helpers import (
     random_chain,
     random_vector,
     reference_chain_stability_check,
+    reference_chain_values,
+    reference_coordinate_chain_check,
     reference_cycle_sum_max,
     reference_dual_norm_lower_bound,
+    reference_eval_functional,
     reference_turning_points,
+    reference_violation_to_witness,
     rescale_into_unit_ball,
     zigzag_functional,
 )
@@ -319,12 +323,44 @@ def test_value_relaxation_is_the_index_relaxation_bit_for_bit(vals):
 @example([1, 0] * 20, 1)
 def test_certificate_cycle_is_the_same_on_the_every_start_table(coords, den):
     # the walk reads g at every index, so the certificate is the same
-    # cycle when the table comes from the index relaxation of every start
+    # cycle when the table comes from the index relaxation of every start,
+    # which ignores the known maximum and runs them all
     x = JVector(len(coords) - 1, tuple(Fraction(c).limit_denominator(10) / den for c in coords))
     result = james_norm_sq(x)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(james_core, "_longest_cycle_table", every_start_cycle_table)
+        mp.setattr(
+            james_core,
+            "_longest_cycle_table",
+            lambda vals, stop_at=None: every_start_cycle_table(vals),
+        )
         assert james_norm_sq(x) == result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _kernel_values(),
+        _repeated_values().filter(lambda vals: isinstance(vals[0], int)),
+    )
+)
+@example([5, 5, 1, 5, 5, 0])  # ties at the maximum, on plateaus and apart
+@example([3, 3, 3, 3, 0])  # all equal
+@example([0, 0, 0, 0])  # maximum 0: no start stops the scan
+@example([1, 2, 1, 2, 1, 2, 10, -10, 0])  # first optimal start comes late
+def test_early_stop_is_the_every_start_table(vals):
+    # stopping at the first start that reaches the known maximum gives the
+    # full scan's best, first best start and table
+    assert _longest_cycle_table(vals, cycle_sum_max(vals)) == every_start_cycle_table(vals)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_early_stop_finds_a_late_first_optimal_start(n):
+    # small zigzags before the pair (10, -10): every optimal cycle is that
+    # pair, worth 2 * 20^2, so the scan runs every earlier value first
+    vals = [1, 2] * n + [10, -10, 0]
+    best, start, table = _longest_cycle_table(vals, cycle_sum_max(vals))
+    assert (best, start) == (800, 2 * n)
+    assert (best, start, table) == every_start_cycle_table(vals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -566,6 +602,14 @@ def test_norm_upper_bound_is_valid():
 # functional evaluation
 # ---------------------------------------------------------------------------
 
+def _chain_scalars(y: DualFunctional, chain: tuple[int, ...]) -> list[Root2Scalar]:
+    """The integer chain walk's values as Root2Scalars."""
+    return [
+        Root2Scalar(Fraction(P, D), Fraction(Q, D))
+        for P, Q, D in james_core._chain_values(y, chain)
+    ]
+
+
 def test_e_star_on_d_prefix_rule():
     for p in range(4):
         for n in range(4):
@@ -573,7 +617,7 @@ def test_e_star_on_d_prefix_rule():
             dn = canonical("d", n, 3)
             expect = Root2Scalar(1 if p <= n else 0)
             assert eval_functional(es, dn) == expect
-            assert list(james_core._chain_values(es, (n,))) == [expect]
+            assert _chain_scalars(es, (n,)) == [expect]
 
 
 def test_zero_functional_evaluates_to_zero():
@@ -603,7 +647,8 @@ def test_prefix_values_agree_with_direct_evaluation():
         y, _ = dual_ball_sample(seed=trial, K=K, num_terms=rng.randint(0, 4))
         chain = tuple(sorted({0, 1, K, K + 3}))
         direct = [eval_functional(y, canonical("d", min(n, K), K)) for n in chain]
-        assert list(james_core._chain_values(y, chain)) == direct
+        assert _chain_scalars(y, chain) == direct
+        assert reference_chain_values(y, chain) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -808,15 +853,117 @@ def test_lazy_chain_check_is_the_prefix_check():
     assert len(outcomes) == 4  # both outcomes, with chains inside and past K
 
 
-def test_chain_check_sums_no_further_than_the_first_stable_gap(monkeypatch):
-    # e*_0 at K = 10^4: the gap between d_0 and d_3 is 0, found after one
-    # nonzero coefficient, where every prefix would take 10^4 additions
-    adds = []
-    add = Root2Scalar.__add__
-    monkeypatch.setattr(Root2Scalar, "__add__", lambda a, b: adds.append(1) or add(a, b))
+def test_chain_check_sums_no_further_than_the_first_stable_gap():
+    # e*_0 at K = 10^4: the gap between d_0 and d_3 is 0, found after
+    # reading coefficients 0..3, where every prefix would read 10^4
+    reads = []
+
+    class RecordingTuple(tuple):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
     y = canonical("e_star", 0, 10**4)
+    object.__setattr__(y, "coeffs", RecordingTuple(y.coeffs))
     assert chain_stability_check(y, Fraction(1, 2), (0, 3, 7, 9000)) == StableIndex(0)
-    assert len(adds) <= 2
+    assert reads and max(key.stop for key in reads) <= 4
+
+
+# rationals with denominators 1..12, for coordinates and for the rational
+# and sqrt(2) parts of coefficients
+_rationals = st.builds(
+    Fraction, st.integers(-30, 30), st.integers(1, 12)
+)
+
+
+@st.composite
+def _chain_cases(draw):
+    """(y, eps, chain) at K <= 30.  Half the cases plant one coefficient of
+    size at least eps at each chain step past the first, of either sign,
+    with sqrt(2) parts of the same sign, so violations are common; the
+    rest are random functionals, sparse or dense."""
+    planted = draw(st.booleans())
+    K = draw(st.integers(1 if planted else 0, 30))
+    eps = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1, 10)]))
+    top = K if planted else K + 3  # a planted chain stays inside 0..K
+    length = draw(st.integers(2, min(top + 1, 20)))
+    chain = tuple(sorted(draw(st.sets(st.integers(0, top), min_size=length, max_size=length))))
+    if planted:
+        coeffs = [Root2Scalar(0)] * (K + 1)
+        for n in chain[1:]:
+            a = eps * (1 + draw(_rationals.map(abs)))
+            b = draw(_rationals.map(abs))
+            sign = draw(st.sampled_from([-1, 1]))
+            coeffs[n] = Root2Scalar(sign * a, sign * b)
+    else:
+        part = st.one_of(st.just(Fraction(0)), _rationals)
+        coeffs = draw(st.lists(st.builds(Root2Scalar, part, part), min_size=K + 1, max_size=K + 1))
+    return DualFunctional(K, tuple(coeffs)), eps, chain
+
+
+# steps of +-(1/2 + sqrt(2)/(n+1)): every gap is at least 1/2, the
+# denominator grows along the chain, and the two sides tie at 4 steps each
+_ZIGZAG_MIXED = DualFunctional(
+    8,
+    (Root2Scalar(0),)
+    + tuple(
+        Root2Scalar((-1) ** n * Fraction(1, 2), (-1) ** n * Fraction(1, n + 1))
+        for n in range(1, 9)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_cases())
+@example((_ZIGZAG_MIXED, Fraction(1, 2), tuple(range(9))))
+@example((_ZIGZAG_MIXED, Fraction(2, 3), tuple(range(9))))
+@example((_ZIGZAG_MIXED, Fraction(2, 3), (0, 2, 3, 4, 5, 6, 7, 8, 9, 11)))
+@example((_ZIGZAG_MIXED, Fraction(1, 10), tuple(range(9))))
+def test_integer_chain_walk_matches_the_root2_reference(case):
+    y, eps, chain = case
+    assert _chain_scalars(y, chain) == reference_chain_values(y, chain)
+    result = chain_stability_check(y, eps, chain)
+    assert result == reference_chain_stability_check(y, eps, chain)
+    if isinstance(result, Violation) and len(chain) - 1 >= 2 * ceil_inverse(eps) ** 2:
+        witness = violation_to_witness(y, eps, chain, result)
+        assert witness == reference_violation_to_witness(y, eps, chain)
+        assert witness.lhs_sq == eval_functional(y, witness.xhat).square()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda K: st.tuples(
+            st.lists(st.builds(Root2Scalar, _rationals, _rationals), min_size=K + 1, max_size=K + 1),
+            st.lists(_rationals, min_size=K + 1, max_size=K + 1),
+        )
+    )
+)
+def test_eval_functional_matches_the_fraction_sum(parts):
+    ys, xs = parts
+    y = DualFunctional(len(ys) - 1, tuple(ys))
+    x = JVector(len(xs) - 1, tuple(xs))
+    assert eval_functional(y, x) == reference_eval_functional(y, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda K: st.tuples(
+            st.lists(_rationals, min_size=K + 1, max_size=K + 1),
+            st.sets(st.integers(0, K + 1), min_size=2, max_size=K + 2),
+        )
+    ),
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1, 10), Fraction(3)]),
+)
+@example(([Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)], {0, 1, 2, 3}), Fraction(1))
+@example(([Fraction(1, 2), Fraction(0), Fraction(1, 2)], {0, 1, 2, 3}), Fraction(1, 2))
+def test_coordinate_chain_check_matches_the_fraction_gaps(parts, eps):
+    # gaps exactly eps count as large, on either side of the virtual zero
+    coeffs, indices = parts
+    x = JVector(len(coeffs) - 1, tuple(coeffs))
+    chain = tuple(sorted(indices))
+    assert coordinate_chain_check(x, eps, chain) == reference_coordinate_chain_check(x, eps, chain)
 
 
 def test_lemma_property_sampled_dual_ball():
@@ -897,8 +1044,9 @@ def test_witness_from_scaled_dual_ball_sample():
 
 
 def test_witness_norm_is_the_certificate_dp_value():
-    # rhs_sq comes from the value-only DP; it equals the certificate DP's
-    # value and the brute-force norm on planted and random witnesses
+    # rhs_sq is the number of blocks of ones of the 0/1 witness; it equals
+    # the certificate DP's value and the brute-force norm on planted and
+    # random witnesses
     rng = random.Random(8010)
     eps = Fraction(1, 2)
     k = 2 * ceil_inverse(eps) ** 2
@@ -924,6 +1072,14 @@ def test_witness_norm_is_the_certificate_dp_value():
     for _ in range(20):
         x = random_vector(rng, rng.randint(0, 8))
         assert _norm_sq_value(x) == james_norm_sq(x)[0] == james_norm_sq_oracle(x)
+
+
+def test_a_zero_one_vector_has_its_block_count_as_squared_norm():
+    # the closed form behind the witness's rhs_sq, exhaustively at K <= 7
+    for K in range(8):
+        for bits in product((0, 1), repeat=K + 1):
+            blocks = sum(b > a for a, b in zip((0, *bits), bits))
+            assert james_norm_sq_oracle(JVector(K, bits)) == blocks
 
 
 def test_witness_precondition_k():
