@@ -11,11 +11,12 @@ one exact consequence the product matrix rules out.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, sub
 
 from .measure_space import (
@@ -128,9 +129,13 @@ def find_stable_interval(
     The sequence is ``values``, held at its last value past the tuple.
     Starting from m_0 = n, each step either finds the least index in
     [m_i, F.reach[m_i]] deviating from the anchor by at least eps/2 (and
-    re-anchors there) or declares the window stable.  A returned interval
-    is re-verified by direct scan: any two values in it differ by less
-    than eps.  Raises :class:`BudgetExceeded` after `budget` re-anchorings.
+    re-anchors there) or declares the window stable.  Each window takes
+    one pass, from m_i + 1 on (the anchor cannot deviate from itself),
+    that keeps the least and greatest value seen; a stable window is
+    verified by hi - lo < eps, so any two values in it differ by less
+    than eps.  An anchor at or past the last value starts a window on
+    which the sequence is constant.  Raises :class:`BudgetExceeded` after
+    `budget` re-anchorings.
 
     The deviation test is written 2*|s(j) - anchor| >= eps, which for
     rationals is the same statement as |s(j) - anchor| >= eps/2, so no
@@ -150,26 +155,35 @@ def find_stable_interval(
     if n < 0:
         raise IndexError(n)
     reach = F.reach
+    horizon = len(reach)
     tail = reach[-1] if reach else 0
     last = len(values) - 1
     m = n
     for used in range(budget + 1):
-        top = reach[m] if m < len(reach) else max(tail, m)
-        # s(j) for j in [m, top]; past the horizon s repeats s(last), which
-        # the window already holds whenever it reaches that far
-        window = values[min(m, last) : min(top, last) + 1]
-        anchor = window[0]
-        deviation = None
-        for k, v in enumerate(window):
-            if 2 * abs(v - anchor) >= eps:
-                deviation = m + k
-                break
-        if deviation is None:
-            lo, hi = min(window), max(window)
+        top = reach[m] if m < horizon else max(tail, m)
+        if m >= last:
+            # s is constant from the anchor on
+            return StableInterval(m, top, used)
+        anchor = lo = hi = values[m]
+        # s(j) for j in (m, top]; past the tuple s repeats s(last), which
+        # the scan has already met.  Every value so far, lo and hi among
+        # them, lies within eps/2 of the anchor, so only a new least or
+        # greatest value can deviate.
+        for j, v in enumerate(islice(values, m + 1, top + 1), m + 1):
+            if v < lo:
+                lo = v
+                if 2 * (anchor - v) >= eps:
+                    m = j
+                    break
+            elif v > hi:
+                hi = v
+                if 2 * (v - anchor) >= eps:
+                    m = j
+                    break
+        else:
             if not hi - lo < eps:  # pragma: no cover - implied by the chase
                 raise AssertionError("stable interval failed direct verification")
-            return StableInterval(m=m, end=top, fluctuations_used=used)
-        m = deviation
+            return StableInterval(m, top, used)
     raise BudgetExceeded(budget, m)
 
 
@@ -295,6 +309,27 @@ def fluctuation_harness(
     return Report((entry,))
 
 
+def _uncovered_supports(
+    lines: list[list[tuple[int, ...]]],
+) -> list[list[tuple[int, ...]]]:
+    """The nonzero atom lines of each fixed index, in atom order, for the
+    fixed indices whose multiset of nonzero lines is contained in no other
+    index's: when two multisets are equal, the first index is kept.
+
+    The indices are taken by decreasing number of nonzero lines, ties in
+    index order, so each index comes after every index that covers it,
+    among them an uncovered one, which is kept: comparing each index with
+    the kept ones alone finds whether it is covered.
+    """
+    supports = [[line for line in atom_lines if any(line)] for atom_lines in lines]
+    counts = [Counter(support) for support in supports]
+    kept: list[int] = []
+    for k in sorted(range(len(supports)), key=lambda i: -len(supports[i])):
+        if not any(counts[k] <= counts[j] for j in kept):
+            kept.append(k)
+    return [supports[k] for k in sorted(kept)]
+
+
 def _chase_fails(
     values: tuple[int, ...], accuracy: int, F: IndexFunction, budget: int
 ) -> bool:
@@ -333,9 +368,27 @@ def hypothesis_report(
     A clause's verdict, per index function, is whether any sequence fails.
     Atoms whose line is all zero add nothing, so, with supp the atoms whose
     line is not, the sums over every atom subset and the sums over every
-    subset of supp are the same set of sequences: the sum over (mode,
-    fixed) of 2^|supp|, at most 2(K+1) * 2^(K+1).  Only one mode's lines
+    subset of supp are the same set of sequences.  Only one mode's lines
     are held at a time.
+
+    Covering lemma: the walk may skip every fixed index whose multiset of
+    nonzero lines is contained in another index's, keeping the first of
+    equal multisets, and no verdict changes.  Proof: write S_k for the
+    multiset of index k's nonzero lines.  The sequences of k are the sums
+    of the sub-multisets of S_k, since each subset of supp picks one and
+    each is picked.  If S_k is contained in S_j, every sub-multiset of S_k
+    is one of S_j, so every sequence of k is a sequence of j.  "S_k is
+    contained in S_j, and is not equal to it or j < k" is transitive and
+    irreflexive, a strict order on the finite set of fixed indices, so
+    every index lies below one that nothing lies above: a kept index.  The
+    kept indices therefore give every sequence of the mode, and a verdict
+    that asks whether some sequence fails is the same over them.  The
+    containment is of multisets: two equal lines give the sum 2 * line,
+    which containment of the sets of lines would not see.  The test costs
+    O(K^2) multiset comparisons per mode and stores no sequence.  On
+    canonical bases the fix_n lines at n are the lines at K of the atoms
+    up to n, so only n = K is walked: 2^(K+1) sequences in place of
+    2^(K+2) - 2.
 
     F0's reach is nowhere wider than F1's, and a chase under a narrower
     reach fails only where the chase under the wider one fails.  So each
@@ -372,12 +425,11 @@ def hypothesis_report(
     budget = fluctuation_budget(B_hat, eps)
     for mode in FLUCTUATION_MODES:
         accuracy, lines = _product_lines(model, eps, mode)
+        width = len(lines[0][0])
         sequences = (
             values
-            for atom_lines in lines
-            for values in _subset_sums(
-                [line for line in atom_lines if any(line)], len(atom_lines[0])
-            )
+            for support in _uncovered_supports(lines)
+            for values in _subset_sums(support, width)
         )
         passed = [True, True]  # F0, F1
         for values in sequences:

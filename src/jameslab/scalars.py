@@ -65,11 +65,14 @@ def rational_dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(map(mul, u, v)), S * T)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def check_exact_values(values: tuple[int | Fraction, ...]) -> None:
     """Refuse values that are not ints or Fractions (bool and Fraction
     subclasses included): the exact values of a chased sequence or of a
     function on atoms."""
-    if not set(map(type, values)) <= {int, Fraction} and not all(
+    if not _EXACT_TYPES.issuperset(map(type, values)) and not all(
         isinstance(v, (int, Fraction)) for v in values
     ):
         raise TypeError("sequence values must be ints or Fractions")

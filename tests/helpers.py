@@ -66,6 +66,22 @@ def random_vector(
     )
 
 
+_MONOMIAL_SCALES = tuple(map(Fraction, ("1", "-1", "2", "-3", "1/2", "-2/3", "5/7")))
+
+
+def monomial_basis(rng: random.Random, K: int, permuted: bool) -> tuple[list[int], Basis]:
+    """(rows, basis): column i of the basis is a nonzero scale, negative or
+    fractional too, in row rows[i], the identity unless permuted."""
+    rows = list(range(K + 1))
+    if permuted:
+        rng.shuffle(rows)
+    columns = tuple(
+        tuple(rng.choice(_MONOMIAL_SCALES) if j == rows[i] else Fraction(0) for j in range(K + 1))
+        for i in range(K + 1)
+    )
+    return rows, Basis(K, columns)
+
+
 def every_start_cycle_table(vals: list) -> tuple:
     """The norm DP's (best, first best start, table), running every start
     and relaxing over every later index: the reference for the start

@@ -39,6 +39,7 @@ from jameslab.scalars import Root2Scalar
 
 from helpers import (
     gauss_jordan_inverse,
+    monomial_basis,
     random_vector,
     reference_ascend_alpha,
     reference_combine,
@@ -610,22 +611,6 @@ def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
     assert all(len(set(points)) == len(points) for points in ascents)
 
 
-_MONOMIAL_SCALES = tuple(map(Fraction, ("1", "-1", "2", "-3", "1/2", "-2/3", "5/7")))
-
-
-def _monomial_basis(rng: random.Random, K: int, permuted: bool) -> tuple[list[int], Basis]:
-    """(rows, basis): column i of the basis is a nonzero scale, negative or
-    fractional too, in row rows[i], the identity unless permuted."""
-    rows = list(range(K + 1))
-    if permuted:
-        rng.shuffle(rows)
-    columns = tuple(
-        tuple(rng.choice(_MONOMIAL_SCALES) if j == rows[i] else Fraction(0) for j in range(K + 1))
-        for i in range(K + 1)
-    )
-    return rows, Basis(K, columns)
-
-
 def _changing_edges_bound(sigma) -> int:
     """e(sigma) = s + (s mod 2), s the number of sign changes of sigma."""
     s = sum(a != b for a, b in zip(sigma, sigma[1:]))
@@ -669,7 +654,7 @@ def test_monomial_ratio_is_at_most_the_sign_change_bound(permuted):
     rng = random.Random(f"monomial-bound:{permuted}")
     for _ in range(600):
         K = rng.randint(0, 8)
-        rows, basis = _monomial_basis(rng, K, permuted)
+        rows, basis = monomial_basis(rng, K, permuted)
         entries = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
         if rng.random() < 0.3:
             alpha = (Fraction(1),) * (K + 1)
@@ -723,7 +708,7 @@ def _uc_cases():
     rng = random.Random(9191)
     for K in range(1, 6):
         for kind in ("scaled", "permuted"):
-            _, basis = _monomial_basis(rng, K, kind == "permuted")
+            _, basis = monomial_basis(rng, K, kind == "permuted")
             for strategy in ("exhaustive", "anneal"):
                 for budget in (1, 2):
                     yield pytest.param(

@@ -1,5 +1,6 @@
 """Stable-interval finding, fluctuation budgets, and the conclusion search."""
 
+import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jameslab.basis_tools import Basis, DualBasis, random_invertible_basis
 from jameslab import metastability
@@ -34,9 +35,11 @@ from jameslab.metastability import (
     fluctuation_harness,
     hypothesis_report,
 )
+from jameslab.scalars import integer_rows
 
 from helpers import (
     count_atom_factor_builds,
+    monomial_basis,
     reference_atom_products,
     reference_conclusion_search,
     reference_fluctuation_details,
@@ -307,6 +310,24 @@ def _chase_inputs(draw):
     budget=st.integers(min_value=0, max_value=3),
     extra=st.integers(min_value=1, max_value=5),
 )
+# a start past the tuple: the window's sequence is constant from its anchor
+@example(
+    chase=([Fraction(0), Fraction(3), Fraction(-3)], Fraction(1)),
+    table=[4, 1, 9],
+    monotone=False,
+    n=5,
+    budget=0,
+    extra=1,
+)
+# an empty table: F is the identity, so every window is its anchor alone
+@example(
+    chase=([Fraction(0), Fraction(5), Fraction(-5)], Fraction(1, 2)),
+    table=[],
+    monotone=False,
+    n=0,
+    budget=0,
+    extra=2,
+)
 def test_integer_chase_matches_the_fraction_oracle(
     chase, table, monotone, n, budget, extra
 ):
@@ -561,6 +582,73 @@ def _report_index_functions(K):
     )
 
 
+def _reference_lines(model, eps):
+    """(accuracy, {mode: lines}) from the per-atom Fraction products, scaled
+    as ``_product_lines`` scales them: lines[k][i] is atom i's line at
+    fixed index k, column p (fix_p) or row n followed by 0 (fix_n) of its
+    product table, times b * D where D = D_u * D_v and eps * D = a/b."""
+    K = model.K
+    (D_u, _), (D_v, _) = model.atom_factors
+    D = D_u * D_v
+    scale = (eps * D).denominator * D
+    A = [
+        [[scale * v for v in row] for row in atom]
+        for atom in reference_atom_products(model)
+    ]
+    assert all(v.denominator == 1 for atom in A for row in atom for v in row)
+    A = [[[int(v) for v in row] for row in atom] for atom in A]
+    return (eps * D).numerator, {
+        "fix_p": [[tuple(row[p] for row in atom) for atom in A] for p in range(K + 1)],
+        "fix_n": [[(*atom[n], 0) for atom in A] for n in range(K + 1)],
+    }
+
+
+def _contains(bigger, smaller):
+    """Whether the multiset ``smaller`` is contained in ``bigger``."""
+    return all(smaller.count(line) <= bigger.count(line) for line in smaller)
+
+
+def _expected_walk(lines):
+    """(kept indices, sequences) of one mode: every fixed index whose
+    nonzero lines no other index's contain as a multiset, the first of
+    equal ones kept, and the subset sums of their nonzero lines in atom
+    order, each index's in reflected Gray-code order."""
+    supports = [[line for line in atom_lines if any(line)] for atom_lines in lines]
+    kept = [
+        k
+        for k, support in enumerate(supports)
+        if not any(
+            _contains(other, support) and (j < k or not _contains(support, other))
+            for j, other in enumerate(supports)
+            if j != k
+        )
+    ]
+    zero = (0,) * len(lines[0][0])
+    walk = []
+    for k in kept:
+        support = supports[k]
+        for g in (i ^ (i >> 1) for i in range(2 ** len(support))):
+            members = [line for b, line in enumerate(support) if g >> b & 1]
+            walk.append(tuple(map(sum, zip(zero, *members))))
+    return kept, walk
+
+
+def _expected_chases(walk, accuracy, budget, F0, F1):
+    """The calls of the walk: F1 on each sequence until it fails on one,
+    then F0 from that sequence on until F0 fails too."""
+    calls = []
+    F1_failed = False
+    for values in walk:
+        if not F1_failed:
+            calls.append((values, accuracy, F1, 0, budget))
+            F1_failed = _fails(values, accuracy, F1, budget)
+        if F1_failed:
+            calls.append((values, accuracy, F0, 0, budget))
+            if _fails(values, accuracy, F0, budget):
+                break
+    return calls
+
+
 @pytest.mark.parametrize("model", _support_models())
 @pytest.mark.parametrize(
     "B_hat, eps",
@@ -574,19 +662,16 @@ def _report_index_functions(K):
 def test_hypothesis_report_chases_each_support_subset_once(
     monkeypatch, model, B_hat, eps
 ):
-    # the sequences are those of every (mode, fixed index, subset of that
-    # line's support), at the accuracy and budget of the integrals over
-    # every atom subset scaled by b * D, where D = D_u * D_v and
-    # eps * D = a/b; each sequence walked is chased once, under F1 until
-    # F1 fails, then under F0 (the sequence F1 failed on included) until
-    # F0 fails too; the verdicts are those of both index functions on
-    # every sequence
+    # the calls are exactly those of the walk over the subset sums of each
+    # fixed index that no other index covers, in Gray-code order, under F1
+    # until F1 fails, then under F0 until F0 fails too; the walked
+    # sequences are the sequences of every atom subset at every fixed
+    # index, and the verdicts are those of both index functions on each
     K = model.K
-    (D_u, _), (D_v, _) = model.atom_factors
-    D = D_u * D_v
-    scale = (eps * D).denominator * D
-    accuracy = (eps * D).numerator
+    accuracy, mode_lines = _reference_lines(model, eps)
     A = reference_atom_products(model)
+    (D_u, _), (D_v, _) = model.atom_factors
+    scale = (eps * D_u * D_v).denominator * D_u * D_v
     tables = [
         [
             [scale * sum(A[i][n][p] for i in sigma) for p in range(K + 1)]
@@ -598,59 +683,45 @@ def test_hypothesis_report_chases_each_support_subset_once(
     entries = {e.name: e for e in hypothesis_report(model, B_hat, eps).entries}
     budget = fluctuation_budget(B_hat, eps)
     F0, F1 = index_functions = _report_index_functions(K)
-    sizes = _support_sizes(model)
-    # a fix_n sequence carries the trailing 0, so it is one value longer
-    for mode, length, mode_sizes in (
-        ("fix_p", K + 1, sizes[: K + 1]),
-        ("fix_n", K + 2, sizes[K + 1 :]),
-    ):
+    expected_calls = []
+    for mode in ("fix_p", "fix_n"):
         if mode == "fix_p":
-            expected = {tuple(col) for table in tables for col in zip(*table)}
+            every = {tuple(col) for table in tables for col in zip(*table)}
         else:
-            expected = {(*row, 0) for table in tables for row in table}
-        chased = [args for args in calls if len(args[0]) == length]
-        under_F1 = [values for values, _, F, *_ in chased if F == F1]
-        under_F0 = [values for values, _, F, *_ in chased if F == F0]
-        assert chased == [(v, accuracy, F1, 0, budget) for v in under_F1] + [
-            (v, accuracy, F0, 0, budget) for v in under_F0
-        ]
-        F1_fails = [_fails(v, accuracy, F1, budget) for v in under_F1]
-        F0_fails = [_fails(v, accuracy, F0, budget) for v in under_F0]
-        assert not any(F1_fails[:-1]) and not any(F0_fails[:-1])
-        if F1_fails[-1]:
-            assert under_F0[0] == under_F1[-1]
-        else:
-            assert under_F0 == []
-        walked = under_F1 + under_F0[1:]
-        assert len(chased) == len(walked) + F1_fails[-1]
-        if under_F0 and F0_fails[-1]:
-            assert set(walked) <= expected
-        else:
-            assert len(walked) == sum(2**size for size in mode_sizes)
-            assert set(walked) == expected
+            every = {(*row, 0) for table in tables for row in table}
+        _, walk = _expected_walk(mode_lines[mode])
+        assert set(walk) == every
+        expected_calls += _expected_chases(walk, accuracy, budget, F0, F1)
         assert entries[f"bounded_fluctuations_{mode}"].details == {
             f"index_function_{fi}": (
                 "fail"
-                if any(_fails(values, accuracy, F, budget) for values in expected)
+                if any(_fails(values, accuracy, F, budget) for values in every)
                 else "pass"
             )
             for fi, F in enumerate(index_functions)
         }
+    assert calls == expected_calls
 
 
 def test_canonical_line_supports_are_the_fixed_atom_and_the_atoms_up_to_n(
     monkeypatch,
 ):
+    # fix_p: atom p alone, at every p, each line distinct; fix_n: the atoms
+    # up to n, whose lines at n are their lines at K, so only n = K is
+    # walked and the covered n < K are skipped
     for K in range(6):
-        assert _support_sizes(build(Basis.canonical(K))) == [1] * (K + 1) + list(
-            range(1, K + 2)
-        )
+        model = build(Basis.canonical(K))
+        assert _support_sizes(model) == [1] * (K + 1) + list(range(1, K + 2))
+        _, mode_lines = _reference_lines(model, Fraction(1, 80))
+        assert _expected_walk(mode_lines["fix_p"])[0] == list(range(K + 1))
+        assert _expected_walk(mode_lines["fix_n"])[0] == [K]
     calls = _counting(monkeypatch, metastability, "find_stable_interval")
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     # a chase of every sequence of every atom subset under both index
-    # functions would be 2 * 8 * 16 = 256; F1 passes on all, so F0 is not
-    # chased
-    assert len(calls) == 4 * 2 + 2 + 4 + 8 + 16 == 38
+    # functions would be 2 * 8 * 16 = 256, and a walk of every fixed
+    # index's support subsets 4 * 2 + 2 + 4 + 8 + 16 = 38; F1 passes on
+    # all, so F0 is not chased
+    assert len(calls) == 4 * 2 + 16 == 24
 
 
 _F1_ONLY_FAILS = build(random_invertible_basis(3, random.Random(22)))
@@ -705,6 +776,93 @@ def test_hypothesis_report_matches_both_chases_on_every_sequence(
     with mock.patch.object(metastability, "fluctuation_budget", lambda *_: budget):
         report = hypothesis_report(model, B_hat, eps)
     assert report == reference_hypothesis_report(model, B_hat, eps, budget)
+
+
+def _basis(kind, K, seed):
+    rng = random.Random(seed)
+    if kind == "canonical":
+        return Basis.canonical(K)
+    if kind == "random":
+        return random_invertible_basis(K, rng)
+    return monomial_basis(rng, K, kind == "permuted")[1]
+
+
+def _with_copies(model, atom, twin, ns, ps, zeros):
+    """``model`` with atom ``twin`` a copy of atom ``atom`` (its weight and
+    its value under every f_n and g_p), f at ns[1] a copy of f at ns[0], g
+    at ps[1] a copy of g at ps[0], then f_n at atom i set to 0 for each
+    (n, i) in ``zeros``, and atom factors read off those values.
+
+    At every fixed index where atom's line L is not zero, twin's line is L
+    too, and the fix_n lines at the two n, and the fix_p lines at the two
+    p, are equal multisets.  The zeros take lines out of fix_n multisets,
+    so that one index can hold L twice and another L once with other
+    lines: the same set of lines, but only the first gives 2 * L.  No
+    invertible basis gives any of these: its atom lines at one fixed index
+    are pairwise independent, and no two of its fixed indices have the
+    same lines."""
+    K = model.K
+
+    def copied(rows, pair):
+        rows = [list(row) for row in rows]
+        rows[pair[1]] = list(rows[pair[0]])
+        for row in rows:
+            row[twin] = row[atom]
+        return rows
+
+    fs, gs = copied(model.fs, ns), copied(model.gs, ps)
+    for n, i in zeros:
+        fs[n][i] = Fraction(0)
+    mu = list(model.mu)
+    mu[twin] = mu[atom]
+    copy = dataclasses.replace(model, mu=tuple(mu))
+    D_u, U = integer_rows([[f[i] * mu[i] for f in fs] for i in range(K + 1)])
+    D_v, V = integer_rows([[g[i] for g in gs] for i in range(K + 1)])
+    copy.__dict__.update(
+        fs=tuple(map(tuple, fs)),
+        gs=tuple(map(tuple, gs)),
+        atom_factors=((D_u, U), (D_v, V)),
+    )
+    return copy
+
+
+_INDEX = st.integers(min_value=0, max_value=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "scaled", "permuted", "canonical"]),
+    K=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=40),
+    eps=st.sampled_from(
+        [Fraction(1, 80), Fraction(1, 4), Fraction(2, 7), Fraction(1), Fraction(3)]
+    ),
+    indices=st.tuples(*[_INDEX] * 6),
+    zeros=st.lists(st.tuples(_INDEX, _INDEX), max_size=3),
+    budget=st.integers(min_value=0, max_value=8),
+)
+# fix_p at p = 0 and 1 are equal multisets: one of them must be walked
+@example("random", 1, 0, Fraction(1, 80), (0, 0, 0, 0, 0, 1), [], 0)
+# fix_n at n = 2 is {L, L} and at n = 0 {L, M}: the same set, and only
+# n = 2 gives 2 * L, on which F0 and F1 fail
+@example("random", 2, 1, Fraction(3), (0, 1, 2, 0, 0, 0), [(0, 1), (2, 2)], 0)
+def test_skipping_covered_fixed_indices_keeps_the_verdicts(
+    kind, K, seed, eps, indices, zeros, budget
+):
+    # a fixed index with two equal lines, whose sums hold 2 * line, two
+    # fixed indices with equal multisets, one of which must be walked, or
+    # two with equal sets but not equal multisets; the indices are read
+    # mod K + 1, and the budget, read mod K + 3, is set in place of the one
+    # of (B_hat, eps), so that F1 fails and the walk goes on under F0
+    atom, twin, n0, n1, p0, p1 = (i % (K + 1) for i in indices)
+    zeros = [(n % (K + 1), i % (K + 1)) for n, i in zeros]
+    budget %= K + 3
+    model = _with_copies(
+        build(_basis(kind, K, seed)), atom, twin, (n0, n1), (p0, p1), zeros
+    )
+    with mock.patch.object(metastability, "fluctuation_budget", lambda *_: budget):
+        report = hypothesis_report(model, Fraction(1, 2), eps)
+    assert report == reference_hypothesis_report(model, Fraction(1, 2), eps, budget)
 
 
 def test_scaled_accuracy_scales_the_chased_tables():
