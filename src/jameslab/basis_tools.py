@@ -349,75 +349,30 @@ def _ascend_alpha(
 ) -> list[float]:
     """Coordinate ascent on the float norm ratio; heuristic only.
 
-    On the canonical basis a combination is its scales: the sum
-    0.0 + s * 1.0 is s up to the sign of an exact zero, which the float
-    norm ignores, so the scales stand for the combination.  On any other
-    basis both combinations come from :func:`_column_sums`.
+    Each call of the objective sums s_i * c and (eps_i * s_i) * c, for its
+    scales s, over the nonzero entries c of each column in ascending i,
+    into lists that start at 0.0.  A partial sum starts at +0.0 and so is
+    never -0.0 (a float sum is -0.0 only when both terms are), which makes
+    skipping a +-0.0 product a no-op: the floats are those of the dense
+    sums, on every basis.  (``sum``, ``math.fsum`` and ``math.sumprod``
+    would round differently.)
     """
     nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
-    if all(entries == [(i, 1.0)] for i, entries in enumerate(nonzero)):
-
-        def combine(a: list[float]) -> tuple[list[float], list[float]]:
-            return a, [e * v for e, v in zip(eps, a)]
-
-    else:
-        combine = _column_sums(nonzero, eps)
 
     def objective(a: list[float]) -> float:
-        base, flipped = combine(a)
+        base = [0.0] * len(a)
+        flipped = [0.0] * len(a)
+        for s, e, entries in zip(a, eps, nonzero):
+            es = e * s
+            for j, c in entries:
+                base[j] += s * c
+                flipped[j] += es * c
         den = james_norm_sq_float(base)
         if den <= 1e-12:
             return 0.0
         return james_norm_sq_float(flipped) / den
 
     return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))
-
-
-def _column_sums(
-    nonzero: list[list[tuple[int, float]]], eps: tuple[int, ...]
-) -> Callable[[list[float]], tuple[list[float], list[float]]]:
-    """A function from finite scales s to the two float combinations
-    sum_i s_i * col_i and sum_i (eps_i * s_i) * col_i, given the nonzero
-    entries (j, c) of each column.
-
-    Each sum runs over ascending i and skips the zero entries.  A partial
-    sum starts at +0.0 and so is never -0.0 (a float sum is -0.0 only when
-    both terms are), which makes adding a skipped +-0.0 product a no-op:
-    the floats are those of the dense sums.  (``sum``, ``math.fsum`` and
-    ``math.sumprod`` would round differently.)
-
-    The function keeps the partial sums after each column for the last
-    scales it was given, and a call whose scales agree with those on a
-    prefix starts from that prefix's partial sums, which hold the same
-    floats it would compute.  A move of the ascent changes one scale, so
-    on average half the columns are summed again.  Scales compare with
-    ==, so +0.0 and -0.0 agree, by the same no-op.  The returned lists
-    must not be changed.
-    """
-    K = len(nonzero) - 1
-    last: list[float] = []
-    # partial[i]: both sums over the columns before i
-    partial = [([0.0] * (K + 1), [0.0] * (K + 1))]
-
-    def combine(scales: list[float]) -> tuple[list[float], list[float]]:
-        i = 0
-        for s, t in zip(scales, last):
-            if s != t:
-                break
-            i += 1
-        del partial[i + 1 :]
-        out, flipped = partial[i]
-        for s, e, entries in zip(scales[i:], eps[i:], nonzero[i:]):
-            out, flipped = out.copy(), flipped.copy()
-            es = e * s
-            for j, c in entries:
-                out[j] += s * c
-                flipped[j] += es * c
-            partial.append((out, flipped))
-        last[:] = scales
-        return out, flipped
-
-    return combine
 
 
 def uc_lower_bound(

@@ -29,7 +29,6 @@ from jameslab.james_core import (
     Violation,
     ViolationWitness,
     WitnessUnsound,
-    _coordinate_ascent,
     _longest_cycle_table,
     canonical,
     cycle_value,
@@ -777,25 +776,29 @@ def reference_ratio_sq(
     return num / den
 
 
+def dense_combine(cols_float: list[list[float]], scales: list[float]) -> list[float]:
+    """sum_i scales_i * col_i in floats, over ascending i, every column
+    entry added, zeros included."""
+    out = [0.0] * len(cols_float)
+    for s, col in zip(scales, cols_float):
+        for j, c in enumerate(col):
+            out[j] += s * c
+    return out
+
+
 def reference_ascend_alpha(
     cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
 ) -> list[float]:
-    """``_ascend_alpha`` with dense combinations (every column entry added,
-    zeros included) and the float norm on every coordinate."""
+    """``_ascend_alpha`` with dense combinations (:func:`dense_combine`)
+    and the float norm on every coordinate."""
     K = len(alpha) - 1
 
-    def combine(scales: list[float]) -> list[float]:
-        out = [0.0] * (K + 1)
-        for i, s in enumerate(scales):
-            for j in range(K + 1):
-                out[j] += s * cols_float[i][j]
-        return out
-
     def objective(a: list[float]) -> float:
-        den = full_float_norm_sq(combine(a))
+        den = full_float_norm_sq(dense_combine(cols_float, a))
         if den <= 1e-12:
             return 0.0
-        return full_float_norm_sq(combine([e * v for e, v in zip(eps, a)])) / den
+        flipped = dense_combine(cols_float, [e * v for e, v in zip(eps, a)])
+        return full_float_norm_sq(flipped) / den
 
     best = objective(alpha)
     for _sweep in range(4):
@@ -813,31 +816,6 @@ def reference_ascend_alpha(
         if not improved:
             break
     return alpha
-
-
-def sparse_ascend_alpha(
-    cols_float: list[list[float]], eps: tuple[int, ...], alpha: list[float]
-) -> list[float]:
-    """``_ascend_alpha`` with sparse combinations on every basis, the
-    canonical one included, summed afresh for each objective."""
-    K = len(alpha) - 1
-    nonzero = [[(j, c) for j, c in enumerate(col) if c] for col in cols_float]
-
-    def combine(scales: list[float]) -> list[float]:
-        out = [0.0] * (K + 1)
-        for s, entries in zip(scales, nonzero):
-            for j, c in entries:
-                out[j] += s * c
-        return out
-
-    def objective(a: list[float]) -> float:
-        den = james_norm_sq_float(combine(a))
-        if den <= 1e-12:
-            return 0.0
-        num = james_norm_sq_float(combine([e * v for e, v in zip(eps, a)]))
-        return num / den
-
-    return _coordinate_ascent(objective, alpha, (-0.6, -0.15, 0.15, 0.6))
 
 
 def reference_uc_lower_bound(

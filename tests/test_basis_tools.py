@@ -38,6 +38,7 @@ from jameslab.measure_space import IrrationalAtomValue, build, pi_star
 from jameslab.scalars import Root2Scalar
 
 from helpers import (
+    dense_combine,
     gauss_jordan_inverse,
     monomial_basis,
     random_vector,
@@ -48,7 +49,6 @@ from helpers import (
     reference_modulus_functional,
     reference_ratio_sq,
     reference_uc_lower_bound,
-    sparse_ascend_alpha,
 )
 
 
@@ -499,18 +499,6 @@ def test_ratio_rejects_mismatched_lengths():
         ratio_sq(Basis.canonical(2), SignPattern((1, 1, 1)), (Fraction(1),) * 2)
 
 
-def test_sparse_ascent_matches_the_dense_reference():
-    rng = random.Random(8080)
-    for _ in range(30):
-        K = rng.randint(0, 6)
-        basis = random_invertible_basis(K, rng) if rng.random() < 0.7 else Basis.canonical(K)
-        cols_float = [[float(v) for v in col] for col in basis.columns]
-        eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
-        start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-        expected = reference_ascend_alpha(cols_float, eps, list(start))
-        assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
-
-
 def _ascent_start(rng: random.Random, K: int) -> list[float]:
     # steps of the ascent's deltas from these starts reach exact zeros,
     # which a -1 sign turns into -0.0
@@ -519,12 +507,34 @@ def _ascent_start(rng: random.Random, K: int) -> list[float]:
     ]
 
 
-@pytest.mark.parametrize("kind", ["canonical", "diagonal", "random"])
-def test_ascent_matches_the_sparse_ascent(kind):
-    # canonical bases take the identity path, which returns the scales
-    # themselves; the others combine sparse columns
+@pytest.mark.parametrize("kind", ["canonical", "diagonal", "random", "uniform"])
+def test_ascent_matches_the_sparse_ascent(kind, monkeypatch):
+    # _ascend_alpha, which sums only the nonzero column entries, against
+    # the dense oracle, which adds every entry and uses the full float
+    # norm; the first three kinds start from _ascent_start, the last from
+    # uniform draws on random and canonical bases.  At each point it
+    # evaluates, the lists it takes the norm of are the dense sums of the
+    # point and of the flipped point (the latter only when the first norm
+    # is above 1e-12), bit for bit
+    normed, calls = [], []
+
+    def norm(coords: list[float]) -> float:
+        normed.append(list(coords))
+        return james_core.james_norm_sq_float(coords)
+
+    def ascent(objective, x, deltas):
+        def wrapped(p: list[float]) -> float:
+            normed.clear()
+            value = objective(p)
+            calls.append((list(p), list(normed)))
+            return value
+
+        return james_core._coordinate_ascent(wrapped, x, deltas)
+
+    monkeypatch.setattr(basis_tools, "james_norm_sq_float", norm)
+    monkeypatch.setattr(basis_tools, "_coordinate_ascent", ascent)
     rng = random.Random(f"ascent:{kind}")
-    for _ in range(25):
+    for _ in range(30):
         K = rng.randint(0, 6)
         if kind == "canonical":
             basis = Basis.canonical(K)
@@ -536,55 +546,31 @@ def test_ascent_matches_the_sparse_ascent(kind):
                     for i in range(K + 1)
                 ),
             )
-        else:
+        elif kind == "random" or rng.random() < 0.7:
             basis = random_invertible_basis(K, rng)
+        else:
+            basis = Basis.canonical(K)
         cols_float = [[float(v) for v in col] for col in basis.columns]
         eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
-        start = _ascent_start(rng, K)
-        expected = sparse_ascend_alpha(cols_float, eps, list(start))
+        if kind == "uniform":
+            start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+        else:
+            start = _ascent_start(rng, K)
+        expected = reference_ascend_alpha(cols_float, eps, list(start))
+        calls.clear()
         assert basis_tools._ascend_alpha(cols_float, eps, list(start)) == expected
-        assert reference_ascend_alpha(cols_float, eps, list(start)) == expected
-
-
-def _dense_sum(scales: list[float], cols: list[list[float]]) -> list[float]:
-    out = [0.0] * len(cols)
-    for s, col in zip(scales, cols):
-        for j, c in enumerate(col):
-            out[j] += s * c
-    return out
-
-
-def test_column_sums_are_the_dense_sums_of_each_call():
-    # runs of calls that move one scale, to zeros of either sign too, or
-    # draw all of them again: each result is the pair of dense
-    # ascending-i sums of the call's own scales and of the flipped ones,
-    # whatever prefix the last call left
-    rng = random.Random(31)
-    for _ in range(60):
-        K = rng.randint(0, 6)
-        cols = [
-            [rng.choice((0.0, 0.0, 0.5, -1.5, 1 / 3, 2.0)) for _ in range(K + 1)]
-            for _ in range(K + 1)
-        ]
-        eps = tuple(rng.choice((-1, 1)) for _ in range(K + 1))
-        combine = basis_tools._column_sums(
-            [[(j, c) for j, c in enumerate(col) if c] for col in cols], eps
-        )
-        scales = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-        for _ in range(40):
-            if rng.random() < 0.1:
-                scales = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-            i = rng.randrange(K + 1)
-            scales[i] = rng.choice((0.0, -0.0, scales[i], rng.uniform(-1.0, 1.0)))
-            flipped = [e * s for e, s in zip(eps, scales)]
-            expected = (_dense_sum(scales, cols), _dense_sum(flipped, cols))
-            assert repr(combine(list(scales))) == repr(expected)
+        for point, lists in calls:
+            sums = [dense_combine(cols_float, point)]
+            if james_core.james_norm_sq_float(sums[0]) > 1e-12:
+                flipped = [e * v for e, v in zip(eps, point)]
+                sums.append(dense_combine(cols_float, flipped))
+            assert repr(lists) == repr(sums)
 
 
 def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
     # wrap the objective of every ascent: within one ascent no two
-    # evaluated points are equal, on the canonical path, the column sums
-    # and the dual-norm search
+    # evaluated points are equal, on the canonical and a random basis and
+    # in the dual-norm search
     ascents = []
     ascent = james_core._coordinate_ascent
 

@@ -51,3 +51,33 @@ def test_every_import_is_read_or_kept_on_purpose():
     sources = sorted(Path(jameslab.__file__).parent.glob("*.py"))
     assert len(sources) > 1
     assert [bad for path in sources for bad in _unread_imports(path)] == _KEPT_UNREAD
+
+
+def _unread_private_definitions(sources: list[Path]) -> list[str]:
+    """'module name' for each private function or class defined at module
+    level in the sources that no statement of theirs but its own
+    definition reads, as a name or as an attribute."""
+    defined, read = [], set()
+    for path in sources:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+            }
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                defined.append((path.name, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    return [f"{module} {name}" for module, name in defined if name not in read]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # a private helper that only tests reach has no place in the package:
+    # its behaviour belongs in the code that uses it or in tests/helpers.py
+    sources = sorted(Path(jameslab.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    assert _unread_private_definitions(sources) == []
