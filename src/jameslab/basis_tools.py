@@ -93,13 +93,6 @@ def integer_inverse(D: int, m: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev // g, [[v // g for v in row] for row in scaled]
 
 
-def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix: :func:`integer_inverse`
-    on its integer form, as Fractions."""
-    E, inverse = integer_inverse(*integer_rows(rows))
-    return [[Fraction(v, E) for v in row] for row in inverse]
-
-
 def _int_dots(v: Iterable[Fraction], lines: Iterable) -> tuple[int, list[int]]:
     """(S, line . (S * v) for each integer line), v rational and S the lcm
     of its denominators: v is scaled to integers once."""
@@ -147,8 +140,9 @@ class Basis:
     columns of F * W), F the lcm of their denominators, and
     ``self.dual.int_rows`` = (E, the rows of E * W^-1), which the exact
     inversion at construction returns.  Every map between canonical and
-    basis coordinates is a product with one of them.  Construction
-    re-verifies biorthogonality, (E * W^-1)(F * W) = E * F * I, on them.
+    basis coordinates is a product with one of them.  Construction runs
+    :meth:`check_biorthogonality` on them, and so does the first read of
+    a model's product matrix.
     """
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -172,7 +166,14 @@ class Basis:
         E, inverse = integer_inverse(F, [list(row) for row in zip(*columns)])
         self.dual = DualBasis(self.K, (E, tuple(map(tuple, inverse))))
         # a singular W has no pivot, so only a wrong inverse fails here
-        for i, g in enumerate(inverse):
+        self.check_biorthogonality()
+
+    def check_biorthogonality(self) -> None:
+        """Verify (E * W^-1)(F * W) = E * F * I on the integer forms the
+        basis holds now; a violation raises :class:`StructureViolation`."""
+        E, rows = self.dual.int_rows
+        F, columns = self.int_columns
+        for i, g in enumerate(rows):
             for j, w in enumerate(columns):
                 if sum(map(mul, g, w)) != (E * F if i == j else 0):
                     raise StructureViolation("biorthogonality check failed")

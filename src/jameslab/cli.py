@@ -107,8 +107,9 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     factors; the only integrals are the hypothesis report's L1 norms.
 
     The conclusion needs m < s and q < l with |M[m][s] - M[l][q]| <
-    20*epsilon.  The checked product matrix has M[m][s] = 0 and M[l][q] =
-    d*(d), and ``build`` refuses d*(d) < 1/4 = 20*epsilon, so the built
+    20*epsilon.  The product matrix, the closed form once the basis passes
+    its biorthogonality check, has M[m][s] = 0 and M[l][q] = d*(d), and
+    ``build`` refuses d*(d) < 1/4 = 20*epsilon, so the built
     model rules it out and nothing is searched: no basis whose
     unconditional constant is at most B satisfies the theorem at this K.
     B, then K against the atom-subset limit, are checked before building.

@@ -289,8 +289,10 @@ def _longest_cycle_table(
     for j < j' with equal values g[j] >= 0 + g[j'].  Float addition is
     monotone and adds 0 exactly, so the table is that of the index
     relaxation bit for bit: signed zeros compare and hash as one value,
-    and their differences square to the same +0.0.  O(U^2 * len(vals))
-    for U distinct values, against O(U * len(vals)^2) by index.
+    and their differences square to the same +0.0; with inf and NaN too,
+    as a NaN candidate never wins a ``>`` and a NaN d0*d0 is never beaten.
+    O(U^2 * len(vals)) for U distinct values, against
+    O(U * len(vals)^2) by index.
     """
     T = len(vals)
     best, best_a, best_g = 0, 0, []
@@ -399,20 +401,16 @@ def cycle_sum_max(vals: list) -> int | float:
     distinct value, so the two differ by at most 2 * gamma of it.
 
     The lemma needs the order of the reals, so with an inf or NaN among
-    the points (inf - inf is NaN) the DP runs one start per distinct
-    value, as :func:`_longest_cycle_table` does, with the floats of the
-    index relaxation.  One ``sum`` of the points is inf or NaN whenever a
-    point is; a finite sum that overflows sends finite points there too,
-    which costs time but keeps the bound above.
+    the points (inf - inf is NaN) the value is :func:`_longest_cycle_table`'s
+    on them.  One ``sum`` of the points is inf or NaN whenever a point is;
+    a finite sum that overflows sends finite points there too, which
+    costs time but keeps the bound above.
 
     Each g[i] is relaxed over every later index: on turning points the
     values are nearly all distinct, and there this loop is faster than the
     value relaxation of :func:`_longest_cycle_table`.  The later entries
     are a list of (v_j, g[j]) pairs, so the relaxation reads no index.
-    It visits j from right to left, and the order is free: each
-    candidate d*d + g[j] is the same float in any order, equal
-    candidates are the same float (none is -0.0), a NaN candidate never
-    wins a ``>`` comparison, and a NaN start value d0*d0 is never beaten.
+    A maximum of 0 is returned as the int 0 on every input.
 
     Swapping an exact 0.0 for -0.0 does not change the result: the
     turning points and the rotation compare values with == and <, and a
@@ -420,31 +418,21 @@ def cycle_sum_max(vals: list) -> int | float:
     """
     points = _turning_points(vals)
     total = sum(points)
-    if total - total == 0:  # no inf or NaN
-        m = points.index(max(points))
-        points = points[m:] + points[:m]
-        starts = (0,)
-    else:
-        first_of = {}
-        for a, v in enumerate(points):
-            first_of.setdefault(v, a)
-        starts = first_of.values()  # one start per value, in index order
-    best = 0
-    for a in starts:
-        base = points[a]
-        later = []  # (v_j, g[j]) for j > i, from j = T - 1 down
-        for vi in reversed(points[a:]):
-            d0 = vi - base
-            bi = d0 * d0
-            for w, gw in later:
-                d = vi - w
-                v = d * d + gw
-                if v > bi:
-                    bi = v
-            later.append((vi, bi))
-        if bi > best:
-            best = bi
-    return best
+    if total - total != 0:  # an inf or NaN
+        return _longest_cycle_table(points)[0]
+    m = points.index(max(points))
+    base = points[m]
+    later = []  # (v_j, g[j]) for j > i, from j = T - 1 down
+    for vi in reversed(points[m:] + points[:m]):
+        d0 = vi - base
+        bi = d0 * d0
+        for w, gw in later:
+            d = vi - w
+            v = d * d + gw
+            if v > bi:
+                bi = v
+        later.append((vi, bi))
+    return bi if bi > 0 else 0
 
 
 def _norm_sq_value(x: JVector) -> Fraction:

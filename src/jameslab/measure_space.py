@@ -123,33 +123,16 @@ class MeasureSpaceModel:
 
     @cached_property
     def product_matrix(self) -> ProductMatrix:
-        """M[n][p] = integral of f_n * g_p = sum_i U[i][n] V[i][p] / (D_u D_v)
-        from the atom factors; the triangular structure is checked row-major.
-
-        Each integer sum is tested against d*(d) * D_u * D_v = a * E * F or
-        0, so no entry is reduced over D_u * D_v: a checked matrix holds the
-        d*(d) and 0 objects themselves, and only a violation builds its
-        entry.
-        """
-        (D_u, U), (D_v, V) = self.atom_factors
-        D = D_u * D_v
-        a, b = self.d_star_d.as_integer_ratio()
-        on_or_below = (self.d_star_d, a * (D // b))  # D = E * b * F
-        above = (Fraction(0), 0)
-        v_columns = list(zip(*V))
-        entries = []
-        for n, u in enumerate(zip(*U)):
-            row = []
-            for p, v in enumerate(v_columns):
-                expected, target = on_or_below if p <= n else above
-                total = sum(map(mul, u, v))
-                if total != target:
-                    raise StructureViolation(
-                        f"M[{n}][{p}] = {Fraction(total, D)}, expected {expected}"
-                    )
-                row.append(expected)
-            entries.append(tuple(row))
-        return ProductMatrix(tuple(entries), self.d_star_d)
+        """M[n][p] = integral of f_n * g_p = d*(d) * [p <= n], the d*(d)
+        object on and below the diagonal and one Fraction(0) above it,
+        after :meth:`Basis.check_biorthogonality`.  By the atom factors,
+        M[n][p] * E * b * F = a * sum_{j <= n} ((F * W)(E * W^-1))[p][j]
+        with d*(d) = a/b, and for square matrices (F * W)(E * W^-1) =
+        E * F * I exactly when the checked product (E * W^-1)(F * W) is."""
+        self.basis.check_biorthogonality()
+        d, zero, K = self.d_star_d, Fraction(0), self.K
+        entries = tuple((d,) * (n + 1) + (zero,) * (K - n) for n in range(K + 1))
+        return ProductMatrix(entries, d)
 
     def to_json_obj(self) -> dict:
         return {
@@ -291,8 +274,8 @@ class ProductMatrix:
 
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """The model's product matrix, summed from its atom factors with the
-    triangular structure checked, on the first call for the model."""
+    """The model's product matrix, the closed form after the basis's
+    biorthogonality check, built on the first call for the model."""
     return model.product_matrix
 
 

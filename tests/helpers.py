@@ -14,6 +14,7 @@ from jameslab.basis_tools import (
     SingularBasis,
     UCEstimate,
     ZeroVector,
+    integer_inverse,
     uc_sign_patterns,
 )
 from jameslab.hierarchy import EvalBudget, Exact, ExceedsBudget, _DigitGate
@@ -446,8 +447,8 @@ def count_atom_factor_builds(monkeypatch) -> list[MeasureSpaceModel]:
 
 def reference_product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
     """``product_matrix`` the long way: each product f_n * g_p
-    integrated over all atoms in Fractions, with the same row-major
-    structure check and ``StructureViolation`` message."""
+    integrated over all atoms in Fractions, the triangular structure
+    checked row-major; the first wrong entry raises ``StructureViolation``."""
     entries = []
     for n, fn in enumerate(model.fs):
         row = []
@@ -542,9 +543,16 @@ def reference_atom_subsets(K: int) -> list[tuple[int, ...]]:
     ]
 
 
+def fraction_free_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """``integer_inverse`` on the integer form of a square rational
+    matrix, as Fractions."""
+    E, inverse = integer_inverse(*integer_rows(rows))
+    return [[Fraction(v, E) for v in row] for row in inverse]
+
+
 def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Rational Gauss-Jordan, pivoting on the first nonzero entry: the
-    reference for the fraction-free ``invert_rational_matrix``."""
+    reference for the fraction-free ``integer_inverse``."""
     n = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != n for row in a):

