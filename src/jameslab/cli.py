@@ -103,8 +103,9 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     """Build the measure space, test the theorem's hypotheses, and show the
     conclusion is exactly impossible at epsilon = 1/80.
 
-    The integrands f_n g_p mu are read once, as the model's two atom
-    factors; the only integrals are the hypothesis report's L1 norms.
+    The integrands f_n g_p mu are read once, from the model's prefix
+    table, which ``fs`` reads too, and the basis's F * W; the only
+    integrals are the hypothesis report's L1 norms.
 
     The conclusion needs m < s and q < l with |M[m][s] - M[l][q]| <
     20*epsilon.  The product matrix, the closed form once the basis passes

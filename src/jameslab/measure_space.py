@@ -78,15 +78,21 @@ class MeasureSpaceModel:
         return D, tuple(mu)
 
     @cached_property
+    def prefix_table(self) -> tuple[int, list[list[int]]]:
+        """(E, U) with U[i][n] = E * g*_i(d_n), the prefix sums of the rows
+        of E * W^-1: the coordinates of d_0..d_K on the basis, as integers
+        over one denominator."""
+        E, rows = self.dual.int_rows
+        return E, [list(accumulate(row)) for row in rows]
+
+    @cached_property
     def fs(self) -> tuple[tuple[Fraction, ...], ...]:
         """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n),
-        one Fraction per value from the prefix sums E * g*_i(d_n) of the
-        rows of E * W^-1."""
-        E, rows = self.dual.int_rows
-        gamma = [list(accumulate(row)) for row in rows]  # E * g*_i(d_n)
+        one Fraction per value from the prefix table."""
+        E, U = self.prefix_table
         scales = self.vector_scales
         return tuple(
-            tuple(Fraction(a * row[n], b * E) for (a, b), row in zip(scales, gamma))
+            tuple(Fraction(a * u[n], b * E) for (a, b), u in zip(scales, U))
             for n in range(self.K + 1)
         )
 
@@ -102,33 +108,15 @@ class MeasureSpaceModel:
         )
 
     @cached_property
-    def atom_factors(self) -> tuple[tuple[int, list[list[int]]], ...]:
-        """The two factors of the product integrands, as integers over one
-        denominator each: the only place they are read off the model.
-
-        ((E, U), (b * F, V)) with U[i][n] = E * g*_i(d_n), the prefix sums
-        of the rows of E * W^-1, and V[i][p] = a * F * W[p][i], where
-        d*(d) = a/b, for 0 <= i, n, p <= K.  On atom i,
-        f_n g_p mu = d*(d) * g*_i(d_n) * W[p][i]: the scales of f_n and g_p
-        cancel against mu({w_i}) = g*_i(d) d*(w_i) / d*(d).  So the
-        integral of f_n g_p over an atom subset sigma is the sum of
-        U[i][n] * V[i][p] over i in sigma, divided by E * b * F.
-        """
-        E, rows = self.dual.int_rows
-        F, columns = self.basis.int_columns
-        a, b = self.d_star_d.as_integer_ratio()
-        U = [list(accumulate(row)) for row in rows]
-        V = [[a * w for w in col] for col in columns]
-        return (E, U), (b * F, V)
-
-    @cached_property
     def product_matrix(self) -> ProductMatrix:
         """M[n][p] = integral of f_n * g_p = d*(d) * [p <= n], the d*(d)
         object on and below the diagonal and one Fraction(0) above it,
-        after :meth:`Basis.check_biorthogonality`.  By the atom factors,
-        M[n][p] * E * b * F = a * sum_{j <= n} ((F * W)(E * W^-1))[p][j]
-        with d*(d) = a/b, and for square matrices (F * W)(E * W^-1) =
-        E * F * I exactly when the checked product (E * W^-1)(F * W) is."""
+        after :meth:`Basis.check_biorthogonality`.  On atom i,
+        f_n g_p mu = d*(d) * g*_i(d_n) * W[p][i], so with the prefix table
+        (E, U) and the columns of F * W, M[n][p] * E * F / d*(d) =
+        sum_i U[i][n] * (F * W)[p][i] = sum_{j <= n} ((F * W)(E * W^-1))[p][j],
+        and for square matrices (F * W)(E * W^-1) = E * F * I exactly when
+        the checked product (E * W^-1)(F * W) is."""
         self.basis.check_biorthogonality()
         d, zero, K = self.d_star_d, Fraction(0), self.K
         entries = tuple((d,) * (n + 1) + (zero,) * (K - n) for n in range(K + 1))
@@ -404,10 +392,7 @@ def check_identities(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
     )
 
-    certified = max(
-        Fraction(max(map(abs, values)), S << n)
-        for n, (S, (values,)) in enumerate(integer_rows([fn]) for fn in model.fs)
-    )
+    certified = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for sigma, n in small_set_breaches(

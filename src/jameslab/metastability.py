@@ -203,22 +203,25 @@ def _product_lines(
 ) -> tuple[int, list[list[tuple[int, ...]]]]:
     """The int accuracy and the atom lines that one mode reads.
 
-    lines[fixed][i] is atom i's line at the fixed index, a scalar times a
-    vector of the atom factors ((D_u, U), (D_v, V)): V[i][p] * U[i] (mode
-    "fix_p") or U[i][n] * (V[i], 0) (mode "fix_n").  The product sequence
-    of an atom subset sigma at that index is the sum of its atoms' lines.
-    With eps * D_u * D_v = a/b in lowest terms, U is scaled by b, so the
-    entries and the accuracy a are all ints.
+    On atom i the scales of f_n and g_p cancel against
+    mu({w_i}) = g*_i(d) d*(w_i) / d*(d), so with the model's prefix table
+    (E, U) and the columns V of F * W (``basis.int_columns``), f_n g_p mu
+    on atom i is d*(d) * U[i][n] * V[i][p] / (E * F).  lines[fixed][i] is
+    atom i's line at the fixed index, V[i][p] * U[i] (mode "fix_p") or
+    U[i][n] * (V[i], 0) (mode "fix_n"), and the product sequence of an atom
+    subset sigma at that index is the sum of its atoms' lines times
+    d*(d) / (E * F).  The accuracy is eps on that scale, rounded up:
+    ceil(eps * E * F / d*(d)).
     """
-    (D_u, U), (D_v, V) = model.atom_factors
-    accuracy = Fraction(eps) * D_u * D_v
-    bU = [[accuracy.denominator * x for x in u] for u in U]
-    scalars, vectors = (V, bU) if mode == "fix_p" else (bU, [(*v, 0) for v in V])
+    E, U = model.prefix_table
+    F, V = model.basis.int_columns
+    accuracy = ceil_rational(Fraction(eps) * E * F / model.d_star_d)
+    scalars, vectors = (V, U) if mode == "fix_p" else (U, [(*v, 0) for v in V])
     lines = [
         [tuple(s[k] * x for x in vector) for s, vector in zip(scalars, vectors)]
         for k in range(len(U))
     ]
-    return accuracy.numerator, lines
+    return accuracy, lines
 
 
 def _subset_sums(
@@ -253,14 +256,14 @@ def fluctuation_harness(
     K-dimensional shadow d_n is constant from n = K on, so both are
     tabulated to eventual constancy.  Each sigma's atoms are checked as
     ``integrate_over`` checks them, and each sequence is the sum of the
-    sigma atoms' int lines from :func:`_product_lines`, over D = D_u * D_v
-    and scaled by b where eps * D = a/b in lowest terms.  The finder runs at
-    the int accuracy a: its tests 2*|x - y| >= a and hi - lo < a are the
-    tests 2*|s - t| >= eps and hi - lo < eps on the exact integrals,
-    multiplied through by b * D > 0, so every interval and every failure
-    is the one the exact integrals give, and no Fraction enters the
-    chase.  ``integrate_over`` on the products of the fs and gs is the
-    test oracle for these sums.
+    sigma atoms' int lines from :func:`_product_lines`: the exact integrals
+    times c = E * F / d*(d) > 0.  The finder runs at the int accuracy
+    r = ceil(eps * c): the tests 2*|s - t| >= eps and hi - lo < eps on
+    the exact integrals, multiplied through by c, compare an int with
+    eps * c, which gives the same answer as comparing it with r.  So
+    every interval and every failure is the one the exact integrals give,
+    and no Fraction enters the chase.  ``integrate_over`` on the products
+    of the fs and gs is the test oracle for these sums.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
@@ -363,8 +366,9 @@ def hypothesis_report(
     two index functions F0(n) = n+1 and F1(n) = 2n+1: not every start, nor
     every F, as the definition in the module docstring reads.  The L1
     norms are the only integrals.  The product sequences are sums of the
-    int atom lines that :func:`_product_lines` reads off the model's atom
-    factors, chased at its int accuracy as in :func:`fluctuation_harness`.
+    int atom lines that :func:`_product_lines` reads off the model's prefix
+    table and the basis's F * W, chased at its int accuracy as in
+    :func:`fluctuation_harness`.
     A clause's verdict, per index function, is whether any sequence fails.
     Atoms whose line is all zero add nothing, so, with supp the atoms whose
     line is not, the sums over every atom subset and the sums over every

@@ -423,25 +423,26 @@ def reference_atom_products(
     model: MeasureSpaceModel,
 ) -> list[list[list[Fraction]]]:
     """A[i][n][p] = f_n(w_i) * g_p(w_i) * mu({w_i}) in Fractions, from the
-    values of fs and gs: what ``model.atom_factors`` factors on each atom."""
+    values of fs and gs: d*(d) * U[i][n] * (F * W)[p][i] / (E * F) with the
+    model's prefix table (E, U) and the basis's ``int_columns``."""
     return [
         [[fn[i] * gp[i] * mu for gp in model.gs] for fn in model.fs]
         for i, mu in enumerate(model.mu)
     ]
 
 
-def count_atom_factor_builds(monkeypatch) -> list[MeasureSpaceModel]:
-    """Record each model whose ``atom_factors`` pair is built from now on."""
+def count_prefix_table_builds(monkeypatch) -> list[MeasureSpaceModel]:
+    """Record each model whose ``prefix_table`` is built from now on."""
     builds: list[MeasureSpaceModel] = []
-    real = MeasureSpaceModel.atom_factors.func
+    real = MeasureSpaceModel.prefix_table.func
 
     def counting(model: MeasureSpaceModel):
         builds.append(model)
         return real(model)
 
     prop = cached_property(counting)
-    prop.__set_name__(MeasureSpaceModel, "atom_factors")
-    monkeypatch.setattr(MeasureSpaceModel, "atom_factors", prop)
+    prop.__set_name__(MeasureSpaceModel, "prefix_table")
+    monkeypatch.setattr(MeasureSpaceModel, "prefix_table", prop)
     return builds
 
 

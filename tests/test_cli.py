@@ -19,7 +19,7 @@ from jameslab.james_core import james_norm_sq
 from jameslab.measure_space import StructureViolation, build
 from jameslab.metastability import hypothesis_report
 
-from helpers import count_atom_factor_builds
+from helpers import count_prefix_table_builds
 
 
 def run_cli(capsys, *argv):
@@ -85,10 +85,10 @@ def test_run_refutation_api():
 
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
-    # the integrands f_n g_p mu are read once, as the two atom factors of
-    # one model, and the product matrix is the closed form after the
-    # basis's check: refute integrates only what the hypothesis report
-    # integrates
+    # the integrands f_n g_p mu are read once, from the prefix table of
+    # one model (which fs reads too) and the basis's F * W, and the product
+    # matrix is the closed form after the basis's check: refute integrates
+    # only what the hypothesis report integrates
     integrals = []
     real_integrate = measure_space.integrate
 
@@ -97,14 +97,14 @@ def test_refutation_integrates_the_product_matrix_once(monkeypatch):
         return real_integrate(model, h)
 
     monkeypatch.setattr(measure_space, "integrate", counting_integrate)
-    factor_builds = count_atom_factor_builds(monkeypatch)
+    table_builds = count_prefix_table_builds(monkeypatch)
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
     report_integrals = len(integrals)
     integrals.clear()
-    factor_builds.clear()
+    table_builds.clear()
     report = run_refutation(Basis.canonical(3), Fraction(2))
     assert len(integrals) == report_integrals
-    assert len(factor_builds) == 1
+    assert len(table_builds) == 1
 
 
 # ---------------------------------------------------------------------------

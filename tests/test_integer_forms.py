@@ -205,16 +205,18 @@ def test_small_set_breaches_match_fraction_sums(basis, bound, eps):
 
 @settings(max_examples=40, deadline=None)
 @given(bases())
-def test_product_matrix_and_atom_factors_match_fraction_products(basis):
+def test_product_matrix_and_prefix_table_match_fraction_products(basis):
     model = build(basis)
     fs, gs = fraction_fs(model, fraction_inverse(basis)), fraction_gs(model)
     products = reference_atom_products(model)  # from the model's fs, gs, mu
-    (D_u, U), (D_v, V) = model.atom_factors
+    E, U = model.prefix_table
+    F, FW = basis.int_columns
+    scale = model.d_star_d / (E * F)
     for i, mu in enumerate(model.mu):
         for n, f in enumerate(fs):
             for p, g in enumerate(gs):
                 assert products[i][n][p] == f[i] * g[i] * mu
-                assert Fraction(U[i][n] * V[i][p], D_u * D_v) == products[i][n][p]
+                assert scale * U[i][n] * FW[i][p] == products[i][n][p]
     assert product_matrix(model).entries == tuple(
         tuple(
             sum((f[i] * g[i] * mu for i, mu in enumerate(model.mu)), Fraction(0))

@@ -315,27 +315,30 @@ def test_integer_forms_are_derived_once_per_basis(monkeypatch):
 # product matrix
 # ---------------------------------------------------------------------------
 
-def assert_atom_factors_match_the_products(model) -> None:
-    (D_u, U), (D_v, V) = model.atom_factors
-    assert len(U) == len(V) == model.K + 1
+def assert_prefix_table_matches_the_products(model) -> None:
+    # f_n g_p mu on atom i is d*(d) * U[i][n] * (F * W)[p][i] / (E * F)
+    E, U = model.prefix_table
+    F, FW = model.basis.int_columns
+    assert len(U) == len(FW) == model.K + 1
     reference = reference_atom_products(model)
     for i, atom in enumerate(reference):
         for n, row in enumerate(atom):
             for p, product in enumerate(row):
-                assert Fraction(U[i][n] * V[i][p], D_u * D_v) == product, (i, n, p)
+                integrand = model.d_star_d * U[i][n] * FW[i][p] / (E * F)
+                assert integrand == product, (i, n, p)
 
 
-def test_atom_factors_match_the_products_on_canonical_bases():
+def test_prefix_table_matches_the_products_on_canonical_bases():
     for K in range(9):
         model = build(Basis.canonical(K))
-        assert_atom_factors_match_the_products(model)
-        assert model.atom_factors is model.atom_factors  # built once
+        assert_prefix_table_matches_the_products(model)
+        assert model.prefix_table is model.prefix_table  # built once
 
 
 @settings(max_examples=40, deadline=None)
 @given(invertible_bases())
-def test_atom_factors_match_the_products_on_random_bases(basis):
-    assert_atom_factors_match_the_products(build(basis))
+def test_prefix_table_matches_the_products_on_random_bases(basis):
+    assert_prefix_table_matches_the_products(build(basis))
 
 
 def test_product_matrix_canonical_k2():

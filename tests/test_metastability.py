@@ -4,7 +4,7 @@ import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jameslab.basis_tools import Basis, DualBasis, random_invertible_basis
-from jameslab import metastability
+from jameslab import measure_space, metastability
 from jameslab.james_core import canonical
 from jameslab.measure_space import (
     StructureViolation,
@@ -38,7 +38,7 @@ from jameslab.metastability import (
 from jameslab.scalars import integer_rows
 
 from helpers import (
-    count_atom_factor_builds,
+    count_prefix_table_builds,
     monomial_basis,
     reference_atom_products,
     reference_conclusion_search,
@@ -499,15 +499,19 @@ def test_model_families_are_the_embedded_d_and_e_star(model):
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
-def test_atom_factor_sums_match_step_function_integrals(model):
+def test_prefix_table_sums_match_step_function_integrals(model):
+    # d*(d) * sum over sigma of U[i][n] * (F * W)[p][i] / (E * F) is the
+    # integral of f_n g_p over sigma
     K = model.K
-    (D_u, U), (D_v, V) = model.atom_factors
+    E, U = model.prefix_table
+    F, FW = model.basis.int_columns
+    scale = model.d_star_d / (E * F)
     products = [[times(fn, gp) for gp in model.gs] for fn in model.fs]
     for sigma in atom_subsets(K):
         for n in range(K + 1):
             for p in range(K + 1):
-                total = sum(U[i][n] * V[i][p] for i in sigma)
-                assert Fraction(total, D_u * D_v) == integrate_over(
+                total = sum(U[i][n] * FW[i][p] for i in sigma)
+                assert scale * total == integrate_over(
                     model, products[n][p], sigma
                 )
 
@@ -540,11 +544,20 @@ def test_harness_matches_step_function_reference(model, B_hat, eps):
             )
 
 
-def test_hypothesis_report_builds_the_atom_factors_once(monkeypatch):
-    builds = count_atom_factor_builds(monkeypatch)
-    model = build(Basis.canonical(3))
+@pytest.mark.parametrize(
+    "basis",
+    [Basis.canonical(3), random_invertible_basis(3, random.Random(215))],
+    ids=["canonical-K3", "random-K3"],
+)
+def test_hypothesis_report_builds_the_prefix_table_once(monkeypatch, basis):
+    # the product lines and fs read one table, so the report takes the
+    # prefix sums of the K + 1 rows of E * W^-1 once
+    builds = count_prefix_table_builds(monkeypatch)
+    model = build(basis)
+    sums = _counting(monkeypatch, measure_space, "accumulate")
     hypothesis_report(model, Fraction(2), Fraction(1, 80))
     assert builds == [model]
+    assert sums == [(row,) for row in basis.dual.int_rows[1]]
 
 
 def _support_sizes(model):
@@ -582,22 +595,28 @@ def _report_index_functions(K):
     )
 
 
+def _line_scale(model):
+    """E * F / d*(d): the factor that takes the integrals of f_n g_p to the
+    integer sums of the product lines."""
+    E, F = model.prefix_table[0], model.basis.int_columns[0]
+    return E * F / model.d_star_d
+
+
 def _reference_lines(model, eps):
     """(accuracy, {mode: lines}) from the per-atom Fraction products, scaled
     as ``_product_lines`` scales them: lines[k][i] is atom i's line at
     fixed index k, column p (fix_p) or row n followed by 0 (fix_n) of its
-    product table, times b * D where D = D_u * D_v and eps * D = a/b."""
+    product table, times E * F / d*(d), and the accuracy is the ceiling of
+    eps times that."""
     K = model.K
-    (D_u, _), (D_v, _) = model.atom_factors
-    D = D_u * D_v
-    scale = (eps * D).denominator * D
+    scale = _line_scale(model)
     A = [
         [[scale * v for v in row] for row in atom]
         for atom in reference_atom_products(model)
     ]
     assert all(v.denominator == 1 for atom in A for row in atom for v in row)
     A = [[[int(v) for v in row] for row in atom] for atom in A]
-    return (eps * D).numerator, {
+    return ceil(eps * scale), {
         "fix_p": [[tuple(row[p] for row in atom) for atom in A] for p in range(K + 1)],
         "fix_n": [[(*atom[n], 0) for atom in A] for n in range(K + 1)],
     }
@@ -670,8 +689,7 @@ def test_hypothesis_report_chases_each_support_subset_once(
     K = model.K
     accuracy, mode_lines = _reference_lines(model, eps)
     A = reference_atom_products(model)
-    (D_u, _), (D_v, _) = model.atom_factors
-    scale = (eps * D_u * D_v).denominator * D_u * D_v
+    scale = _line_scale(model)
     tables = [
         [
             [scale * sum(A[i][n][p] for i in sigma) for p in range(K + 1)]
@@ -791,7 +809,8 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
     """``model`` with atom ``twin`` a copy of atom ``atom`` (its weight and
     its value under every f_n and g_p), f at ns[1] a copy of f at ns[0], g
     at ps[1] a copy of g at ps[0], then f_n at atom i set to 0 for each
-    (n, i) in ``zeros``, and atom factors read off those values.
+    (n, i) in ``zeros``, and the prefix table and the columns of F * W read
+    off those values as f_n * mu / d*(d) and g_p, each scaled to integers.
 
     At every fixed index where atom's line L is not zero, twin's line is L
     too, and the fix_n lines at the two n, and the fix_p lines at the two
@@ -815,13 +834,14 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
         fs[n][i] = Fraction(0)
     mu = list(model.mu)
     mu[twin] = mu[atom]
-    copy = dataclasses.replace(model, mu=tuple(mu))
-    D_u, U = integer_rows([[f[i] * mu[i] for f in fs] for i in range(K + 1)])
-    D_v, V = integer_rows([[g[i] for g in gs] for i in range(K + 1)])
+    d = model.d_star_d
+    E, U = integer_rows([[f[i] * mu[i] / d for f in fs] for i in range(K + 1)])
+    F, V = integer_rows([[g[i] for g in gs] for i in range(K + 1)])
+    copy = dataclasses.replace(
+        model, mu=tuple(mu), basis=SimpleNamespace(K=K, int_columns=(F, V))
+    )
     copy.__dict__.update(
-        fs=tuple(map(tuple, fs)),
-        gs=tuple(map(tuple, gs)),
-        atom_factors=((D_u, U), (D_v, V)),
+        fs=tuple(map(tuple, fs)), gs=tuple(map(tuple, gs)), prefix_table=(E, U)
     )
     return copy
 
@@ -865,27 +885,97 @@ def test_skipping_covered_fixed_indices_keeps_the_verdicts(
     assert report == reference_hypothesis_report(model, Fraction(1, 2), eps, budget)
 
 
-def test_scaled_accuracy_scales_the_chased_tables():
-    # eps * D = 2D/7 with D = D_u * D_v a power of two: lines scaled by 7,
-    # accuracy 2D; at eps = 1/4 the lines are the atom products times D
-    model = build(Basis.canonical(2))
-    (D_u, _), (D_v, _) = model.atom_factors
-    D = D_u * D_v
-    assert D & (D - 1) == 0 and D % 4 == 0
-    A = [
-        [[D * v for v in row] for row in atom]
-        for atom in reference_atom_products(model)
-    ]
-    cases = ((Fraction(2, 7), 7, 2 * D), (Fraction(1, 4), 1, D // 4))
-    for eps, scale, accuracy in cases:
-        assert metastability._product_lines(model, eps, "fix_p") == (
-            accuracy,
-            [[tuple(scale * row[p] for row in atom) for atom in A] for p in range(3)],
-        )
-        assert metastability._product_lines(model, eps, "fix_n") == (
-            accuracy,
-            [[(*(scale * v for v in atom[n]), 0) for atom in A] for n in range(3)],
-        )
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+@pytest.mark.parametrize("eps", [Fraction(1, 80), Fraction(1, 4), Fraction(2, 7)])
+def test_product_lines_are_the_atom_products_on_the_basis_scale(model, eps):
+    # each line is the per-atom Fraction products times E * F / d*(d), with
+    # no further scaling, and the accuracy is eps on that scale, rounded up
+    accuracy, mode_lines = _reference_lines(model, eps)
+    for mode, lines in mode_lines.items():
+        assert metastability._product_lines(model, eps, mode) == (accuracy, lines)
+
+
+def test_canonical_product_lines_are_0_1_vectors_at_accuracy_1():
+    # E = F = 1, U[i][n] = [i <= n] and (F * W)[i][p] = [i == p], and
+    # d*(d) >= 1/4 makes eps * E * F / d*(d) at most 1
+    for K in range(17):
+        model = build(Basis.canonical(K))
+        for eps in (Fraction(1, 80), Fraction(1, 4)):
+            for mode in ("fix_p", "fix_n"):
+                accuracy, lines = metastability._product_lines(model, eps, mode)
+                assert accuracy == 1
+                assert {
+                    v for atom_lines in lines for line in atom_lines for v in line
+                } <= {0, 1}
+
+
+def _outcome(values, eps, F, budget):
+    """The chase from 0: its interval, or the iterations and last anchor
+    of the :class:`BudgetExceeded` it raises."""
+    try:
+        return find_stable_interval(values, eps, F, 0, budget)
+    except BudgetExceeded as exc:
+        return exc.iterations, exc.last_anchor
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
+    K=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=40),
+    offset=st.sampled_from(
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    ),
+    data=st.data(),
+)
+def test_integer_chase_at_the_ceiling_matches_the_exact_integrals(
+    kind, K, seed, offset, data
+):
+    # r = eps * E * F / d*(d) is 2 * |s(1) - s(0)| for some product
+    # sequence s, an integer, plus the offset.  At an offset in (0, 1) the
+    # exact chase does not re-anchor at s(1), but a chase at floor(r), or
+    # at round(r) for the offsets 1/3 and 1/2, does
+    model = build(_basis(kind, K, seed))
+    A = reference_atom_products(model)
+    scale = _line_scale(model)
+    # the steps of each atom's line and of the sum of all of them
+    steps = sorted(
+        {
+            2 * abs(line[1] - line[0])
+            for mode in ("fix_p", "fix_n")
+            for atom_lines in metastability._product_lines(model, 1, mode)[1]
+            for line in (*atom_lines, tuple(map(sum, zip(*atom_lines))))
+            if len(line) > 1 and line[1] != line[0]
+        }
+    )
+    r = data.draw(st.sampled_from(steps), label="step") + offset
+    eps = r / scale
+    F0, F1 = _report_index_functions(K)
+    for mode in ("fix_p", "fix_n"):
+        accuracy, lines = metastability._product_lines(model, eps, mode)
+        assert accuracy == ceil(r)
+        zero = (0,) * len(lines[0][0])
+        for fixed, atom_lines in enumerate(lines):
+            for sigma in atom_subsets(K):
+                values = tuple(map(sum, zip(zero, *(atom_lines[i] for i in sigma))))
+                if mode == "fix_p":
+                    exact = tuple(
+                        sum((A[i][n][fixed] for i in sigma), Fraction(0))
+                        for n in range(K + 1)
+                    )
+                else:
+                    exact = (
+                        *(
+                            sum((A[i][fixed][p] for i in sigma), Fraction(0))
+                            for p in range(K + 1)
+                        ),
+                        Fraction(0),
+                    )
+                for budget in range(K + 3):
+                    for F in (F0, F1):
+                        assert _outcome(values, accuracy, F, budget) == _outcome(
+                            exact, eps, F, budget
+                        ), (mode, fixed, sigma, budget)
 
 
 def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
@@ -893,7 +983,11 @@ def test_support_walk_chases_only_the_zero_sequence_on_an_all_zero_line():
     # column p = 1 is zero in both; atom 1 has a zero row n = 1
     U = [[1, 2], [3, 0]]
     V = [[1, 0], [1, 0]]
-    model = SimpleNamespace(atom_factors=((1, U), (1, V)))
+    model = SimpleNamespace(
+        prefix_table=(1, U),
+        basis=SimpleNamespace(int_columns=(1, V)),
+        d_star_d=Fraction(1),
+    )
     walked = []
     for mode in ("fix_p", "fix_n"):
         accuracy, lines = metastability._product_lines(model, Fraction(1), mode)
@@ -1043,7 +1137,7 @@ def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
     # F * W, before either family is built; where the reference finds a
     # wrong entry, the biorthogonality check fails
     model = build(basis)
-    assert not {"fs", "gs", "atom_factors"} & set(vars(model))
+    assert not {"fs", "gs", "prefix_table"} & set(vars(model))
     E, rows = basis.dual.int_rows
     rows = [list(row) for row in rows]
     F, columns = basis.int_columns
