@@ -141,36 +141,43 @@ class Basis:
     ``self.dual.int_rows`` = (E, the rows of E * W^-1), which the exact
     inversion at construction returns.  Every map between canonical and
     basis coordinates is a product with one of them.  Construction runs
-    :meth:`check_biorthogonality` on them, and so does the first read of
-    a model's product matrix.
+    :meth:`check_biorthogonality` on them, once: a built basis refuses
+    assignment and deletion, so every later reader sees the checked forms.
     """
+
+    __slots__ = ("K", "columns", "int_columns", "dual")
 
     def __init__(self, K: int, columns: tuple[tuple[Fraction, ...], ...]) -> None:
         if type(K) is not int:  # a bool, float or Fraction is refused
             raise ValueError(f"dimension index must be an int, got {K!r}")
         if K < 0:
             raise ValueError("dimension index must be nonnegative")
-        self.K = K
         # a Fraction is immutable, so one is kept as given, not copied
-        self.columns = tuple(
+        columns = tuple(
             tuple(v if type(v) is Fraction else Fraction(v) for v in col)
             for col in columns
         )
-        if len(self.columns) != self.K + 1 or any(
-            len(col) != self.K + 1 for col in self.columns
-        ):
+        if len(columns) != K + 1 or any(len(col) != K + 1 for col in columns):
             raise DimensionMismatch("basis must be a (K+1) x (K+1) matrix")
-        F, columns = integer_rows(self.columns)
-        self.int_columns = (F, tuple(map(tuple, columns)))
+        F, scaled = integer_rows(columns)
         # row j of F * W = F * (canonical coordinate j of each w_i)
-        E, inverse = integer_inverse(F, [list(row) for row in zip(*columns)])
-        self.dual = DualBasis(self.K, (E, tuple(map(tuple, inverse))))
+        E, inverse = integer_inverse(F, [list(row) for row in zip(*scaled)])
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "int_columns", (F, tuple(map(tuple, scaled))))
+        object.__setattr__(self, "dual", DualBasis(K, (E, tuple(map(tuple, inverse)))))
         # a singular W has no pivot, so only a wrong inverse fails here
         self.check_biorthogonality()
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Basis is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Basis is immutable")
+
     def check_biorthogonality(self) -> None:
-        """Verify (E * W^-1)(F * W) = E * F * I on the integer forms the
-        basis holds now; a violation raises :class:`StructureViolation`."""
+        """Verify (E * W^-1)(F * W) = E * F * I on the integer forms of the
+        basis; a violation raises :class:`StructureViolation`."""
         E, rows = self.dual.int_rows
         F, columns = self.int_columns
         for i, g in enumerate(rows):

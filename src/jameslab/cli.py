@@ -108,17 +108,16 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     integrals are the hypothesis report's L1 norms.
 
     The conclusion needs m < s and q < l with |M[m][s] - M[l][q]| <
-    20*epsilon.  The product matrix, the closed form once the basis passes
-    its biorthogonality check, has M[m][s] = 0 and M[l][q] = d*(d), and
-    ``build`` refuses d*(d) < 1/4 = 20*epsilon, so the built
-    model rules it out and nothing is searched: no basis whose
+    20*epsilon.  The product matrix, the closed form that the basis's one
+    biorthogonality check (at construction) makes exact, has M[m][s] = 0
+    and M[l][q] = d*(d), and ``build`` refuses d*(d) < 1/4 = 20*epsilon,
+    so the built model rules it out and nothing is searched: no basis whose
     unconditional constant is at most B satisfies the theorem at this K.
     B, then K against the atom-subset limit, are checked before building.
     """
     B = Fraction(B)
     t_arg = _check_refutation_arguments(basis.K, B)
     model = build(basis)
-    pm = product_matrix(model)
     hyp = hypothesis_report(model, B, REFUTATION_EPS)
     if basis.K == 0:
         verdict = (
@@ -136,7 +135,7 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
         K=basis.K,
         B=B,
         d_star_d=model.d_star_d,
-        matrix_csv=pm.to_csv(),
+        matrix_csv=product_matrix(model).to_csv(),
         hypotheses=hyp,
         verdict=verdict,
         threshold_argument=t_arg,
@@ -204,7 +203,6 @@ def _check_measure_identities(seed: int) -> ReportEntry:
         model = build(basis)
         if not check_identities(model, 4, seed).all_passed:
             return ReportEntry("measure identities", False)
-        product_matrix(model)
     return ReportEntry("measure identities", True)
 
 

@@ -107,21 +107,6 @@ class MeasureSpaceModel:
             for p in range(self.K + 1)
         )
 
-    @cached_property
-    def product_matrix(self) -> ProductMatrix:
-        """M[n][p] = integral of f_n * g_p = d*(d) * [p <= n], the d*(d)
-        object on and below the diagonal and one Fraction(0) above it,
-        after :meth:`Basis.check_biorthogonality`.  On atom i,
-        f_n g_p mu = d*(d) * g*_i(d_n) * W[p][i], so with the prefix table
-        (E, U) and the columns of F * W, M[n][p] * E * F / d*(d) =
-        sum_i U[i][n] * (F * W)[p][i] = sum_{j <= n} ((F * W)(E * W^-1))[p][j],
-        and for square matrices (F * W)(E * W^-1) = E * F * I exactly when
-        the checked product (E * W^-1)(F * W) is."""
-        self.basis.check_biorthogonality()
-        d, zero, K = self.d_star_d, Fraction(0), self.K
-        entries = tuple((d,) * (n + 1) + (zero,) * (K - n) for n in range(K + 1))
-        return ProductMatrix(entries, d)
-
     def to_json_obj(self) -> dict:
         return {
             "K": self.K,
@@ -262,9 +247,17 @@ class ProductMatrix:
 
 
 def product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
-    """The model's product matrix, the closed form after the basis's
-    biorthogonality check, built on the first call for the model."""
-    return model.product_matrix
+    """M[n][p] = integral of f_n * g_p = d*(d) * [p <= n]: the d*(d) object
+    on and below the diagonal and one Fraction(0) above it.  On atom i,
+    f_n g_p mu = d*(d) * g*_i(d_n) * W[p][i], so with the prefix table
+    (E, U) and the columns of F * W, M[n][p] * E * F / d*(d) =
+    sum_i U[i][n] * (F * W)[p][i] = sum_{j <= n} ((F * W)(E * W^-1))[p][j],
+    and for square matrices (F * W)(E * W^-1) = E * F * I exactly when
+    (E * W^-1)(F * W) is: the identity a :class:`Basis`, which refuses
+    assignment, checked once, when it was built."""
+    d, zero, K = model.d_star_d, Fraction(0), model.K
+    entries = tuple((d,) * (n + 1) + (zero,) * (K - n) for n in range(K + 1))
+    return ProductMatrix(entries, d)
 
 
 def atom_subsets(K: int) -> list[tuple[int, ...]]:
@@ -358,9 +351,10 @@ def check_identities(
     small-set continuity against the certified stand-in
     B^ = max_n ||f_n||_inf / 2^n at accuracy ``IDENTITY_SMALL_SET_EPS``,
     over all atom subsets.  The samples are rational, so each right-hand
-    side is a dot product over Q.
+    side is a dot product over Q.  K above the subset limit is refused first.
     """
     K = model.K
+    _check_subset_limit(K)
     d_star = model.d_star.rational_coeffs()
     rng = random.Random(f"{seed}:identities")
     entries: list[ReportEntry] = []

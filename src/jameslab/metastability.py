@@ -467,12 +467,13 @@ class FoundPair:
 def conclusion_search(model: MeasureSpaceModel, eps: Fraction) -> FoundPair | None:
     """Search for m < s and q < l with |M[m][s] - M[l][q]| < 20*eps.
 
-    ``product_matrix`` is d*(d) * [p <= n] once the basis passes its
-    biorthogonality check, so M[m][s] = 0 and M[l][q] = d*(d), and every
-    candidate has the gap |M[0][1] - M[1][0]|: the lexicographically least
-    one, (0, 1, 0, 1), is returned if that gap is below 20*eps, else None
-    (always at K = 0).  At eps = 1/80 the gap is d*(d) >= 1/4 = 20*eps for
-    every model: the finite-exact form of the contradiction.
+    ``product_matrix`` is d*(d) * [p <= n], exact by the biorthogonality
+    check the basis passed when it was built, so M[m][s] = 0 and
+    M[l][q] = d*(d), and every candidate has the gap |M[0][1] - M[1][0]|:
+    the lexicographically least one, (0, 1, 0, 1), is returned if that gap
+    is below 20*eps, else None (always at K = 0).  At eps = 1/80 the gap is
+    d*(d) >= 1/4 = 20*eps for every model: the finite-exact form of the
+    contradiction.
     """
     eps = Fraction(eps)
     M = product_matrix(model).entries

@@ -87,8 +87,8 @@ def test_run_refutation_api():
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
     # the integrands f_n g_p mu are read once, from the prefix table of
     # one model (which fs reads too) and the basis's F * W, and the product
-    # matrix is the closed form after the basis's check: refute integrates
-    # only what the hypothesis report integrates
+    # matrix is the closed form: refute integrates only what the hypothesis
+    # report integrates
     integrals = []
     real_integrate = measure_space.integrate
 
@@ -105,6 +105,38 @@ def test_refutation_integrates_the_product_matrix_once(monkeypatch):
     report = run_refutation(Basis.canonical(3), Fraction(2))
     assert len(integrals) == report_integrals
     assert len(table_builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refute", "--canonical", "3", "--B", "2/1"),
+        ("space", "--canonical", "3"),
+        ("matrix", "--canonical", "3"),
+        ("verify",),
+    ],
+)
+def test_each_basis_is_checked_once(monkeypatch, capsys, argv):
+    # the biorthogonality check runs in the constructor and nowhere else:
+    # a built basis refuses assignment, so its checked forms cannot change
+    built, checked = [], []
+    real_init, real_check = Basis.__init__, Basis.check_biorthogonality
+
+    def recording_init(basis, *args):
+        real_init(basis, *args)
+        built.append(basis)
+
+    def recording_check(basis):
+        checked.append(basis)
+        real_check(basis)
+
+    monkeypatch.setattr(Basis, "__init__", recording_init)
+    monkeypatch.setattr(Basis, "check_biorthogonality", recording_check)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built
+    assert len(checked) == len(built)
+    assert all(b is c for b, c in zip(built, checked))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """The package's public namespace and its import hygiene."""
 
 import ast
+import dataclasses
+import importlib
+from enum import Enum
 from pathlib import Path
 
 import jameslab
@@ -93,3 +96,34 @@ def test_every_public_definition_is_read_in_the_package_or_exported():
     assert len(sources) > 1
     unread = _unread_definitions(sources, private=False)
     assert [u for u in unread if u.split()[1] not in jameslab.__all__] == []
+
+
+def _assignable_classes(sources: list[Path]) -> list[str]:
+    """'module name' for each public class defined in the sources that is
+    neither an exception nor an ``Enum`` and whose instances accept
+    attribute assignment: it is not a frozen dataclass and defines no
+    ``__setattr__`` of its own."""
+    assignable = []
+    for path in sources:
+        module = importlib.import_module(f"jameslab.{path.stem}")
+        for name, cls in vars(module).items():
+            if (
+                not isinstance(cls, type)
+                or cls.__module__ != module.__name__
+                or name.startswith("_")
+                or issubclass(cls, (BaseException, Enum))
+            ):
+                continue
+            frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+            if not frozen and "__setattr__" not in vars(cls):
+                assignable.append(f"{path.stem} {name}")
+    return assignable
+
+
+def test_every_public_value_type_refuses_assignment():
+    # a value that a check passed at construction must stay the value that
+    # was checked: every public class is frozen, as the dataclasses are, or
+    # guards __setattr__ itself, as Root2Scalar and Basis do
+    sources = sorted(Path(jameslab.__file__).parent.glob("[!_]*.py"))
+    assert len(sources) > 1
+    assert _assignable_classes(sources) == []

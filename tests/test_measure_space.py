@@ -468,7 +468,7 @@ def test_atom_subsets_doubling_keeps_the_bit_mask_order():
         assert atom_subsets(K) == reference_atom_subsets(K)
 
 
-def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond():
+def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond(monkeypatch):
     K = SIGMA_ENUMERATION_MAX_DIMENSION
     subsets = atom_subsets(K)
     assert len(subsets) == len(set(subsets)) == 2 ** (K + 1)
@@ -476,8 +476,18 @@ def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond():
     with pytest.raises(SubsetEnumerationLimit, match=f"K <= {K}$"):
         atom_subsets(K + 1)
     model = build(random_invertible_basis(K + 1, random.Random(1)))
+    calls = []
+    real_pi = measure_space.pi
+
+    def counting_pi(model, x):
+        calls.append(x)
+        return real_pi(model, x)
+
+    monkeypatch.setattr(measure_space, "pi", counting_pi)
     with pytest.raises(SubsetEnumerationLimit):
         check_identities(model, 1, 0)
+    # refused before its samples are drawn, as hypothesis_report refuses
+    assert calls == []
 
 
 def test_model_json_export():

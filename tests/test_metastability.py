@@ -1105,8 +1105,8 @@ def test_product_matrix_matches_the_step_function_reference(model):
 
 
 def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
-    # after the basis's biorthogonality check the matrix is the closed
-    # form: the d*(d) object on and below the diagonal, one 0 above it
+    # the matrix is the closed form: the d*(d) object on and below the
+    # diagonal, one 0 above it
     model = build(random_invertible_basis(6, random.Random(208)))
     entries = product_matrix(model).entries
     assert all(
@@ -1115,6 +1115,22 @@ def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
         for p, v in enumerate(row)
     )
     assert entries[0][-1] == 0
+
+
+def test_the_product_matrix_reads_no_form_of_the_basis_and_runs_no_check(
+    monkeypatch,
+):
+    # the basis ran its one check when it was built: the matrix needs only
+    # K and d*(d), so a model whose basis holds no form gives the same one
+    model = build(random_invertible_basis(4, random.Random(209)))
+    expected = reference_product_matrix(model)
+
+    def no_check(basis):
+        raise AssertionError("the biorthogonality check ran again")
+
+    monkeypatch.setattr(Basis, "check_biorthogonality", no_check)
+    bare = dataclasses.replace(model, basis=SimpleNamespace(K=model.K))
+    assert product_matrix(bare) == product_matrix(model) == expected
 
 
 @pytest.mark.parametrize(
@@ -1128,14 +1144,15 @@ def test_a_checked_product_matrix_holds_d_star_d_and_zero_themselves():
         (Basis.canonical(3), {"fs": (1, 3), "gs": (0, 2)}),
     ],
 )
-def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
+def test_perturbed_family_fails_the_basis_check_as_in_the_reference(
     basis, perturbed
 ):
-    # the product matrix checks the basis's integer forms, and fs and gs
-    # are read from them: one entry of f_n or g_p is moved by perturbing
-    # the entries of E * W^-1 whose prefix sums give f_n, or one entry of
-    # F * W, before either family is built; where the reference finds a
-    # wrong entry, the biorthogonality check fails
+    # fs, gs and the reference product matrix are read from the basis's
+    # integer forms: one entry of f_n or g_p is moved by perturbing the
+    # entries of E * W^-1 whose prefix sums give f_n, or one entry of
+    # F * W, past the guard of the built basis (plain assignment is
+    # refused) and before either family is built; where the reference
+    # finds a wrong entry, the biorthogonality check fails
     model = build(basis)
     assert not {"fs", "gs", "prefix_table"} & set(vars(model))
     E, rows = basis.dual.int_rows
@@ -1149,12 +1166,18 @@ def test_perturbed_family_breaks_the_product_matrix_as_in_the_reference(
                 rows[i][n + 1] -= 1
         else:
             columns[i][n] += 1
-    basis.dual = DualBasis(basis.K, (E, tuple(map(tuple, rows))))
-    basis.int_columns = (F, tuple(map(tuple, columns)))
+    forms = {
+        "dual": DualBasis(basis.K, (E, tuple(map(tuple, rows)))),
+        "int_columns": (F, tuple(map(tuple, columns))),
+    }
+    for name, value in forms.items():
+        with pytest.raises(AttributeError):
+            setattr(basis, name, value)
+        object.__setattr__(basis, name, value)
     with pytest.raises(StructureViolation):
         reference_product_matrix(model)
     with pytest.raises(StructureViolation, match="biorthogonality"):
-        product_matrix(model)
+        basis.check_biorthogonality()
 
 
 def test_hypothesis_report_canonical_passes():
