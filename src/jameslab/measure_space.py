@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 
 from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
@@ -76,6 +76,12 @@ class MeasureSpaceModel:
         """(D, D * mu): the atom weights over the lcm D of their denominators."""
         D, (mu,) = integer_rows([self.mu])
         return D, tuple(mu)
+
+    @cached_property
+    def int_atom_values(self) -> tuple[int, list[list[int]]]:
+        """(D, [D * gamma_d, D * d_star_atoms]): g*_i(d) and d*(w_i) as
+        integers over one denominator D."""
+        return integer_rows([self.gamma_d, self.d_star_atoms])
 
     @cached_property
     def prefix_table(self) -> tuple[int, list[list[int]]]:
@@ -274,21 +280,28 @@ def atom_subsets(K: int) -> list[tuple[int, ...]]:
 
 def small_set_breaches(
     model: MeasureSpaceModel,
-    hs: tuple[tuple[int | Fraction, ...], ...],
+    families: Iterable[str],
     bound: Fraction,
     eps: Fraction,
-    sigmas: Iterable[tuple[int, ...]],
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield each (sigma, n), sigma-major, that breaks small-set continuity:
-    mu(sigma) < eps / (bound * 2^n) while the integral of |h_n| over sigma
-    is at least eps.  A bound or an eps that is not positive raises
-    ``ValueError`` at the first step.
+) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """Yield each (family, sigma, n), sigma-major and then in the order of
+    ``families``, at which h_n of that family ("f": f_n, "g": g_n) breaks
+    small-set continuity: mu(sigma) < eps / (bound * 2^n) while the
+    integral of |h_n| over sigma is at least eps.  A bound or an eps that
+    is not positive, or an unknown family, raises ``ValueError`` at the
+    first step.
 
-    mu is ``model.int_mu`` and each |h_n| * mu is |h_n| scaled to integers
-    times it, over one denominator each, so both tests compare integer
-    subset sums with integer thresholds (an integer s is below a rational
-    x exactly when it is below ceil(x)).  Integrals are summed only for
-    small sigma, whose atoms are checked as ``integrate_over`` checks them.
+    One walk over ``atom_subsets(K)`` decides every family.  mu(sigma) in
+    units of 1 / D_mu (``model.int_mu``) comes from the doubling list of
+    subset sums, in the same bit-mask order: the sums over the subsets of
+    atoms 0..i-1, then each of them plus mu_i.  Only a sigma below the
+    widest threshold, that of n = 0, is integrated.  On atom i the scales
+    of f_n and g_p cancel against mu_i, so with the prefix table (E, U),
+    the columns of F * W and ``model.int_atom_values`` = (D, [c, a]),
+    f_n mu_i = U[i][n] * a_i / (E * D) and g_p mu_i = (F * W)[p][i] * c_i
+    / (F * D).  So both tests compare integer subset sums with integer
+    thresholds (an integer s is below a rational x exactly when it is
+    below ceil(x)).
     """
     K = model.K
     bound, eps = Fraction(bound), Fraction(eps)
@@ -296,24 +309,35 @@ def small_set_breaches(
         raise ValueError("the bound must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    D_mu, mu = model.int_mu
+    D, (c, a) = model.int_atom_values
+    E, U = model.prefix_table
+    F, V = model.basis.int_columns
+    forms = {"f": (E, U, a), "g": (F, V, c)}
     cases = []
-    for n, h in enumerate(hs):
-        if len(h) != K + 1:
-            raise DimensionMismatch((len(h), K + 1))
-        S, (values,) = integer_rows([h])
-        weighted = [abs(v) * m for v, m in zip(values, mu)]
-        mu_limit = ceil_rational(eps * D_mu / (bound * 2**n))
-        cases.append((mu_limit, ceil_rational(eps * (S * D_mu)), weighted))
-    widest = max((mu_limit for mu_limit, _, _ in cases), default=0)
-    for sigma in sigmas:
-        s = sum(map(mu.__getitem__, sigma))
-        if s >= widest:
-            continue
-        _check_atoms(sigma, K)
-        for n, (mu_limit, h_limit, weighted) in enumerate(cases):
-            if s < mu_limit and sum(map(weighted.__getitem__, sigma)) >= h_limit:
-                yield sigma, n
+    for name in families:
+        if name not in forms:
+            raise ValueError(f"unknown family {name!r}")
+        T, rows, values = forms[name]
+        weighted = [
+            [abs(row[n]) * v for row, v in zip(rows, values)] for n in range(K + 1)
+        ]
+        cases.append((name, ceil_rational(eps * T * D), weighted))
+    D_mu, mu = model.int_mu
+    # the thresholds of mu(sigma) in units of 1 / D_mu, nonincreasing in n:
+    # a sigma that fails one fails every later n
+    mu_limits = [ceil_rational(eps * D_mu / (bound * 2**n)) for n in range(K + 1)]
+    subsets = atom_subsets(K)
+    sums = [0]
+    for m in mu:
+        sums += [s + m for s in sums]
+    for k in compress(range(len(sums)), map(mu_limits[0].__gt__, sums)):
+        sigma, s = subsets[k], sums[k]
+        for name, h_limit, weighted in cases:
+            for n, (mu_limit, row) in enumerate(zip(mu_limits, weighted)):
+                if s >= mu_limit:
+                    break
+                if sum(map(row.__getitem__, sigma)) >= h_limit:
+                    yield name, sigma, n
 
 
 def _check_subset_limit(K: int) -> None:
@@ -350,7 +374,8 @@ def check_identities(
     Asserted clauses: the pairing identity, both L1 identities, and
     small-set continuity against the certified stand-in
     B^ = max_n ||f_n||_inf / 2^n at accuracy ``IDENTITY_SMALL_SET_EPS``,
-    over all atom subsets.  The samples are rational, so each right-hand
+    over all atom subsets; B^ and the scan read the prefix table, and no
+    embedded family is built.  The samples are rational, so each right-hand
     side is a dot product over Q.  K above the subset limit is refused first.
     """
     K = model.K
@@ -386,11 +411,22 @@ def check_identities(
         ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
     )
 
-    certified = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
+    # f_n(w_i) / 2^n = d*(d) * D * U[i][n] * 2^(K-n) / (c_i * E * 2^K), with
+    # (E, U) the prefix table and g*_i(d) = c_i / D: the largest
+    # max_n |U[i][n]| * 2^(K-n) / c_i, found by cross-multiplication, gives B^
+    E, U = model.prefix_table
+    D, (c, _) = model.int_atom_values
+    top, c_top = 0, 1
+    for row, c_i in zip(U, c):
+        peak = max(abs(u) << (K - n) for n, u in enumerate(row))
+        if peak * c_top > top * c_i:
+            top, c_top = peak, c_i
+    num, den = model.d_star_d.as_integer_ratio()
+    certified = Fraction(num * D * top, den * c_top * (E << K))
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
-        for sigma, n in small_set_breaches(
-            model, model.fs, certified, IDENTITY_SMALL_SET_EPS, atom_subsets(K)
+        for _, sigma, n in small_set_breaches(
+            model, ("f",), certified, IDENTITY_SMALL_SET_EPS
         )
     }
     entries.append(

@@ -52,10 +52,11 @@ def integer_rows(
     rows: Iterable[Iterable[Fraction]],
 ) -> tuple[int, list[list[int]]]:
     """(D, D * rows): rows of rationals over one denominator D, the lcm of
-    all their denominators, as lists of integers."""
-    rows = [list(row) for row in rows]
-    D = lcm(*(v.denominator for row in rows for v in row))
-    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+    all their denominators, as lists of integers.  Each value is read once,
+    as its ``as_integer_ratio()``."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    D = lcm(*(q for row in ratios for _, q in row))
+    return D, [[p * (D // q) for p, q in row] for row in ratios]
 
 
 def rational_dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
@@ -145,6 +146,9 @@ class Root2Scalar:
         object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Root2Scalar is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("Root2Scalar is immutable")
 
     @classmethod

@@ -101,8 +101,8 @@ def test_every_public_definition_is_read_in_the_package_or_exported():
 def _assignable_classes(sources: list[Path]) -> list[str]:
     """'module name' for each public class defined in the sources that is
     neither an exception nor an ``Enum`` and whose instances accept
-    attribute assignment: it is not a frozen dataclass and defines no
-    ``__setattr__`` of its own."""
+    attribute assignment or deletion: it is not a frozen dataclass and
+    does not define both ``__setattr__`` and ``__delattr__`` of its own."""
     assignable = []
     for path in sources:
         module = importlib.import_module(f"jameslab.{path.stem}")
@@ -115,7 +115,8 @@ def _assignable_classes(sources: list[Path]) -> list[str]:
             ):
                 continue
             frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
-            if not frozen and "__setattr__" not in vars(cls):
+            guarded = {"__setattr__", "__delattr__"} <= vars(cls).keys()
+            if not frozen and not guarded:
                 assignable.append(f"{path.stem} {name}")
     return assignable
 
@@ -123,7 +124,7 @@ def _assignable_classes(sources: list[Path]) -> list[str]:
 def test_every_public_value_type_refuses_assignment():
     # a value that a check passed at construction must stay the value that
     # was checked: every public class is frozen, as the dataclasses are, or
-    # guards __setattr__ itself, as Root2Scalar and Basis do
+    # guards __setattr__ and __delattr__ itself, as Root2Scalar and Basis do
     sources = sorted(Path(jameslab.__file__).parent.glob("[!_]*.py"))
     assert len(sources) > 1
     assert _assignable_classes(sources) == []

@@ -197,8 +197,9 @@ def test_embeddings_integrals_and_moduli_match_fraction_oracles(basis, data):
 def test_small_set_breaches_match_fraction_sums(basis, bound, eps):
     model = build(basis)
     sigmas = atom_subsets(basis.K)
-    for hs in (model.fs, model.gs):
-        assert list(small_set_breaches(model, hs, bound, eps, sigmas)) == (
+    breaches = list(small_set_breaches(model, ("f", "g"), bound, eps))
+    for name, hs in (("f", model.fs), ("g", model.gs)):
+        assert [(sigma, n) for family, sigma, n in breaches if family == name] == (
             fraction_breaches(model, hs, bound, eps, sigmas)
         )
 

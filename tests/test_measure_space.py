@@ -1,5 +1,6 @@
 """The atomic measure space: weights, embeddings, and the product matrix."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from jameslab.james_core import (
 from jameslab.measure_space import (
     SIGMA_ENUMERATION_MAX_DIMENSION,
     IrrationalAtomValue,
+    MeasureSpaceModel,
     SubsetEnumerationLimit,
     atom_subsets,
     build,
@@ -30,9 +32,11 @@ from jameslab.measure_space import (
     small_set_breaches,
 )
 from jameslab.basis_tools import modulus_functional, modulus_vector
-from jameslab.scalars import Root2Scalar
+from jameslab.metastability import hypothesis_report
+from jameslab.scalars import Root2Scalar, fmt_rational
 
 from helpers import (
+    monomial_basis,
     mu_of,
     random_vector,
     reference_atom_products,
@@ -389,6 +393,13 @@ def test_check_identities_random_bases():
         assert check_identities(model, 4, seed=10).all_passed
 
 
+def family_breaches(model, family, bound, eps) -> list:
+    """The (sigma, n) pairs that one family's scan yields."""
+    return [
+        (sigma, n) for _, sigma, n in small_set_breaches(model, (family,), bound, eps)
+    ]
+
+
 def test_small_set_breaches_match_the_fraction_reference():
     rng = random.Random(109)
     models = [build(Basis.canonical(K)) for K in range(6)]
@@ -396,14 +407,14 @@ def test_small_set_breaches_match_the_fraction_reference():
     found = 0
     for model in models:
         sigmas = atom_subsets(model.K)
-        for hs in (model.fs, model.gs):
+        for family, hs in (("f", model.fs), ("g", model.gs)):
             for bound, eps in (
                 (Fraction(1, 8), Fraction(1, 4)),
                 (Fraction(1, 2), Fraction(1, 16)),
                 (Fraction(1), Fraction(1, 10)),
                 (Fraction(2), Fraction(1, 80)),
             ):
-                breaches = list(small_set_breaches(model, hs, bound, eps, sigmas))
+                breaches = family_breaches(model, family, bound, eps)
                 assert breaches == reference_small_set_breaches(
                     model, hs, bound, eps, sigmas
                 )
@@ -416,7 +427,7 @@ def test_small_set_breaches_at_exact_thresholds():
     # subset exactly on the threshold: both comparisons meet equality
     model = build(random_invertible_basis(3, random.Random(110)))
     sigmas = atom_subsets(3)
-    for hs in (model.fs, model.gs):
+    for family, hs in (("f", model.fs), ("g", model.gs)):
         for sigma in sigmas[1::3]:
             for n in (0, 2):
                 eps = integrate_over(model, tuple(map(abs, hs[n])), sigma)
@@ -424,35 +435,141 @@ def test_small_set_breaches_at_exact_thresholds():
                     continue
                 for tau in sigmas[1::5]:
                     bound = eps / (mu_of(model, tau) * 2**n)
-                    assert list(small_set_breaches(model, hs, bound, eps, sigmas)) == (
+                    assert family_breaches(model, family, bound, eps) == (
                         reference_small_set_breaches(model, hs, bound, eps, sigmas)
                     )
 
 
-def test_small_set_breaches_check_the_atoms_they_integrate():
-    # a tiny bound makes every subset small, so each one is integrated
-    model = build(Basis.canonical(2))
-    tiny = Fraction(1, 10**6)
-    with pytest.raises(ValueError):
-        list(small_set_breaches(model, model.fs, tiny, Fraction(1), [(0, 0)]))
-    with pytest.raises(IndexError):
-        list(small_set_breaches(model, model.fs, tiny, Fraction(1), [(-1,)]))
+def _scan_basis(kind: str, K: int, seed: int) -> Basis:
+    rng = random.Random(seed)
+    if kind == "canonical":
+        return Basis.canonical(K)
+    if kind == "random":
+        return random_invertible_basis(K, rng)
+    return monomial_basis(rng, K, kind == "permuted")[1]
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
+    K=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_small_set_scan_matches_the_fraction_oracle(kind, K, seed, data):
+    # eps is drawn free or as the integral of |h_n| over a subset tau, and
+    # the bound free or as the one that puts mu(rho) exactly on the
+    # threshold eps / (bound * 2^m): either test can meet equality
+    model = build(_scan_basis(kind, K, seed))
+    sigmas = atom_subsets(K)
+    family = data.draw(st.sampled_from(["f", "g"]), label="family")
+    hs = model.fs if family == "f" else model.gs
+    n, m = (data.draw(st.integers(0, K), label=label) for label in ("n", "m"))
+    tau, rho = (
+        data.draw(st.sampled_from(sigmas[1:]), label=label) for label in ("tau", "rho")
+    )
+    on_integral = integrate_over(model, tuple(map(abs, hs[n])), tau)
+    if on_integral and data.draw(st.booleans(), label="eps on an integral"):
+        eps = on_integral
+    else:
+        eps = data.draw(_POSITIVE, label="eps")
+    if data.draw(st.booleans(), label="bound on a subset weight"):
+        bound = eps / (mu_of(model, rho) * 2**m)
+    else:
+        bound = data.draw(_POSITIVE, label="bound")
+    expected = reference_small_set_breaches(model, hs, bound, eps, sigmas)
+    assert family_breaches(model, family, bound, eps) == expected
+    both = small_set_breaches(model, ("f", "g"), bound, eps)
+    assert [(sigma, k) for name, sigma, k in both if name == family] == expected
+
+
+def test_small_set_breaches_integrate_the_atom_subsets_they_walk(monkeypatch):
+    # one call of atom_subsets per scan, and every breach is a subset of
+    # that list: a tiny bound makes every subset small, so each is integrated
+    model = build(random_invertible_basis(3, random.Random(111)))
+    real, calls = measure_space.atom_subsets, []
+
+    def recording(K):
+        calls.append(real(K))
+        return calls[-1]
+
+    monkeypatch.setattr(measure_space, "atom_subsets", recording)
+    breaches = list(
+        small_set_breaches(model, ("f", "g"), Fraction(1, 10**6), Fraction(1, 80))
+    )
+    assert len(calls) == 1 and len(calls[0]) == 2**4
+    assert {id(sigma) for _, sigma, _ in breaches} <= set(map(id, calls[0]))
+    assert len({sigma for _, sigma, _ in breaches}) == 2**4 - 1
+    hypothesis_report(model, Fraction(2), Fraction(1, 80))
+    check_identities(model, 1, 0)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
-    "bound, eps, message",
+    "bound, eps, family, message",
     [
-        (Fraction(1), Fraction(0), "eps must be positive"),
-        (Fraction(1), Fraction(-1, 4), "eps must be positive"),
-        (Fraction(0), Fraction(1, 4), "bound must be positive"),
-        (Fraction(-1), Fraction(1, 4), "bound must be positive"),
+        (Fraction(1), Fraction(0), "f", "eps must be positive"),
+        (Fraction(1), Fraction(-1, 4), "f", "eps must be positive"),
+        (Fraction(0), Fraction(1, 4), "f", "bound must be positive"),
+        (Fraction(-1), Fraction(1, 4), "f", "bound must be positive"),
+        (Fraction(1), Fraction(1, 4), "h", "unknown family 'h'"),
     ],
 )
-def test_small_set_breaches_refuse_a_nonpositive_bound_or_eps(bound, eps, message):
+def test_small_set_breaches_refuse_a_nonpositive_bound_or_eps(
+    bound, eps, family, message
+):
     # a bound of 0 divided by zero, and the others reported no breach
     model = build(Basis.canonical(2))
     with pytest.raises(ValueError, match=message):
-        list(small_set_breaches(model, model.fs, bound, eps, atom_subsets(2)))
+        list(small_set_breaches(model, (family,), bound, eps))
+
+
+# (kind, K, seed) -> SHA-256 of the report's repr and its certified_B_hat,
+# recorded when check_identities read B^ and the scan's weights off fs
+_IDENTITY_REPORTS = {
+    ("canonical", 5, 0): (
+        "90461f5490eb583f113057f074ebf9d60829d4d5b87c4bdbf6d9abc93301a3cd", "2667/2048"
+    ),
+    ("random", 3, 11): (
+        "b72bd9cf98c48b50879494827b11636112b52840ea6a028158fe92faaf548cc9", "230841/38624"
+    ),
+    ("random", 6, 12): (
+        "d7a07ecc3ee0e64857bdeacb033c208d73784a7c682e8d74927f18d3d77b2610",
+        "48363176253245/4929656114944",
+    ),
+    ("permuted", 4, 13): (
+        "ffc33809df3db31fe8697859499cefffa36101c83dd0bd8efb1f1f663f53e16b", "651/512"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, K, seed", list(_IDENTITY_REPORTS))
+def test_check_identities_reads_neither_embedded_family(kind, K, seed, monkeypatch):
+    def refuse(model):
+        raise AssertionError("check_identities built an embedded family")
+
+    for name in ("fs", "gs"):
+        monkeypatch.setattr(MeasureSpaceModel, name, property(refuse))
+    report = check_identities(build(_scan_basis(kind, K, seed)), 3, seed)
+    digest, certified = _IDENTITY_REPORTS[kind, K, seed]
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+    assert report.entries[-1].details["certified_B_hat"] == certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
+    K=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_certified_b_hat_is_the_largest_scaled_sup_norm(kind, K, seed):
+    model = build(_scan_basis(kind, K, seed))
+    expected = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
+    details = check_identities(model, 0, seed).entries[-1].details
+    assert details["certified_B_hat"] == fmt_rational(expected)
 
 
 def test_atom_subsets_enumeration():

@@ -811,6 +811,9 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
     at ps[1] a copy of g at ps[0], then f_n at atom i set to 0 for each
     (n, i) in ``zeros``, and the prefix table and the columns of F * W read
     off those values as f_n * mu / d*(d) and g_p, each scaled to integers.
+    The small-set scan reads f_n * mu_i = U[i][n] * d*(w_i) / E and
+    g_p * mu_i = (F * W)[p][i] * g*_i(d) / F, so the copy's
+    ``int_atom_values`` holds g*_i(d) = mu_i and d*(w_i) = d*(d).
 
     At every fixed index where atom's line L is not zero, twin's line is L
     too, and the fix_n lines at the two n, and the fix_p lines at the two
@@ -841,7 +844,10 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
         model, mu=tuple(mu), basis=SimpleNamespace(K=K, int_columns=(F, V))
     )
     copy.__dict__.update(
-        fs=tuple(map(tuple, fs)), gs=tuple(map(tuple, gs)), prefix_table=(E, U)
+        fs=tuple(map(tuple, fs)),
+        gs=tuple(map(tuple, gs)),
+        prefix_table=(E, U),
+        int_atom_values=integer_rows([mu, [d] * (K + 1)]),
     )
     return copy
 

@@ -3,6 +3,7 @@
 import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from jameslab.scalars import (
     ceil_rational,
     ceil_sqrt_rational,
     fmt_rational,
+    integer_rows,
 )
 
 getcontext().prec = 80
@@ -184,3 +186,33 @@ def test_ceil_sqrt_is_least(x):
     assert t * t >= x
     if t > 0:
         assert (t - 1) * (t - 1) < x
+
+
+def test_root2_scalar_refuses_assignment_and_deletion():
+    x = Root2Scalar(Fraction(1, 2), 3)
+    for name in ("a", "b"):
+        value = getattr(x, name)
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) is value
+
+
+def _integer_rows_by_attributes(rows):
+    """``integer_rows`` read through ``numerator`` and ``denominator``."""
+    rows = [list(row) for row in rows]
+    D = lcm(*(v.denominator for row in rows for v in row))
+    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+
+
+_EXACT = st.one_of(
+    st.fractions(max_denominator=10**12), st.integers(-(10**30), 10**30), st.booleans()
+)
+
+
+@given(st.lists(st.lists(_EXACT, max_size=7), max_size=4))
+def test_integer_rows_match_the_numerator_and_denominator_form(rows):
+    D, scaled = integer_rows(rows)
+    assert (D, scaled) == _integer_rows_by_attributes(rows)
+    assert all(type(v) is int for row in scaled for v in row)
