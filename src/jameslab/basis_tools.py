@@ -244,10 +244,9 @@ def modulus_vector(basis: Basis, x: JVector) -> JVector:
     integer coordinates of x, made absolute, times F * W."""
     den, coords = basis.dual.scaled_coords(x)
     F, columns = basis.int_columns
-    coords = list(map(abs, coords))
     return JVector(
         basis.K,
-        tuple(Fraction(sum(map(mul, row, coords)), F * den) for row in zip(*columns)),
+        tuple(Fraction(v, F * den) for v in _abs_dots(zip(*columns), coords)),
     )
 
 
@@ -257,11 +256,17 @@ def modulus_functional(basis: Basis, x_star: DualFunctional) -> DualFunctional:
     x* must be rational (see :meth:`Basis.functional_values`)."""
     den, values = basis.scaled_functional_values(x_star)
     E, rows = basis.dual.int_rows
-    values = list(map(abs, values))
     return DualFunctional.from_rationals(
         basis.K,
-        tuple(Fraction(sum(map(mul, values, col)), E * den) for col in zip(*rows)),
+        tuple(Fraction(v, E * den) for v in _abs_dots(zip(*rows), values)),
     )
+
+
+def _abs_dots(lines: Iterable, values: list[int]) -> list[int]:
+    """line . |values| for each integer line: the integer core of |x| (rows
+    of F * W, coordinates of x) and of |x*| (columns of E * W^-1, x*(w_i))."""
+    values = list(map(abs, values))
+    return [sum(map(mul, line, values)) for line in lines]
 
 
 def sign_align(

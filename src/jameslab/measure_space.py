@@ -18,8 +18,7 @@ from functools import cached_property
 from itertools import accumulate, compress
 from operator import mul
 
-from .basis_tools import Basis, DualBasis, modulus_functional, modulus_vector
-from .basis_tools import StructureViolation
+from .basis_tools import Basis, DualBasis, StructureViolation, _abs_dots
 from .basis_tools import IrrationalAtomValue  # noqa: F401  (raised by pi_star)
 from .james_core import DimensionMismatch, DualFunctional, JVector
 from .reporting import Report, ReportEntry
@@ -28,7 +27,6 @@ from .scalars import (
     check_exact_values,
     fmt_rational,
     integer_rows,
-    rational_dot,
 )
 
 SIGMA_ENUMERATION_MAX_DIMENSION = 16
@@ -58,18 +56,13 @@ class MeasureSpaceModel:
         return self.basis.dual
 
     @cached_property
-    def vector_scales(self) -> tuple[tuple[int, int], ...]:
-        """(a_i, b_i) with d*(d)/g*_i(d) = a_i / b_i: the factor by which pi
-        turns the basis coordinate g*_i(x) into the value on atom i."""
-        a, b = self.d_star_d.as_integer_ratio()
-        return tuple((a * g.denominator, b * g.numerator) for g in self.gamma_d)
-
-    @cached_property
-    def functional_scales(self) -> tuple[tuple[int, int], ...]:
-        """(a_i, b_i) with d*(d)/d*(w_i) = a_i / b_i: the factor by which
-        pi_star turns x*(w_i) into the value on atom i."""
-        a, b = self.d_star_d.as_integer_ratio()
-        return tuple((a * v.denominator, b * v.numerator) for v in self.d_star_atoms)
+    def int_scales(self) -> tuple[int, list[list[int]]]:
+        """(S, [p, q]) with d*(d)/g*_i(d) = p_i / S and d*(d)/d*(w_i) = q_i / S:
+        the factors by which pi turns g*_i(x), and pi_star x*(w_i), into
+        the value on atom i, as integers over one denominator."""
+        return integer_rows(
+            [[self.d_star_d / v for v in vs] for vs in (self.gamma_d, self.d_star_atoms)]
+        )
 
     @cached_property
     def int_mu(self) -> tuple[int, tuple[int, ...]]:
@@ -96,9 +89,9 @@ class MeasureSpaceModel:
         """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n),
         one Fraction per value from the prefix table."""
         E, U = self.prefix_table
-        scales = self.vector_scales
+        S, (p, _) = self.int_scales
         return tuple(
-            tuple(Fraction(a * u[n], b * E) for (a, b), u in zip(scales, U))
+            tuple(Fraction(s * u[n], S * E) for s, u in zip(p, U))
             for n in range(self.K + 1)
         )
 
@@ -107,9 +100,9 @@ class MeasureSpaceModel:
         """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i],
         one Fraction per value from the columns of F * W."""
         F, columns = self.basis.int_columns
-        scales = self.functional_scales
+        S, (_, q) = self.int_scales
         return tuple(
-            tuple(Fraction(a * col[p], b * F) for (a, b), col in zip(scales, columns))
+            tuple(Fraction(s * col[p], S * F) for s, col in zip(q, columns))
             for p in range(self.K + 1)
         )
 
@@ -185,12 +178,8 @@ def build(basis: Basis) -> MeasureSpaceModel:
 
 def pi(model: MeasureSpaceModel, x: JVector) -> tuple[Fraction, ...]:
     """Embed a vector: the values d*(d)/g*_i(d) * g*_i(x) on atoms 0..K."""
-    if x.K != model.K:
-        raise DimensionMismatch((x.K, model.K))
-    den, coords = model.dual.scaled_coords(x)
-    return tuple(
-        Fraction(a * c, b * den) for (a, b), c in zip(model.vector_scales, coords)
-    )
+    (S, (p, _)), (den, coords) = model.int_scales, model.dual.scaled_coords(x)
+    return tuple(Fraction(s * c, S * den) for s, c in zip(p, coords))
 
 
 def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> tuple[Fraction, ...]:
@@ -199,12 +188,9 @@ def pi_star(model: MeasureSpaceModel, x_star: DualFunctional) -> tuple[Fraction,
     Requires a rational functional; one with a sqrt(2) part raises
     :class:`IrrationalAtomValue` (from :meth:`Basis.scaled_functional_values`).
     """
-    if x_star.K != model.K:
-        raise DimensionMismatch((x_star.K, model.K))
+    S, (_, q) = model.int_scales
     den, values = model.basis.scaled_functional_values(x_star)
-    return tuple(
-        Fraction(a * v, b * den) for (a, b), v in zip(model.functional_scales, values)
-    )
+    return tuple(Fraction(s * v, S * den) for s, v in zip(q, values))
 
 
 def integrate_over(
@@ -292,9 +278,10 @@ def small_set_breaches(
     first step.
 
     One walk over ``atom_subsets(K)`` decides every family.  mu(sigma) in
-    units of 1 / D_mu (``model.int_mu``) comes from the doubling list of
-    subset sums, in the same bit-mask order: the sums over the subsets of
-    atoms 0..i-1, then each of them plus mu_i.  Only a sigma below the
+    units of 1 / D_mu (``model.int_mu``) is one sum from each of two
+    doubling lists of subset sums, over the lower and the upper half of
+    the atoms (2^h + 2^(K+1-h) ints); walking the upper list outside and
+    the lower one inside keeps the bit-mask order.  Only a sigma below the
     widest threshold, that of n = 0, is integrated.  On atom i the scales
     of f_n and g_p cancel against mu_i, so with the prefix table (E, U),
     the columns of F * W and ``model.int_atom_values`` = (D, [c, a]),
@@ -327,17 +314,22 @@ def small_set_breaches(
     # a sigma that fails one fails every later n
     mu_limits = [ceil_rational(eps * D_mu / (bound * 2**n)) for n in range(K + 1)]
     subsets = atom_subsets(K)
-    sums = [0]
-    for m in mu:
-        sums += [s + m for s in sums]
-    for k in compress(range(len(sums)), map(mu_limits[0].__gt__, sums)):
-        sigma, s = subsets[k], sums[k]
-        for name, h_limit, weighted in cases:
-            for n, (mu_limit, row) in enumerate(zip(mu_limits, weighted)):
-                if s >= mu_limit:
-                    break
-                if sum(map(row.__getitem__, sigma)) >= h_limit:
-                    yield name, sigma, n
+    # mu(sigma) = high[j] + low[i] for sigma's bit mask j * 2^h + i
+    h = (K + 1) // 2
+    low, high = [0], [0]
+    for sums, part in ((low, mu[:h]), (high, mu[h:])):
+        for m in part:
+            sums += [s + m for s in sums]  # extends low or high in place
+    for j, t in enumerate(high):
+        below = mu_limits[0] - t
+        for i in compress(range(len(low)), map(below.__gt__, low)):
+            sigma, s = subsets[(j << h) + i], t + low[i]
+            for name, h_limit, weighted in cases:
+                for n, (mu_limit, row) in enumerate(zip(mu_limits, weighted)):
+                    if s >= mu_limit:
+                        break
+                    if sum(map(row.__getitem__, sigma)) >= h_limit:
+                        yield name, sigma, n
 
 
 def _check_subset_limit(K: int) -> None:
@@ -357,13 +349,6 @@ def _check_atoms(sigma: tuple[int, ...], K: int) -> None:
             raise IndexError(i)
 
 
-def _random_coeffs(rng: random.Random, K: int) -> tuple[Fraction, ...]:
-    """K + 1 rationals with numerators in [-8, 8] over one denominator in
-    [1, 6]: the coefficients of a sample vector or functional."""
-    den = rng.randint(1, 6)
-    return tuple(Fraction(rng.randint(-8, 8), den) for _ in range(K + 1))
-
-
 def check_identities(
     model: MeasureSpaceModel,
     sample_count: int,
@@ -375,41 +360,48 @@ def check_identities(
     small-set continuity against the certified stand-in
     B^ = max_n ||f_n||_inf / 2^n at accuracy ``IDENTITY_SMALL_SET_EPS``,
     over all atom subsets; B^ and the scan read the prefix table, and no
-    embedded family is built.  The samples are rational, so each right-hand
-    side is a dot product over Q.  K above the subset limit is refused first.
+    embedded family is built.  K above the subset limit is refused first.
+
+    A sample is a denominator and K + 1 integer numerators, and each side
+    of each clause is an integer over a known denominator, from the basis's
+    and the model's integer forms; the sides are compared by
+    cross-multiplication, and Fractions are built only for failure details.
     """
     K = model.K
     _check_subset_limit(K)
-    d_star = model.d_star.rational_coeffs()
+    E, inv = model.dual.int_rows
+    F, cols = model.basis.int_columns
+    S, (p, q) = model.int_scales
+    D_mu, mu = model.int_mu
+    T, (d_star, d) = integer_rows([model.d_star.rational_coeffs(), model.d.coeffs])
+    a, b = model.d_star_d.as_integer_ratio()
     rng = random.Random(f"{seed}:identities")
-    entries: list[ReportEntry] = []
-
-    pairing_fail: dict[str, str] = {}
-    l1_vec_fail: dict[str, str] = {}
-    l1_fun_fail: dict[str, str] = {}
+    fails: tuple[dict[str, str], ...] = ({}, {}, {})
     for s in range(sample_count):
-        x = JVector(K, _random_coeffs(rng, K))
-        x_star = DualFunctional.from_rationals(K, _random_coeffs(rng, K))
-        px_star, px = pi_star(model, x_star), pi(model, x)
-        lhs = integrate(model, tuple(map(mul, px_star, px)))
-        rhs = rational_dot(x_star.rational_coeffs(), x.coeffs) * model.d_star_d
-        if lhs != rhs:
-            pairing_fail[f"sample_{s}"] = f"{lhs} != {rhs}"
-        mod_x = modulus_vector(model.basis, x)
-        if l1_norm(model, px) != rational_dot(d_star, mod_x.coeffs):
-            l1_vec_fail[f"sample_{s}"] = "mismatch"
-        mod_star = modulus_functional(model.basis, x_star).rational_coeffs()
-        if l1_norm(model, px_star) != rational_dot(mod_star, model.d.coeffs):
-            l1_fun_fail[f"sample_{s}"] = "mismatch"
-    entries.append(
-        ReportEntry("pairing_identity", not pairing_fail, details=pairing_fail)
-    )
-    entries.append(
-        ReportEntry("pi_l1_identity", not l1_vec_fail, details=l1_vec_fail)
-    )
-    entries.append(
-        ReportEntry("pi_star_l1_identity", not l1_fun_fail, details=l1_fun_fail)
-    )
+        # x, then x*: a denominator in [1, 6] and numerators in [-8, 8]
+        (x_den, x), (xs_den, xs) = [
+            (rng.randint(1, 6), [rng.randint(-8, 8) for _ in range(K + 1)])
+            for _ in range(2)
+        ]
+        coords = [sum(map(mul, row, x)) for row in inv]  # over E * x_den
+        values = [sum(map(mul, xs, col)) for col in cols]  # over F * xs_den
+        px_den, px = S * E * x_den, list(map(mul, p, coords))  # pi(x)
+        ps_den, ps = S * F * xs_den, list(map(mul, q, values))  # pi*(x*)
+        # (lhs, its denominator, rhs, its denominator) of each clause
+        clauses = (
+            (sum(map(mul, map(mul, ps, px), mu)), ps_den * px_den * D_mu,
+             sum(map(mul, xs, x)) * a, xs_den * x_den * b),
+            (sum(map(mul, map(abs, px), mu)), px_den * D_mu,
+             sum(map(mul, d_star, _abs_dots(zip(*cols), coords))), T * F * E * x_den),
+            (sum(map(mul, map(abs, ps), mu)), ps_den * D_mu,
+             sum(map(mul, _abs_dots(zip(*inv), values), d)), E * F * xs_den * T),
+        )
+        for k, (lhs, lhs_den, rhs, rhs_den) in enumerate(clauses):
+            if lhs * rhs_den != rhs * lhs_den:
+                lhs, rhs = Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
+                fails[k][f"sample_{s}"] = f"{lhs} != {rhs}" if k == 0 else "mismatch"
+    names = ("pairing_identity", "pi_l1_identity", "pi_star_l1_identity")
+    entries = [ReportEntry(n, not f, details=f) for n, f in zip(names, fails)]
 
     # f_n(w_i) / 2^n = d*(d) * D * U[i][n] * 2^(K-n) / (c_i * E * 2^K), with
     # (E, U) the prefix table and g*_i(d) = c_i / D: the largest
@@ -421,8 +413,7 @@ def check_identities(
         peak = max(abs(u) << (K - n) for n, u in enumerate(row))
         if peak * c_top > top * c_i:
             top, c_top = peak, c_i
-    num, den = model.d_star_d.as_integer_ratio()
-    certified = Fraction(num * D * top, den * c_top * (E << K))
+    certified = Fraction(a * D * top, b * c_top * (E << K))
     cont_detail = {
         f"sigma_{sigma}_n_{n}": "integral too large"
         for _, sigma, n in small_set_breaches(

@@ -12,7 +12,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
-from operator import mul
 
 _SQRT2_DIGITS = 40
 _SQRT2_DEN = 10**_SQRT2_DIGITS
@@ -57,13 +56,6 @@ def integer_rows(
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     D = lcm(*(q for row in ratios for _, q in row))
     return D, [[p * (D // q) for p, q in row] for row in ratios]
-
-
-def rational_dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
-    """The dot product of two rational vectors: one integer dot product of
-    their integer forms (see :func:`integer_rows`), as one Fraction."""
-    (S, (u,)), (T, (v,)) = integer_rows([u]), integer_rows([v])
-    return Fraction(sum(map(mul, u, v)), S * T)
 
 
 _EXACT_TYPES = frozenset((int, Fraction))

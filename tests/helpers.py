@@ -15,6 +15,8 @@ from jameslab.basis_tools import (
     UCEstimate,
     ZeroVector,
     integer_inverse,
+    modulus_functional,
+    modulus_vector,
     uc_sign_patterns,
 )
 from jameslab.hierarchy import EvalBudget, Exact, ExceedsBudget, _DigitGate
@@ -43,8 +45,12 @@ from jameslab.measure_space import (
     MeasureSpaceModel,
     ProductMatrix,
     StructureViolation,
+    check_identities,
     integrate,
     integrate_over,
+    l1_norm,
+    pi,
+    pi_star,
 )
 from jameslab.metastability import (
     BudgetExceeded,
@@ -762,6 +768,45 @@ def reference_small_set_breaches(
             if m < eps / (bound * 2**n) and integrate_over(model, h_abs, sigma) >= eps:
                 out.append((sigma, n))
     return out
+
+
+def reference_check_identities(
+    model: MeasureSpaceModel, sample_count: int, seed: int
+) -> Report:
+    """``check_identities`` with its sample clauses in Fractions: each
+    sample a ``JVector`` and a ``DualFunctional`` from the same draws,
+    embedded by ``pi`` and ``pi_star``, integrated by ``integrate`` and
+    ``l1_norm``, against Fraction dot products with x*(x) d*(d),
+    ``modulus_vector`` paired with d* and ``modulus_functional`` paired
+    with d.  The small-set entry is the one ``check_identities`` gives with
+    no samples; :func:`reference_small_set_breaches` is its oracle."""
+    K = model.K
+    rng = random.Random(f"{seed}:identities")
+    d_star = model.d_star.rational_coeffs()
+
+    def dot(u: tuple, v: tuple) -> Fraction:
+        return sum(map(mul, u, v), Fraction(0))
+
+    fails: tuple[dict, dict, dict] = ({}, {}, {})
+    for s in range(sample_count):
+        x = random_vector(rng, K)
+        x_star = DualFunctional.from_rationals(K, random_vector(rng, K).coeffs)
+        px, px_star = pi(model, x), pi_star(model, x_star)
+        lhs = integrate(model, times(px_star, px))
+        rhs = dot(x_star.rational_coeffs(), x.coeffs) * model.d_star_d
+        if lhs != rhs:
+            fails[0][f"sample_{s}"] = f"{lhs} != {rhs}"
+        if l1_norm(model, px) != dot(d_star, modulus_vector(model.basis, x).coeffs):
+            fails[1][f"sample_{s}"] = "mismatch"
+        mod_star = modulus_functional(model.basis, x_star).rational_coeffs()
+        if l1_norm(model, px_star) != dot(mod_star, model.d.coeffs):
+            fails[2][f"sample_{s}"] = "mismatch"
+    names = ("pairing_identity", "pi_l1_identity", "pi_star_l1_identity")
+    small_set = check_identities(model, 0, seed).entries[-1]
+    return Report(
+        tuple(ReportEntry(n, not f, details=f) for n, f in zip(names, fails))
+        + (small_set,)
+    )
 
 
 def full_float_norm_sq(coords: list[float]) -> float:

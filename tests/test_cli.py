@@ -734,6 +734,25 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.startswith("usage: jameslab")
 
 
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # the reader takes one line of a large matrix and closes the pipe, as
+    # ``jameslab matrix --canonical 300 | head -1`` does
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jameslab", "matrix", "--canonical", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first.startswith(b"n\\p,0,1,2,")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 def _readme_commands() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]

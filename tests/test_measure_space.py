@@ -1,8 +1,10 @@
 """The atomic measure space: weights, embeddings, and the product matrix."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,6 +44,7 @@ from helpers import (
     reference_atom_products,
     reference_atom_subsets,
     reference_build,
+    reference_check_identities,
     reference_coords_of,
     reference_small_set_breaches,
     times,
@@ -393,6 +396,75 @@ def test_check_identities_random_bases():
         assert check_identities(model, 4, seed=10).all_passed
 
 
+def corrupt(model, corruption: str, i: int, j: int, delta: Fraction):
+    """The model with one field made wrong: mu_i and mu_j swapped, mu_i
+    moved by delta, g*_i(d) doubled, or the coefficient i of d* moved by
+    delta."""
+    if corruption == "change_d_star":
+        coeffs = list(model.d_star.rational_coeffs())
+        coeffs[i] += delta
+        d_star = DualFunctional.from_rationals(model.K, tuple(coeffs))
+        return dataclasses.replace(model, d_star=d_star)
+    name = "gamma_d" if corruption == "double_gamma" else "mu"
+    values = list(getattr(model, name))
+    if corruption == "swap_mu":
+        values[i], values[j] = values[j], values[i]
+    elif corruption == "perturb_mu":
+        values[i] += delta
+    else:
+        values[i] *= 2
+    return dataclasses.replace(model, **{name: tuple(values)})
+
+
+_CORRUPTIONS = ("swap_mu", "perturb_mu", "double_gamma", "change_d_star")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
+    K=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+    corruption=st.sampled_from((None,) + _CORRUPTIONS),
+    samples=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_check_identities_match_the_fraction_oracle(
+    kind, K, seed, corruption, samples, data
+):
+    # the integer clauses give the Fraction loop's report, failure details
+    # included, on true models and on models with a wrong mu, gamma or d*
+    model = build(_scan_basis(kind, K, seed))
+    if corruption is not None:
+        i, j = (data.draw(st.integers(0, K), label=label) for label in "ij")
+        delta = data.draw(
+            st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60)),
+            label="delta",
+        )
+        model = corrupt(model, corruption, i, j, delta)
+    assert repr(check_identities(model, samples, seed)) == repr(
+        reference_check_identities(model, samples, seed)
+    )
+
+
+@pytest.mark.parametrize(
+    "corruption, failing",
+    [
+        ("swap_mu", ["pairing_identity", "pi_l1_identity", "pi_star_l1_identity"]),
+        ("perturb_mu", ["pairing_identity", "pi_l1_identity", "pi_star_l1_identity"]),
+        ("double_gamma", ["pairing_identity", "pi_l1_identity"]),
+        ("change_d_star", ["pi_l1_identity"]),
+    ],
+)
+def test_check_identities_catch_a_wrong_mu_gamma_or_d_star(corruption, failing):
+    # the sample clauses read mu, the scales of pi and d* themselves, so
+    # each corruption fails the clauses whose sides it changes
+    model = build(random_invertible_basis(4, random.Random(3)))
+    bad = corrupt(model, corruption, 0, 1, Fraction(1, 7))
+    report = check_identities(bad, 3, 0)
+    assert [e.name for e in report.entries[:3] if not e.passed] == failing
+    assert check_identities(model, 3, 0).all_passed
+
+
 def family_breaches(model, family, bound, eps) -> list:
     """The (sigma, n) pairs that one family's scan yields."""
     return [
@@ -559,6 +631,24 @@ def test_check_identities_reads_neither_embedded_family(kind, K, seed, monkeypat
     assert report.entries[-1].details["certified_B_hat"] == certified
 
 
+@pytest.mark.parametrize("kind, K, seed", list(_IDENTITY_REPORTS))
+def test_check_identities_call_no_embedding_integral_or_modulus(
+    kind, K, seed, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("check_identities called a Fraction-valued map")
+
+    model = build(_scan_basis(kind, K, seed))
+    names = ("pi", "pi_star", "integrate_over", "modulus_vector", "modulus_functional")
+    for module in (measure_space, basis_tools):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = check_identities(model, 3, seed)
+    digest, _ = _IDENTITY_REPORTS[kind, K, seed]
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
@@ -593,18 +683,20 @@ def test_atom_subsets_enumerates_up_to_the_limit_and_refuses_beyond(monkeypatch)
     with pytest.raises(SubsetEnumerationLimit, match=f"K <= {K}$"):
         atom_subsets(K + 1)
     model = build(random_invertible_basis(K + 1, random.Random(1)))
-    calls = []
-    real_pi = measure_space.pi
+    seeds = []
 
-    def counting_pi(model, x):
-        calls.append(x)
-        return real_pi(model, x)
+    def counting_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
 
-    monkeypatch.setattr(measure_space, "pi", counting_pi)
+    monkeypatch.setattr(measure_space, "random", SimpleNamespace(Random=counting_random))
     with pytest.raises(SubsetEnumerationLimit):
         check_identities(model, 1, 0)
-    # refused before its samples are drawn, as hypothesis_report refuses
-    assert calls == []
+    # refused before the generator of its samples is seeded, as
+    # hypothesis_report refuses; below the limit the samples are drawn
+    assert seeds == []
+    check_identities(build(Basis.canonical(1)), 1, 0)
+    assert seeds == ["0:identities"]
 
 
 def test_model_json_export():
