@@ -26,7 +26,7 @@ from .james_core import (
     eval_functional,
     james_norm_sq_float,
 )
-from .scalars import fmt_rational, integer_rows, json_int, json_rational
+from .scalars import fmt_rational, integer_rows, json_int, json_list, json_rational
 
 
 class SingularBasis(ValueError):
@@ -235,7 +235,10 @@ class Basis:
     def from_json_obj(cls, obj: dict) -> Basis:
         return cls(
             json_int(obj, "K"),
-            tuple(tuple(map(json_rational, col)) for col in obj["columns"]),
+            tuple(
+                tuple(map(json_rational, json_list(col, "a column")))
+                for col in json_list(obj["columns"], "columns")
+            ),
         )
 
 
@@ -317,13 +320,13 @@ class UCEstimate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> UCEstimate:
-        signs = tuple(obj["sign_pattern"])
+        signs = tuple(json_list(obj["sign_pattern"], "sign_pattern"))
         if any(type(e) is not int for e in signs):  # int() truncates 1.9
             raise TypeError(f"sign pattern entries must be integers, got {signs!r}")
         return cls(
             json_rational(obj["lower_bound_sq"]),
             SignPattern(signs),
-            tuple(map(json_rational, obj["alpha"])),
+            tuple(map(json_rational, json_list(obj["alpha"], "alpha"))),
         )
 
 

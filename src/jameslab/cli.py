@@ -105,8 +105,8 @@ def run_refutation(basis: Basis, B: Fraction) -> RefutationReport:
     conclusion is exactly impossible at epsilon = 1/80.
 
     The integrands f_n g_p mu are read once, from the model's prefix
-    table, which ``fs`` reads too, and the basis's F * W; the only
-    integrals are the hypothesis report's L1 norms.
+    table and the basis's F * W, which the L1 norms read too; those norms
+    are the only integrals.
 
     The conclusion needs m < s and q < l with |M[m][s] - M[l][q]| <
     20*epsilon.  The product matrix, the closed form that the basis's one

@@ -30,6 +30,7 @@ from .scalars import (
     fmt_rational,
     integer_rows,
     json_int,
+    json_list,
     json_rational,
     root2_sign,
 )
@@ -114,7 +115,8 @@ class JVector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> JVector:
-        return cls(json_int(obj, "K"), tuple(map(json_rational, obj["coeffs"])))
+        K, coeffs = json_int(obj, "K"), json_list(obj["coeffs"], "coeffs")
+        return cls(K, tuple(map(json_rational, coeffs)))
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,8 @@ class DualFunctional:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DualFunctional:
-        return cls(json_int(obj, "K"), tuple(map(Root2Scalar.from_pair, obj["coeffs"])))
+        K, coeffs = json_int(obj, "K"), json_list(obj["coeffs"], "coeffs")
+        return cls(K, tuple(map(Root2Scalar.from_pair, coeffs)))
 
 
 def canonical(kind: str, i: int, K: int) -> JVector | DualFunctional:

@@ -84,28 +84,6 @@ class MeasureSpaceModel:
         E, rows = self.dual.int_rows
         return E, [list(accumulate(row)) for row in rows]
 
-    @cached_property
-    def fs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """f_0..f_K: the embedded d_n, f_n(w_i) = d*(d)/g*_i(d) * g*_i(d_n),
-        one Fraction per value from the prefix table."""
-        E, U = self.prefix_table
-        S, (p, _) = self.int_scales
-        return tuple(
-            tuple(Fraction(s * u[n], S * E) for s, u in zip(p, U))
-            for n in range(self.K + 1)
-        )
-
-    @cached_property
-    def gs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """g_0..g_K: the embedded e*_p, g_p(w_i) = d*(d)/d*(w_i) * W[p][i],
-        one Fraction per value from the columns of F * W."""
-        F, columns = self.basis.int_columns
-        S, (_, q) = self.int_scales
-        return tuple(
-            tuple(Fraction(s * col[p], S * F) for s, col in zip(q, columns))
-            for p in range(self.K + 1)
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "K": self.K,
@@ -207,14 +185,6 @@ def integrate_over(
     D, mu = model.int_mu
     S, (values,) = integer_rows([[h[i] for i in sigma]])
     return Fraction(sum(map(mul, values, map(mu.__getitem__, sigma))), S * D)
-
-
-def integrate(model: MeasureSpaceModel, h: tuple[int | Fraction, ...]) -> Fraction:
-    return integrate_over(model, h, tuple(range(model.K + 1)))
-
-
-def l1_norm(model: MeasureSpaceModel, h: tuple[int | Fraction, ...]) -> Fraction:
-    return integrate(model, tuple(map(abs, h)))
 
 
 @dataclass(frozen=True)
@@ -366,7 +336,10 @@ def check_identities(
     of each clause is an integer over a known denominator, from the basis's
     and the model's integer forms; the sides are compared by
     cross-multiplication, and Fractions are built only for failure details.
+    A negative ``sample_count`` raises ``ValueError``.
     """
+    if sample_count < 0:
+        raise ValueError("sample_count must be nonnegative")
     K = model.K
     _check_subset_limit(K)
     E, inv = model.dual.int_rows

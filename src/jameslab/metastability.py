@@ -23,10 +23,7 @@ from .measure_space import (
     MeasureSpaceModel,
     _check_atoms,
     _check_subset_limit,
-    # unused here, but bench/test_bench.py checks that the tracer wraps it
-    # at this binding site
-    integrate_over,  # noqa: F401
-    l1_norm,
+    integrate_over,
     product_matrix,
     small_set_breaches,
 )
@@ -261,8 +258,7 @@ def fluctuation_harness(
     the exact integrals, multiplied through by c, compare an int with
     eps * c, which gives the same answer as comparing it with r.  So
     every interval and every failure is the one the exact integrals give,
-    and no Fraction enters the chase.  ``integrate_over`` on the products
-    of the fs and gs is the test oracle for these sums.
+    and no Fraction enters the chase.
 
     The budget is the claimed fluctuation bound for B_hat; results are
     reported, never asserted, because B_hat stands in for an
@@ -366,10 +362,13 @@ def hypothesis_report(
     every F, as the definition in the module docstring reads.  Both
     small-set clauses come from one walk of :func:`small_set_breaches`,
     which stops once each family has a breach.  The L1 norms are the only
-    integrals.  The product sequences are sums of the
-    int atom lines that :func:`_product_lines` reads off the model's prefix
-    table and the basis's F * W, chased at its int accuracy as in
-    :func:`fluctuation_harness`.
+    integrals.  With (S, [p, q]) = ``model.int_scales``, the prefix table
+    (E, U) and the columns V of F * W, f_n(w_i) = p_i U[i][n] / (S E) and
+    g_p(w_i) = q_i V[i][p] / (S F), so ||f_n||_1 is ``integrate_over`` of
+    the ints |p_i U[i][n]| over all atoms, over S E, and ||g_p||_1 the same
+    with q, V and S F.  The product sequences are sums of the int atom
+    lines that :func:`_product_lines` reads off the same prefix table and
+    F * W, chased at its int accuracy as in :func:`fluctuation_harness`.
     A clause's verdict, per index function, is whether any sequence fails.
     Atoms whose line is all zero add nothing, so, with supp the atoms whose
     line is not, the sums over every atom subset and the sums over every
@@ -408,9 +407,15 @@ def hypothesis_report(
     _check_report_arguments(K, B_hat, eps)
     entries: list[ReportEntry] = []
 
-    families = (("f", model.fs), ("g", model.gs))
-    for name, hs in families:
-        norms = [l1_norm(model, h) for h in hs]
+    S, (p, q) = model.int_scales
+    atoms = tuple(range(K + 1))
+    families = (("f", model.prefix_table, p), ("g", model.basis.int_columns, q))
+    for name, (T, rows), scales in families:
+        norms = [
+            integrate_over(model, tuple(abs(s * r[n]) for s, r in zip(scales, rows)), atoms)
+            / (S * T)
+            for n in atoms
+        ]
         entries.append(
             ReportEntry(
                 f"l1_bound_{name}",
@@ -419,7 +424,7 @@ def hypothesis_report(
             )
         )
 
-    names = [name for name, _ in families]
+    names = [name for name, _, _ in families]
     breached: set[str] = set()
     for name, _, _ in small_set_breaches(model, names, B_hat, eps):
         breached.add(name)

@@ -78,6 +78,14 @@ def json_int(obj: dict, key: str) -> int:
     return obj[key]
 
 
+def json_list(value: object, what: str) -> list:
+    """A JSON array: a string or an object is refused, not read as its
+    characters or its keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def json_rational(value: object) -> Fraction:
     """A JSON entry as a rational: a "p/q" string or an integer.  A bool or
     a float is refused, not read as 1, 0 or a binary fraction."""
@@ -247,5 +255,5 @@ class Root2Scalar:
 
     @classmethod
     def from_pair(cls, pair: list[str]) -> Root2Scalar:
-        a, b = pair
+        a, b = json_list(pair, "a Q(sqrt 2) pair")
         return cls(json_rational(a), json_rational(b))

@@ -46,9 +46,7 @@ from jameslab.measure_space import (
     ProductMatrix,
     StructureViolation,
     check_identities,
-    integrate,
     integrate_over,
-    l1_norm,
     pi,
     pi_star,
 )
@@ -309,6 +307,23 @@ def reference_stable_interval(
     raise BudgetExceeded(budget, m)
 
 
+def embedded_families(model: MeasureSpaceModel) -> tuple[tuple, tuple]:
+    """(fs, gs): f_n = pi(d_n) and g_p = pi_star(e*_p), n, p = 0..K."""
+    K = model.K
+    return (
+        tuple(pi(model, canonical("d", n, K)) for n in range(K + 1)),
+        tuple(pi_star(model, canonical("e_star", p, K)) for p in range(K + 1)),
+    )
+
+
+def integrate(model: MeasureSpaceModel, h: tuple) -> Fraction:
+    return integrate_over(model, h, tuple(range(model.K + 1)))
+
+
+def l1_norm(model: MeasureSpaceModel, h: tuple) -> Fraction:
+    return integrate(model, tuple(map(abs, h)))
+
+
 def reference_fluctuation_details(
     model: MeasureSpaceModel,
     B_hat: Fraction,
@@ -318,11 +333,11 @@ def reference_fluctuation_details(
     sigma_family: list[tuple[int, ...]],
 ) -> dict[str, str]:
     """Details dict of ``fluctuation_harness``, computed the slow way: each
-    sequence entry integrates a product of fs and gs values over sigma in
-    Fractions, and :func:`reference_stable_interval` chases it at
-    accuracy eps itself."""
+    sequence entry integrates a product of the :func:`embedded_families`
+    over sigma in Fractions, and :func:`reference_stable_interval` chases
+    it at accuracy eps itself."""
     budget = fluctuation_budget(B_hat, eps)
-    fs, gs = model.fs, model.gs
+    fs, gs = embedded_families(model)
     failures: dict[str, str] = {}
     runs = 0
     max_used = 0
@@ -371,9 +386,9 @@ def reference_hypothesis_report(
     if budget is None:
         budget = fluctuation_budget(B_hat, eps)
     entries = []
-    families = (("f", model.fs), ("g", model.gs))
+    families = tuple(zip("fg", embedded_families(model)))
     for name, hs in families:
-        norms = [integrate(model, tuple(map(abs, h))) for h in hs]
+        norms = [l1_norm(model, h) for h in hs]
         entries.append(
             ReportEntry(
                 f"l1_bound_{name}",
@@ -428,11 +443,12 @@ def reference_hypothesis_report(
 def reference_atom_products(
     model: MeasureSpaceModel,
 ) -> list[list[list[Fraction]]]:
-    """A[i][n][p] = f_n(w_i) * g_p(w_i) * mu({w_i}) in Fractions, from the
-    values of fs and gs: d*(d) * U[i][n] * (F * W)[p][i] / (E * F) with the
-    model's prefix table (E, U) and the basis's ``int_columns``."""
+    """A[i][n][p] = f_n(w_i) * g_p(w_i) * mu({w_i}) in Fractions, from
+    :func:`embedded_families`: d*(d) * U[i][n] * (F * W)[p][i] / (E * F)
+    with the model's prefix table (E, U) and the basis's ``int_columns``."""
+    fs, gs = embedded_families(model)
     return [
-        [[fn[i] * gp[i] * mu for gp in model.gs] for fn in model.fs]
+        [[fn[i] * gp[i] * mu for gp in gs] for fn in fs]
         for i, mu in enumerate(model.mu)
     ]
 
@@ -457,9 +473,10 @@ def reference_product_matrix(model: MeasureSpaceModel) -> ProductMatrix:
     integrated over all atoms in Fractions, the triangular structure
     checked row-major; the first wrong entry raises ``StructureViolation``."""
     entries = []
-    for n, fn in enumerate(model.fs):
+    fs, gs = embedded_families(model)
+    for n, fn in enumerate(fs):
         row = []
-        for p, gp in enumerate(model.gs):
+        for p, gp in enumerate(gs):
             v = integrate(model, times(fn, gp))
             expected = model.d_star_d if p <= n else Fraction(0)
             if v != expected:

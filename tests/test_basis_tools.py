@@ -864,6 +864,19 @@ def test_basis_json_refuses_a_bool_or_float_entry(entry):
         Basis.from_json_obj({"K": 1, "columns": [["1/1", "0/1"], ["0/1", entry]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"lower_bound_sq": "1/1", "sign_pattern": [1, 1], "alpha": "11"},
+        {"lower_bound_sq": "1/1", "sign_pattern": {"1": 0}, "alpha": ["1"]},
+    ],
+    ids=repr,
+)
+def test_uc_estimate_json_refuses_a_string_or_object_for_an_array(obj):
+    with pytest.raises(TypeError, match="must be an array"):
+        UCEstimate.from_json_obj(obj)
+
+
 def test_uc_estimate_json_roundtrip():
     est = UCEstimate(
         Fraction(8), SignPattern((1, -1, 1, -1)), (Fraction(1),) * 4

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jameslab import basis_tools, cli, measure_space
+from jameslab import basis_tools, cli, metastability
 from jameslab.basis_tools import Basis, random_invertible_basis
 from jameslab.cli import build_parser, main, run_refutation, verify_suite
 from jameslab.james_core import james_norm_sq
@@ -86,24 +86,24 @@ def test_run_refutation_api():
 
 def test_refutation_integrates_the_product_matrix_once(monkeypatch):
     # the integrands f_n g_p mu are read once, from the prefix table of
-    # one model (which fs reads too) and the basis's F * W, and the product
-    # matrix is the closed form: refute integrates only what the hypothesis
-    # report integrates
+    # one model and the basis's F * W, and the product matrix is the closed
+    # form: refute integrates only what the hypothesis report integrates,
+    # the 2 * (K + 1) L1 norms, each over every atom
     integrals = []
-    real_integrate = measure_space.integrate
+    real_integrate = metastability.integrate_over
 
-    def counting_integrate(model, h):
-        integrals.append(h)
-        return real_integrate(model, h)
+    def counting_integrate(model, h, sigma):
+        integrals.append(sigma)
+        return real_integrate(model, h, sigma)
 
-    monkeypatch.setattr(measure_space, "integrate", counting_integrate)
+    monkeypatch.setattr(metastability, "integrate_over", counting_integrate)
     table_builds = count_prefix_table_builds(monkeypatch)
     hypothesis_report(build(Basis.canonical(3)), Fraction(2), Fraction(1, 80))
-    report_integrals = len(integrals)
+    assert integrals == [(0, 1, 2, 3)] * 8
     integrals.clear()
     table_builds.clear()
-    report = run_refutation(Basis.canonical(3), Fraction(2))
-    assert len(integrals) == report_integrals
+    run_refutation(Basis.canonical(3), Fraction(2))
+    assert integrals == [(0, 1, 2, 3)] * 8
     assert len(table_builds) == 1
 
 
@@ -595,6 +595,29 @@ def test_a_k_that_is_not_a_json_integer_is_input_error(tmp_path, capsys, command
 @pytest.mark.parametrize(
     "command, body",
     [
+        (("norm", "--input"), {"K": 2, "coeffs": "123"}),
+        (("norm", "--input"), {"K": 1, "coeffs": {"1": 0, "2": 0}}),
+        (("refute", "--basis"), {"K": 1, "columns": ["10", "01"]}),
+        (("matrix", "--basis"), {"K": 1, "columns": {"12": 0, "34": 0}}),
+        (("space", "--basis"), {"K": 1, "columns": [["1", "0"], "01"]}),
+        (("uc", "--basis"), {"K": 1, "columns": "1001"}),
+    ],
+    ids=repr,
+)
+def test_a_string_or_object_for_an_array_is_input_error(tmp_path, capsys, command, body):
+    # tuple() would read a string as its characters and an object as its
+    # keys: "123" as the vector (1, 2, 3), ["10", "01"] as the identity
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"input error: {path}: TypeError: ")
+    assert "must be an array, got " in err
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
         *(
             (command, {"K": 0, "columns": [[entry]]})
             for command in (
@@ -764,13 +787,14 @@ def _readme_commands() -> list[list[str]]:
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [argv for argv in _readme_commands() if argv[:2] != ["norm", "--input"]],
-    ids=" ".join,
-)
-def test_readme_command_line_examples_exit_0(capsys, argv):
-    # norm needs a vec.json of the reader's own; --help exits from argparse
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys, argv):
+    # each line runs in a directory that holds the vec.json norm reads;
+    # --help exits from argparse
+    (tmp_path / "vec.json").write_text(
+        json.dumps({"K": 3, "coeffs": ["1/1", "-2/1", "3/1", "1/2"]})
+    )
+    monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:

@@ -20,8 +20,6 @@ def test_every_export_resolves_and_is_listed_once():
 _KEPT_UNREAD = [
     # re-exported: pi_star raises it, and callers catch it from here
     "measure_space.py IrrationalAtomValue",
-    # bench/test_bench.py checks that the tracer wraps it at this binding site
-    "metastability.py integrate_over",
 ]
 
 

@@ -23,7 +23,6 @@ from jameslab.measure_space import (
     atom_subsets,
     build,
     integrate_over,
-    l1_norm,
     pi,
     pi_star,
     product_matrix,
@@ -32,7 +31,9 @@ from jameslab.measure_space import (
 from jameslab.metastability import hypothesis_report
 
 from helpers import (
+    embedded_families,
     gauss_jordan_inverse,
+    l1_norm,
     reference_atom_products,
     reference_build,
     reference_hypothesis_report,
@@ -150,8 +151,7 @@ def test_embeddings_integrals_and_moduli_match_fraction_oracles(basis, data):
     model = build(basis)
     inverse = fraction_inverse(basis)
     assert model.mu == reference_build(basis).mu
-    assert model.fs == fraction_fs(model, inverse)
-    assert model.gs == fraction_gs(model)
+    assert embedded_families(model) == (fraction_fs(model, inverse), fraction_gs(model))
 
     coeffs = st.tuples(*[_RATIONALS] * (K + 1))
     x = JVector(K, data.draw(coeffs, label="x"))
@@ -198,7 +198,7 @@ def test_small_set_breaches_match_fraction_sums(basis, bound, eps):
     model = build(basis)
     sigmas = atom_subsets(basis.K)
     breaches = list(small_set_breaches(model, ("f", "g"), bound, eps))
-    for name, hs in (("f", model.fs), ("g", model.gs)):
+    for name, hs in zip("fg", embedded_families(model)):
         assert [(sigma, n) for family, sigma, n in breaches if family == name] == (
             fraction_breaches(model, hs, bound, eps, sigmas)
         )
@@ -209,7 +209,7 @@ def test_small_set_breaches_match_fraction_sums(basis, bound, eps):
 def test_product_matrix_and_prefix_table_match_fraction_products(basis):
     model = build(basis)
     fs, gs = fraction_fs(model, fraction_inverse(basis)), fraction_gs(model)
-    products = reference_atom_products(model)  # from the model's fs, gs, mu
+    products = reference_atom_products(model)  # from pi, pi_star and mu
     E, U = model.prefix_table
     F, FW = basis.int_columns
     scale = model.d_star_d / (E * F)

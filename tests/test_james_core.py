@@ -1181,6 +1181,17 @@ def test_json_readers_refuse_a_bool_or_float_entry(entry):
         DualFunctional.from_json_obj({"K": 1, "coeffs": [["1/1", "0/1"], ["0/1", entry]]})
 
 
+@pytest.mark.parametrize("value", ["12", {"1": 0, "2": 0}, 12, None])
+def test_json_readers_refuse_a_non_array_for_an_array(value):
+    # a string would be read as its characters, an object as its keys
+    with pytest.raises(TypeError, match="coeffs must be an array"):
+        JVector.from_json_obj({"K": 1, "coeffs": value})
+    with pytest.raises(TypeError, match="coeffs must be an array"):
+        DualFunctional.from_json_obj({"K": 1, "coeffs": value})
+    with pytest.raises(TypeError, match="a Q\\(sqrt 2\\) pair must be an array"):
+        DualFunctional.from_json_obj({"K": 1, "coeffs": [["1", "0"], value]})
+
+
 def test_json_readers_take_strings_and_integers():
     assert JVector.from_json_obj({"K": 1, "coeffs": ["1/2", 3]}) == JVector(
         1, (Fraction(1, 2), Fraction(3))

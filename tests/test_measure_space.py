@@ -20,14 +20,11 @@ from jameslab.james_core import (
 from jameslab.measure_space import (
     SIGMA_ENUMERATION_MAX_DIMENSION,
     IrrationalAtomValue,
-    MeasureSpaceModel,
     SubsetEnumerationLimit,
     atom_subsets,
     build,
     check_identities,
-    integrate,
     integrate_over,
-    l1_norm,
     pi,
     pi_star,
     product_matrix,
@@ -38,6 +35,9 @@ from jameslab.metastability import hypothesis_report
 from jameslab.scalars import Root2Scalar, fmt_rational
 
 from helpers import (
+    embedded_families,
+    integrate,
+    l1_norm,
     monomial_basis,
     mu_of,
     random_vector,
@@ -131,11 +131,7 @@ def assert_build_matches_reference(basis: Basis) -> None:
     model, ref = build(basis), reference_build(basis)
     for field in ("d", "d_star", "d_star_d", "mu", "gamma_d", "d_star_atoms"):
         assert getattr(model, field) == getattr(ref, field), field
-    K = basis.K
-    assert model.fs == tuple(pi(ref, canonical("d", n, K)) for n in range(K + 1))
-    assert model.gs == tuple(
-        pi_star(ref, canonical("e_star", p, K)) for p in range(K + 1)
-    )
+    assert embedded_families(model) == embedded_families(ref)
 
 
 def test_build_matches_reference_on_canonical_bases():
@@ -479,7 +475,7 @@ def test_small_set_breaches_match_the_fraction_reference():
     found = 0
     for model in models:
         sigmas = atom_subsets(model.K)
-        for family, hs in (("f", model.fs), ("g", model.gs)):
+        for family, hs in zip("fg", embedded_families(model)):
             for bound, eps in (
                 (Fraction(1, 8), Fraction(1, 4)),
                 (Fraction(1, 2), Fraction(1, 16)),
@@ -499,7 +495,7 @@ def test_small_set_breaches_at_exact_thresholds():
     # subset exactly on the threshold: both comparisons meet equality
     model = build(random_invertible_basis(3, random.Random(110)))
     sigmas = atom_subsets(3)
-    for family, hs in (("f", model.fs), ("g", model.gs)):
+    for family, hs in zip("fg", embedded_families(model)):
         for sigma in sigmas[1::3]:
             for n in (0, 2):
                 eps = integrate_over(model, tuple(map(abs, hs[n])), sigma)
@@ -538,7 +534,7 @@ def test_small_set_scan_matches_the_fraction_oracle(kind, K, seed, data):
     model = build(_scan_basis(kind, K, seed))
     sigmas = atom_subsets(K)
     family = data.draw(st.sampled_from(["f", "g"]), label="family")
-    hs = model.fs if family == "f" else model.gs
+    hs = embedded_families(model)["fg".index(family)]
     n, m = (data.draw(st.integers(0, K), label=label) for label in ("n", "m"))
     tau, rho = (
         data.draw(st.sampled_from(sigmas[1:]), label=label) for label in ("tau", "rho")
@@ -619,12 +615,7 @@ _IDENTITY_REPORTS = {
 
 
 @pytest.mark.parametrize("kind, K, seed", list(_IDENTITY_REPORTS))
-def test_check_identities_reads_neither_embedded_family(kind, K, seed, monkeypatch):
-    def refuse(model):
-        raise AssertionError("check_identities built an embedded family")
-
-    for name in ("fs", "gs"):
-        monkeypatch.setattr(MeasureSpaceModel, name, property(refuse))
+def test_check_identities_gives_the_recorded_reports(kind, K, seed):
     report = check_identities(build(_scan_basis(kind, K, seed)), 3, seed)
     digest, certified = _IDENTITY_REPORTS[kind, K, seed]
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
@@ -649,6 +640,18 @@ def test_check_identities_call_no_embedding_integral_or_modulus(
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("sample_count", [-1, -3])
+def test_check_identities_refuses_a_negative_sample_count(sample_count, monkeypatch):
+    # range(-3) is empty: the report would pass with no sample checked
+    def refuse(seed):
+        raise AssertionError("the generator was seeded")
+
+    model = build(Basis.canonical(2))
+    monkeypatch.setattr(measure_space.random, "Random", refuse)
+    with pytest.raises(ValueError, match="sample_count must be nonnegative"):
+        check_identities(model, sample_count, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["canonical", "scaled", "permuted", "random"]),
@@ -657,7 +660,8 @@ def test_check_identities_call_no_embedding_integral_or_modulus(
 )
 def test_certified_b_hat_is_the_largest_scaled_sup_norm(kind, K, seed):
     model = build(_scan_basis(kind, K, seed))
-    expected = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(model.fs))
+    fs, _ = embedded_families(model)
+    expected = max(max(map(abs, fn)) / 2**n for n, fn in enumerate(fs))
     details = check_identities(model, 0, seed).entries[-1].details
     assert details["certified_B_hat"] == fmt_rational(expected)
 

@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from math import ceil, lcm
+from operator import sub
 from types import SimpleNamespace
 from unittest import mock
 
@@ -39,6 +40,8 @@ from jameslab.scalars import integer_rows
 
 from helpers import (
     count_prefix_table_builds,
+    embedded_families,
+    l1_norm,
     monomial_basis,
     reference_atom_products,
     reference_conclusion_search,
@@ -488,14 +491,20 @@ ORACLE_MODELS = _oracle_models()
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
-def test_model_families_are_the_embedded_d_and_e_star(model):
+def test_l1_bounds_are_the_norms_of_the_embedded_d_and_e_star(model):
+    # the report reads the norms off integer rows; here f_n = pi(d_n) and
+    # g_p = pi_star(e*_p) are integrated in Fractions
     K = model.K
-    assert len(model.fs) == len(model.gs) == K + 1
-    for n in range(K + 1):
-        assert model.fs[n] == pi(model, canonical("d", n, K))
-    for p in range(K + 1):
-        assert model.gs[p] == pi_star(model, canonical("e_star", p, K))
-    assert model.fs is model.fs and model.gs is model.gs  # built once
+    report = hypothesis_report(model, Fraction(2), Fraction(1, 80))
+    families = {
+        "f": [pi(model, canonical("d", n, K)) for n in range(K + 1)],
+        "g": [pi_star(model, canonical("e_star", p, K)) for p in range(K + 1)],
+    }
+    for entry, (name, hs) in zip(report.entries, families.items()):
+        assert entry.name == f"l1_bound_{name}"
+        assert {k: Fraction(v) for k, v in entry.details.items()} == {
+            f"{name}_{n}": l1_norm(model, h) for n, h in enumerate(hs)
+        }
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS)
@@ -506,7 +515,8 @@ def test_prefix_table_sums_match_step_function_integrals(model):
     E, U = model.prefix_table
     F, FW = model.basis.int_columns
     scale = model.d_star_d / (E * F)
-    products = [[times(fn, gp) for gp in model.gs] for fn in model.fs]
+    fs, gs = embedded_families(model)
+    products = [[times(fn, gp) for gp in gs] for fn in fs]
     for sigma in atom_subsets(K):
         for n in range(K + 1):
             for p in range(K + 1):
@@ -805,15 +815,24 @@ def _basis(kind, K, seed):
     return monomial_basis(rng, K, kind == "permuted")[1]
 
 
+class _FormsOnly(SimpleNamespace):
+    """A basis held only in the integer forms that pi and pi_star read."""
+
+    scaled_functional_values = Basis.scaled_functional_values
+
+
 def _with_copies(model, atom, twin, ns, ps, zeros):
     """``model`` with atom ``twin`` a copy of atom ``atom`` (its weight and
     its value under every f_n and g_p), f at ns[1] a copy of f at ns[0], g
     at ps[1] a copy of g at ps[0], then f_n at atom i set to 0 for each
-    (n, i) in ``zeros``, and the prefix table and the columns of F * W read
-    off those values as f_n * mu / d*(d) and g_p, each scaled to integers.
-    The small-set scan reads f_n * mu_i = U[i][n] * d*(w_i) / E and
-    g_p * mu_i = (F * W)[p][i] * g*_i(d) / F, so the copy's
-    ``int_atom_values`` holds g*_i(d) = mu_i and d*(w_i) = d*(d).
+    (n, i) in ``zeros``.  The copy's basis is the integer forms read off
+    those values: rows of E * W^-1 whose prefix sums U[i][n] are
+    E * f_n(w_i) * mu_i / d*(d), and the columns of F * W, whose entries
+    are F * g_p(w_i).  With g*_i(d) = mu_i and d*(w_i) = d*(d), the copy's
+    ``int_scales`` turn these back into f_n and g_p, so pi of d_n and
+    pi_star of e*_p give the copied values, and the small-set scan, which
+    reads f_n * mu_i = U[i][n] * d*(w_i) / E and g_p * mu_i =
+    (F * W)[p][i] * g*_i(d) / F, reads them too.
 
     At every fixed index where atom's line L is not zero, twin's line is L
     too, and the fix_n lines at the two n, and the fix_p lines at the two
@@ -832,7 +851,7 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
             row[twin] = row[atom]
         return rows
 
-    fs, gs = copied(model.fs, ns), copied(model.gs, ps)
+    fs, gs = map(copied, embedded_families(model), (ns, ps))
     for n, i in zeros:
         fs[n][i] = Fraction(0)
     mu = list(model.mu)
@@ -840,15 +859,12 @@ def _with_copies(model, atom, twin, ns, ps, zeros):
     d = model.d_star_d
     E, U = integer_rows([[f[i] * mu[i] / d for f in fs] for i in range(K + 1)])
     F, V = integer_rows([[g[i] for g in gs] for i in range(K + 1)])
+    rows = tuple(tuple(map(sub, u, [0, *u[:-1]])) for u in U)
+    basis = _FormsOnly(K=K, int_columns=(F, V), dual=DualBasis(K, (E, rows)))
     copy = dataclasses.replace(
-        model, mu=tuple(mu), basis=SimpleNamespace(K=K, int_columns=(F, V))
+        model, basis=basis, mu=tuple(mu), gamma_d=tuple(mu), d_star_atoms=(d,) * (K + 1)
     )
-    copy.__dict__.update(
-        fs=tuple(map(tuple, fs)),
-        gs=tuple(map(tuple, gs)),
-        prefix_table=(E, U),
-        int_atom_values=integer_rows([mu, [d] * (K + 1)]),
-    )
+    assert embedded_families(copy) == (tuple(map(tuple, fs)), tuple(map(tuple, gs)))
     return copy
 
 
@@ -1082,7 +1098,7 @@ def test_harness_rejects_bad_atoms_as_integrate_over_does(mode, sigma, error, ar
         fluctuation_harness(model, Fraction(2), Fraction(1, 4), F, mode, [sigma])
     assert type(exc.value) is error and exc.value.args == args
     with pytest.raises(error) as exc:
-        integrate_over(model, model.fs[0], sigma)
+        integrate_over(model, pi(model, canonical("d", 0, 2)), sigma)
     assert type(exc.value) is error and exc.value.args == args
 
 
@@ -1153,14 +1169,13 @@ def test_the_product_matrix_reads_no_form_of_the_basis_and_runs_no_check(
 def test_perturbed_family_fails_the_basis_check_as_in_the_reference(
     basis, perturbed
 ):
-    # fs, gs and the reference product matrix are read from the basis's
-    # integer forms: one entry of f_n or g_p is moved by perturbing the
-    # entries of E * W^-1 whose prefix sums give f_n, or one entry of
-    # F * W, past the guard of the built basis (plain assignment is
-    # refused) and before either family is built; where the reference
-    # finds a wrong entry, the biorthogonality check fails
+    # the reference product matrix embeds d_n and e*_p with pi and
+    # pi_star, which read the basis's integer forms: one entry of f_n or
+    # g_p is moved by perturbing the entries of E * W^-1 whose prefix sums
+    # give f_n, or one entry of F * W, past the guard of the built basis
+    # (plain assignment is refused); where the reference finds a wrong
+    # entry, the biorthogonality check fails
     model = build(basis)
-    assert not {"fs", "gs", "prefix_table"} & set(vars(model))
     E, rows = basis.dual.int_rows
     rows = [list(row) for row in rows]
     F, columns = basis.int_columns

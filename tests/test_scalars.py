@@ -131,6 +131,13 @@ def test_from_pair_refuses_a_bool_or_float(pair):
         Root2Scalar.from_pair(pair)
 
 
+@pytest.mark.parametrize("pair", ["10", {"1": 0, "0": 0}, ("1", "0")])
+def test_from_pair_refuses_anything_but_an_array(pair):
+    # "10" would be read as 1 + 0 * sqrt(2)
+    with pytest.raises(TypeError, match="pair must be an array"):
+        Root2Scalar.from_pair(pair)
+
+
 def test_from_pair_reads_strings_and_integers():
     assert Root2Scalar.from_pair(["-3/7", 2]) == Root2Scalar(Fraction(-3, 7), 2)
 
