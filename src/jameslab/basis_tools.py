@@ -9,11 +9,11 @@ candidate is snapped back to rationals and replayed exactly.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import mul, ne
 
@@ -400,43 +400,70 @@ def uc_lower_bound(
     """Best certified squared ratio found over sign patterns and coefficient
     vectors.
 
-    Sign patterns are enumerated exhaustively (needs K <= 12) or sampled
-    ("anneal").  Per pattern, the coefficient search seeds the all-ones
-    vector and then runs `budget` float coordinate-ascent restarts; each
-    candidate is snapped to rationals and replayed exactly, so the result
-    is always a valid lower bound and is nondecreasing in `budget`.  A
-    basis entry beyond float range raises ``ValueError``.
+    Sign patterns are enumerated exhaustively or sampled ("anneal"; see
+    :func:`check_uc_search` for the arguments it refuses).  Per pattern,
+    the coefficient search seeds the all-ones vector and then runs
+    `budget` float coordinate-ascent restarts; each candidate is snapped
+    to rationals and replayed exactly, so the result is always a valid
+    lower bound and is nondecreasing in `budget`.  A basis entry beyond
+    float range raises ``ValueError``.
 
-    A pattern is skipped, replays and ascents included, when a bound on
-    its ratio cannot beat the best ratio found so far.  The bound
-    (:func:`_sign_change_bound`) rests on this lemma.  Call the basis
-    monomial when each column of W has exactly one nonzero entry (the
-    canonical basis, its rescalings and permutations).  Write x = W alpha
-    in canonical coordinates and sigma for eps read along them: sigma_j =
-    eps_i where column i's nonzero sits in row j, so W(eps alpha) =
-    D_sigma x.  On a cycle, the sum for D_sigma x minus the sum for x is
-    the sum of 4 x_p x_q over the cycle's edges (p, q) with sigma_p !=
-    sigma_q; an edge at the virtual zero adds nothing.  A cycle is
-    increasing, so its forward edges span disjoint index ranges and at most
-    s of them change sign, s the number of sign changes of sigma; the wrap
-    edge adds at most one more, and around a cycle without the zero the
-    number of sign changes is even.  So at most e = s + (s mod 2) edges
-    change sign.  Each adds at most 4 max_j x_j^2 <= 4 ||x||^2, as the
-    cycle (j, zero) gives ||x||^2 >= x_j^2, and halving the cycle sums
+    The search prunes by a bound on each pattern's ratio
+    (:func:`_sign_change_bound`), which rests on this lemma.  Call the
+    basis monomial when each column of W has exactly one nonzero entry
+    (the canonical basis, its rescalings and permutations).  Write x = W
+    alpha in canonical coordinates and sigma for eps read along them:
+    sigma_j = eps_i where column i's nonzero sits in row j, so W(eps
+    alpha) = D_sigma x.  On a cycle, the sum for D_sigma x minus the sum
+    for x is the sum of 4 x_p x_q over the cycle's edges (p, q) with
+    sigma_p != sigma_q; an edge at the virtual zero adds nothing.  A cycle
+    is increasing, so its forward edges span disjoint index ranges and at
+    most s of them change sign, s the number of sign changes of sigma; the
+    wrap edge adds at most one more, and around a cycle without the zero
+    the number of sign changes is even.  So at most e = s + (s mod 2)
+    edges change sign.  Each adds at most 4 max_j x_j^2 <= 4 ||x||^2, as
+    the cycle (j, zero) gives ||x||^2 >= x_j^2, and halving the cycle sums
     gives ratio_sq(eps, alpha) <= 1 + 2e for every alpha.  On any basis a
     constant pattern (s = 0) has flipped = +-base, so its ratio is exactly
     1; other patterns on a non-monomial basis have no bound.  The bound is
-    tight: at even K the alternating pattern with alpha all ones gives
-    2K + 1.
+    met at even K: the alternating pattern on x all ones gives 2K + 1.
 
-    Skipping changes no result.  `best` changes only on a strict `>`, and
-    a skipped pattern's ratios are at most its bound, which is at most
-    `best` when it is skipped, so it holds no winning candidate.  Each
-    restart draws its start from its own generator, seeded by the seed,
-    the pattern's index and the restart, so no other pattern's starts move.
+    For odd s the bound is strict: ratio_sq < 1 + 2e.  Equality needs a
+    cycle C whose sum for x is 2 ||x||^2 and which has e = s + 1 sign
+    changing edges, each with x_p x_q = ||x||^2.  An edge at the zero has
+    x_p x_q = 0, and at most s forward edges change sign, so C avoids the
+    zero and its wrap edge (l, f) is one of them: x_l x_f = ||x||^2.
+    Appending the zero to C replaces (x_l - x_f)^2 by x_l^2 + x_f^2, which
+    adds 2 x_l x_f: a cycle sum of 4 ||x||^2 > 2 ||x||^2 (x != 0), more
+    than the norm allows.  So a pattern of odd s never meets its bound.
+
+    The result is the earliest candidate, by (pattern index, candidate),
+    among the largest exact ratios: the one a walk over every pattern in
+    enumeration order returns when it replaces its best only on a strict
+    ``>``.  The candidates do not depend on the order they are visited
+    in, since each restart draws its start from its own generator, seeded
+    by the seed, the pattern's index and the restart.  So the search may
+    visit the patterns in any order if it replaces `best` on a larger
+    ratio or on a tie at an earlier position, and skips only candidates
+    that can neither beat `best` nor tie it earlier: those whose bound is
+    below best, or equal to it with s odd or at a later position.  A
+    pattern's remaining restarts are skipped on the same test, at the
+    position of the next restart.
+
+    On a monomial basis the patterns are visited by sign-change class
+    (:func:`_search_classes`): by decreasing bound, even s before odd s
+    within one bound, then by index.  The classes of an exhaustive search
+    are generated one at a time from sigma, and a class skipped whole is
+    never generated, so no 2^(K+1) patterns are listed.  On the canonical
+    basis at even K the first alternating pattern's all-ones replay meets
+    2K + 1 and ends the search with no ascent; at odd K the two
+    alternating patterns take 2 * budget ascents, after which every other
+    class's bound (at most 2K - 1) is below the 2K + 2 of their all-ones
+    replay.  On any other basis the patterns are visited in enumeration
+    order, and only the constant ones are skipped.
     """
     K = basis.K
-    patterns = uc_sign_patterns(K, strategy, budget, seed)
+    classes = _search_classes(basis, strategy, budget, seed)
     try:  # an entry that underflows is searched as 0.0
         cols_float = [[float(v) for v in col] for col in basis.columns]
     except OverflowError:
@@ -447,32 +474,66 @@ def uc_lower_bound(
     ones = SignPattern((1,) * (K + 1))
     alpha0 = (Fraction(1),) + (Fraction(0),) * K
     best = UCEstimate(ratio_sq(basis, ones, alpha0), ones, alpha0)
-    bound = _sign_change_bound(basis)
+    best_at = (-1, 0)  # before every (pattern index, candidate)
 
-    def consider(eps: SignPattern, alpha: tuple[Fraction, ...]) -> None:
-        nonlocal best
+    def beaten(bound: int | None, strict: bool, at: tuple[int, int]) -> bool:
+        """Whether no candidate at position `at` or later, of a pattern
+        with this bound, can replace `best`."""
+        if bound is None:
+            return False
+        r = best.lower_bound_sq
+        return bound < r or bound == r and (strict or at > best_at)
+
+    def consider(eps: SignPattern, alpha: tuple[Fraction, ...], at: tuple[int, int]) -> None:
+        nonlocal best, best_at
         try:
             r = ratio_sq(basis, eps, alpha)
         except ZeroVector:
             return
-        if r > best.lower_bound_sq:
-            best = UCEstimate(r, eps, alpha)
+        if r > best.lower_bound_sq or r == best.lower_bound_sq and at < best_at:
+            best, best_at = UCEstimate(r, eps, alpha), at
 
-    for p_index, entries in enumerate(patterns):
-        b = bound(entries)
-        if b is not None and b <= best.lower_bound_sq:
+    for bound, strict, members in classes:
+        # at best_at itself only the bound and its strictness can beat it
+        if beaten(bound, strict, best_at):
             continue
-        eps = SignPattern(entries)
-        consider(eps, (Fraction(1),) * (K + 1))
-        for restart in range(budget):
-            rng = random.Random(f"{seed}:{p_index}:{restart}")
-            start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
-            tuned = _ascend_alpha(cols_float, entries, start)
-            snapped = tuple(
-                Fraction(v).limit_denominator(10**6) for v in tuned
-            )
-            consider(eps, snapped)
+        # members come by index, so once one is beaten the rest are too
+        for p_index, entries in members:
+            if beaten(bound, strict, (p_index, 0)):
+                break
+            eps = SignPattern(entries)
+            consider(eps, (Fraction(1),) * (K + 1), (p_index, 0))
+            for restart in range(budget):
+                if beaten(bound, strict, (p_index, restart + 1)):
+                    break
+                rng = random.Random(f"{seed}:{p_index}:{restart}")
+                start = [rng.uniform(-1.0, 1.0) for _ in range(K + 1)]
+                tuned = _ascend_alpha(cols_float, entries, start)
+                snapped = tuple(
+                    Fraction(v).limit_denominator(10**6) for v in tuned
+                )
+                consider(eps, snapped, (p_index, restart + 1))
     return best
+
+
+def _monomial_order(basis: Basis) -> list[int] | None:
+    """order[j] = the column of W whose one nonzero entry sits in row j, or
+    None when the basis is not monomial."""
+    rows = [[j for j, w in enumerate(col) if w] for col in basis.int_columns[1]]
+    if any(len(r) != 1 for r in rows):
+        return None
+    return sorted(range(basis.K + 1), key=rows.__getitem__)
+
+
+def _sign_changes(order: list[int], entries: tuple[int, ...]) -> int:
+    """s: the sign changes of eps read along the rows, sigma_j = eps_order[j]."""
+    sigma = [entries[i] for i in order]
+    return sum(map(ne, sigma, sigma[1:]))
+
+
+def _class_bound(s: int) -> int:
+    """1 + 2e, e = s + (s mod 2): the bound of a class of s sign changes."""
+    return 1 + 2 * (s + s % 2)
 
 
 def _sign_change_bound(
@@ -481,42 +542,109 @@ def _sign_change_bound(
     """A function from a sign pattern eps to 1 + 2e, e = s + (s mod 2) and
     s the number of sign changes of eps read along the canonical
     coordinates, which bounds ``ratio_sq(basis, eps, alpha)`` for every
-    alpha on a monomial basis (see :func:`uc_lower_bound`).  On any other
-    basis it gives 1 for a constant pattern and None for the rest."""
-    rows = [[j for j, w in enumerate(col) if w] for col in basis.int_columns[1]]
-    monomial = all(len(r) == 1 for r in rows)
-    # on a monomial basis, order[j] is the column whose nonzero is in row j
-    order = sorted(range(basis.K + 1), key=rows.__getitem__)
+    alpha on a monomial basis, strictly when s is odd (see
+    :func:`uc_lower_bound`).  On any other basis it gives 1 for a constant
+    pattern and None for the rest."""
+    order = _monomial_order(basis)
 
     def bound(entries: tuple[int, ...]) -> int | None:
-        sigma = [entries[i] for i in order]
-        s = sum(map(ne, sigma, sigma[1:]))
-        if monomial or s == 0:
-            return 1 + 2 * (s + s % 2)
-        return None
+        if order is not None:
+            return _class_bound(_sign_changes(order, entries))
+        return 1 if len(set(entries)) == 1 else None
 
     return bound
+
+
+def _search_classes(
+    basis: Basis, strategy: str, budget: int, seed: int
+) -> list[tuple[int | None, bool, Iterable[tuple[int, tuple[int, ...]]]]]:
+    """The sign patterns :func:`uc_lower_bound` searches, in visit order,
+    as classes (bound, strict, members): members yields (p_index, entries)
+    by increasing p_index, the pattern's index in
+    :func:`uc_sign_patterns`; each member's ratios are at most bound (None:
+    unbounded), and below it when strict.
+
+    On a monomial basis there is one class per number s of sign changes
+    read along the rows, ordered by decreasing bound and then odd s
+    (strict) after even s.  An exhaustive search generates each class's
+    members only when they are iterated; the sampled patterns of
+    "anneal" are grouped.  On any other basis each pattern is its own
+    class, in enumeration order."""
+    K = basis.K
+    order = _monomial_order(basis)
+    check_uc_search(K, strategy, budget, order is not None)
+    if order is None:
+        bound = _sign_change_bound(basis)
+        return [
+            (bound(entries), False, ((p_index, entries),))
+            for p_index, entries in enumerate(uc_sign_patterns(K, strategy, budget, seed))
+        ]
+    if strategy == "exhaustive":
+        classes = {s: _class_members(order, s) for s in range(K + 1)}
+    else:
+        classes = {}
+        for p_index, entries in enumerate(_sampled_patterns(K, seed)):
+            classes.setdefault(_sign_changes(order, entries), []).append((p_index, entries))
+    return [
+        (_class_bound(s), s % 2 == 1, classes[s])
+        for s in sorted(classes, key=lambda s: (-_class_bound(s), s % 2))
+    ]
+
+
+def _class_members(order: list[int], s: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(p_index, entries) of every pattern whose signs along the rows
+    (sigma_j = eps_order[j]) change s times, by index; p_index reads eps
+    as binary digits, +1 a one, first entry first, as the lexicographic
+    enumeration :func:`_all_patterns` does.  Nothing is generated until
+    the first member is asked for."""
+    K = len(order) - 1
+    found = []
+    for gaps in combinations(range(1, K + 1), s):
+        sigma, sign, start = [], 1, 0
+        for stop in (*gaps, K + 1):
+            sigma += [sign] * (stop - start)
+            sign, start = -sign, stop
+        for first in (1, -1):
+            entries = [0] * (K + 1)
+            for i, e in zip(order, sigma):
+                entries[i] = first * e
+            index = int("".join("1" if e > 0 else "0" for e in entries), 2)
+            found.append((index, tuple(entries)))
+    found.sort()
+    yield from found
+
+
+def check_uc_search(K: int, strategy: str, budget: int, monomial: bool = False) -> None:
+    """Refuse what :func:`uc_lower_bound` cannot search: a budget below 1,
+    an unknown strategy, or an exhaustive search at K > 12 on a basis not
+    known to be monomial, whose 2^(K+1) patterns would all be listed.  A
+    monomial basis is searched by sign-change class at any K."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if strategy == "exhaustive":
+        if not monomial and K > EXHAUSTIVE_MAX_DIMENSION:
+            raise DimensionTooLargeForPatterns(
+                f"exhaustive sign enumeration limited to K <= {EXHAUSTIVE_MAX_DIMENSION}"
+            )
+    elif strategy != "anneal":
+        raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def uc_sign_patterns(
     K: int, strategy: str, budget: int, seed: int = 0
 ) -> list[tuple[int, ...]]:
-    """Check the arguments of :func:`uc_lower_bound` and return the sign
-    patterns it searches: all 2^(K+1) ("exhaustive", K <= 12) or
-    2^min(K+1, 7) seeded samples ("anneal").  Each pattern costs at most
-    1 + budget exact replays: none when its sign-change bound cannot beat
-    the best ratio found before it."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    """Check the arguments of :func:`uc_lower_bound` (on a basis not known
+    to be monomial) and return the sign patterns it searches there, in
+    enumeration order: all 2^(K+1) ("exhaustive", K <= 12) or
+    2^min(K+1, 7) seeded samples ("anneal").  A pattern's index in this
+    list seeds its restarts.  Each pattern costs at most 1 + budget exact
+    replays: none when its sign-change bound cannot beat the best ratio
+    found before it.  On a monomial basis the exhaustive search lists no
+    patterns; it generates one sign-change class at a time."""
+    check_uc_search(K, strategy, budget)
     if strategy == "exhaustive":
-        if K > EXHAUSTIVE_MAX_DIMENSION:
-            raise DimensionTooLargeForPatterns(
-                f"exhaustive sign enumeration limited to K <= {EXHAUSTIVE_MAX_DIMENSION}"
-            )
         return _all_patterns(K)
-    if strategy == "anneal":
-        return _sampled_patterns(K, seed, 2 ** min(K + 1, 7))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _sampled_patterns(K, seed)
 
 
 def _all_patterns(K: int) -> list[tuple[int, ...]]:
@@ -524,7 +652,9 @@ def _all_patterns(K: int) -> list[tuple[int, ...]]:
     return list(product((-1, 1), repeat=K + 1))
 
 
-def _sampled_patterns(K: int, seed: int, count: int) -> list[tuple[int, ...]]:
+def _sampled_patterns(K: int, seed: int) -> list[tuple[int, ...]]:
+    """2^min(K+1, 7) distinct seeded patterns, the constant +1 one first."""
+    count = 2 ** min(K + 1, 7)
     rng = random.Random(f"{seed}:patterns")
     seen = {(1,) * (K + 1)}
     out = [(1,) * (K + 1)]

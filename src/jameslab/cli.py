@@ -21,6 +21,8 @@ from functools import cache, partial
 from . import hierarchy
 from .basis_tools import (
     Basis,
+    _monomial_order,
+    check_uc_search,
     random_invertible_basis,
     ratio_sq,
     uc_lower_bound,
@@ -444,11 +446,18 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 def _cmd_uc(args: argparse.Namespace) -> int:
     K, make_basis = _basis_source(args)
-    patterns = uc_sign_patterns(K, args.strategy, args.budget, args.seed)
+    # --canonical K is monomial, so its exhaustive search lists no patterns
+    check_uc_search(K, args.strategy, args.budget, monomial=args.canonical is not None)
     basis = make_basis()
+    if args.strategy == "exhaustive" and _monomial_order(basis) is not None:
+        searched = f"{K + 1} sign-change classes by decreasing bound"
+        each = "per pattern"
+    else:
+        patterns = uc_sign_patterns(K, args.strategy, args.budget, args.seed)
+        searched = f"up to {len(patterns)} sign patterns"
+        each = "each"
     print(
-        f"uc: searching up to {len(patterns)} sign patterns, "
-        f"at most {1 + args.budget} exact replays each",
+        f"uc: searching {searched}, at most {1 + args.budget} exact replays {each}",
         file=sys.stderr,
     )
     est = uc_lower_bound(basis, args.strategy, args.budget, args.seed)

@@ -639,10 +639,10 @@ def test_uc_and_dual_ascents_evaluate_no_point_twice(monkeypatch):
     uc_lower_bound(random_invertible_basis(3, random.Random(5)), "exhaustive", 2, 0)
     dual_norm_lower_bound(dual_ball_sample(3, 12, 4)[0], 4)
     # two restarts per pattern the sign-change bound leaves: on canonical
-    # K=3, 4 of 16 (the first pattern with s = 1 and with s = 2, then both
-    # alternating ones, bound 9 against the 8 found), on the random basis
-    # all but the 2 constant ones; and 4 dual ascents
-    assert len(ascents) == 2 * (4 + 14) + 4
+    # K=3, 2 of 16 (both alternating ones, bound 9; every other class's
+    # bound is at most 5 against their 8), on the random basis all but the
+    # 2 constant ones; and 4 dual ascents
+    assert len(ascents) == 2 * (2 + 14) + 4
     assert all(len(set(points)) == len(points) for points in ascents)
 
 
@@ -723,6 +723,176 @@ def test_alternating_pattern_on_ones_meets_the_bound_at_even_k(K):
     entries = tuple((-1) ** i for i in range(K + 1))
     r = ratio_sq(Basis.canonical(K), SignPattern(entries), (Fraction(1),) * (K + 1))
     assert r == (2 * K + 1 if K % 2 == 0 else 2 * K + 2)
+
+
+def _monomial_bases(K: int, rng: random.Random) -> dict:
+    """The canonical basis and a scaled and a permuted monomial basis, each
+    with rows[i] = the row of column i's nonzero."""
+    bases = {"canonical": (list(range(K + 1)), Basis.canonical(K))}
+    for kind in ("scaled", "permuted"):
+        bases[kind] = monomial_basis(rng, K, kind == "permuted")
+    return bases
+
+
+def _ones_alpha(basis: Basis) -> tuple[Fraction, ...]:
+    """alpha with W alpha the all-ones vector: the reciprocal scales."""
+    return tuple(1 / next(w for w in col if w) for col in basis.columns)
+
+
+@pytest.mark.parametrize("K", range(9))
+def test_odd_class_ratio_is_below_its_bound(K):
+    # a pattern of odd s never meets 1 + 2e, on any alpha: the search
+    # skips an odd class whose bound only ties the best ratio
+    rng = random.Random(f"odd-class:{K}")
+    for kind, (rows, basis) in _monomial_bases(K, rng).items():
+        bound = basis_tools._sign_change_bound(basis)
+        for entries in product((-1, 1), repeat=K + 1):
+            sigma = _row_signs(rows, entries)
+            s = sum(a != b for a, b in zip(sigma, sigma[1:]))
+            if s % 2 == 0:
+                continue
+            alphas = [
+                (Fraction(1),) * (K + 1),
+                _ones_alpha(basis),
+                tuple(Fraction(rng.choice((-1, 0, 1))) for _ in range(K + 1)),
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(K + 1)),
+            ]
+            for alpha in alphas:
+                if any(alpha):
+                    r = ratio_sq(basis, SignPattern(entries), alpha)
+                    assert r < bound(entries) == 1 + 2 * (s + 1), (kind, entries, alpha)
+
+
+@pytest.mark.parametrize("K", range(13))
+def test_alternating_rows_on_x_all_ones_meet_the_bound_on_monomial_bases(K):
+    # sigma alternating along the rows, on the alpha with W alpha all ones:
+    # 2K + 1 = 1 + 2e at even K, 2K + 2 at odd K, scaled and permuted too
+    rng = random.Random(f"alternating:{K}")
+    for kind, (rows, basis) in _monomial_bases(K, rng).items():
+        entries = tuple((-1) ** rows[i] for i in range(K + 1))
+        r = ratio_sq(basis, SignPattern(entries), _ones_alpha(basis))
+        assert r == (2 * K + 1 if K % 2 == 0 else 2 * K + 2), kind
+        assert basis_tools._sign_change_bound(basis)(entries) == 1 + 2 * (K + K % 2)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    K=st.integers(1, 7),
+    permuted=st.booleans(),
+    basis_seed=st.integers(0, 2**32),
+    strategy=st.sampled_from(("exhaustive", "anneal")),
+    budget=st.integers(1, 3),
+    seed=st.integers(0, 3),
+)
+@example(K=7, permuted=True, basis_seed=7, strategy="exhaustive", budget=1, seed=3)
+def test_class_order_search_matches_the_reference_on_monomial_bases(
+    K, permuted, basis_seed, strategy, budget, seed
+):
+    # the sign-change class order returns the unpruned walk's candidate:
+    # the same ratio, pattern and alpha
+    _, basis = monomial_basis(random.Random(basis_seed), K, permuted)
+    expected = reference_uc_lower_bound(basis, strategy, budget, seed)
+    assert uc_lower_bound(basis, strategy, budget, seed) == expected
+
+
+def test_non_monomial_search_keeps_the_enumeration_order(monkeypatch):
+    # off monomial bases only the constant patterns are skipped, and the
+    # rest are ascended in enumeration order, budget restarts each
+    ascended = []
+    ascend = basis_tools._ascend_alpha
+
+    def recording(cols_float, eps, alpha):
+        ascended.append(eps)
+        return ascend(cols_float, eps, alpha)
+
+    monkeypatch.setattr(basis_tools, "_ascend_alpha", recording)
+    basis = random_invertible_basis(3, random.Random(5))
+    assert basis_tools._monomial_order(basis) is None
+    est = uc_lower_bound(basis, "exhaustive", 2, 0)
+    assert ascended == [
+        entries
+        for entries in product((-1, 1), repeat=4)
+        if len(set(entries)) == 2
+        for _ in range(2)
+    ]
+    assert est == reference_uc_lower_bound(basis, "exhaustive", 2, 0)
+
+
+@pytest.mark.parametrize("K", range(14, 65, 2))
+def test_canonical_uc_is_2k_plus_1_at_even_k(K):
+    est = uc_lower_bound(Basis.canonical(K), "exhaustive", 2, 0)
+    assert est.lower_bound_sq == 2 * K + 1
+    assert est.sign_pattern.entries == tuple((-1) ** (i + 1) for i in range(K + 1))
+    assert est.alpha == (Fraction(1),) * (K + 1)
+
+
+@pytest.mark.parametrize("K", [13, 15, 63])
+def test_canonical_uc_reaches_2k_plus_2_at_odd_k(K):
+    basis = Basis.canonical(K)
+    est = uc_lower_bound(basis, "exhaustive", 2, 0)
+    assert est.lower_bound_sq >= 2 * K + 2
+    assert ratio_sq(basis, est.sign_pattern, est.alpha) == est.lower_bound_sq
+
+
+def _count_search_work(monkeypatch) -> dict:
+    """Count the ascents and the exact replays of the uc searches that run
+    after this call."""
+    counts = {"ascents": 0, "replays": 0}
+    ascend, replay = basis_tools._ascend_alpha, basis_tools.ratio_sq
+
+    def ascending(*args):
+        counts["ascents"] += 1
+        return ascend(*args)
+
+    def replaying(*args):
+        counts["replays"] += 1
+        return replay(*args)
+
+    monkeypatch.setattr(basis_tools, "_ascend_alpha", ascending)
+    monkeypatch.setattr(basis_tools, "ratio_sq", replaying)
+    return counts
+
+
+@pytest.mark.parametrize("K", [2, 4, 6, 12, 40])
+def test_even_canonical_search_is_one_replay(monkeypatch, K):
+    # the first alternating pattern's all-ones replay meets 2K + 1, which
+    # ties or beats every other candidate: no ascent runs
+    counts = _count_search_work(monkeypatch)
+    uc_lower_bound(Basis.canonical(K), "exhaustive", 3, 0)
+    assert counts == {"ascents": 0, "replays": 2}
+
+
+@pytest.mark.parametrize("K", [1, 3, 5, 13])
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_odd_canonical_search_ascends_the_alternating_patterns_only(monkeypatch, K, budget):
+    # the two alternating patterns (bound 2K + 3, never met) each take
+    # budget ascents; 2K + 2 from their replay is above every other bound
+    counts = _count_search_work(monkeypatch)
+    uc_lower_bound(Basis.canonical(K), "exhaustive", budget, 0)
+    assert counts["ascents"] == 2 * budget
+
+
+def test_monomial_search_lists_no_patterns(monkeypatch):
+    def unlisted(K):
+        raise AssertionError("_all_patterns called")
+
+    monkeypatch.setattr(basis_tools, "_all_patterns", unlisted)
+    rng = random.Random(77)
+    bases = [basis for K in (0, 1, 4, 7) for _, basis in _monomial_bases(K, rng).values()]
+    for basis in [*bases, Basis.canonical(20)]:
+        for strategy in ("exhaustive", "anneal"):
+            assert uc_lower_bound(basis, strategy, 1, 0).lower_bound_sq >= 1
+
+
+def test_check_uc_search_lifts_the_dimension_limit_on_monomial_bases():
+    basis_tools.check_uc_search(13, "exhaustive", 1, monomial=True)
+    basis_tools.check_uc_search(10**6, "exhaustive", 1, monomial=True)
+    with pytest.raises(basis_tools.DimensionTooLargeForPatterns):
+        basis_tools.check_uc_search(13, "exhaustive", 1)
+    with pytest.raises(ValueError, match="budget"):
+        basis_tools.check_uc_search(13, "exhaustive", 0, monomial=True)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        basis_tools.check_uc_search(2, "greedy", 1, monomial=True)
 
 
 def _uc_cases():

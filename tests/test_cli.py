@@ -452,8 +452,6 @@ _LIMIT = "the 2^(K+1) atom subsets are enumerated only for K <= 16"
         (("metastable",), 80, ("--B", "0", "--eps", "0"),
          "the stand-in bound must be positive"),
         (("metastable",), 80, ("--eps", "0"), "eps must be positive"),
-        (("uc",), 13, (), "exhaustive sign enumeration limited to K <= 12"),
-        (("uc",), 128, (), "exhaustive sign enumeration limited to K <= 12"),
         (("--budget", "0", "uc"), 128, (), "budget must be positive"),
         (("--budget", "0", "uc"), 128, ("--strategy", "anneal"), "budget must be positive"),
     ],
@@ -475,6 +473,37 @@ def test_k_above_the_limit_is_refused_before_its_basis_is_built(
         Path(where).write_text(json.dumps({"K": K, "columns": [["1"]] * (K + 1)}))
     argv = (*head, source, where, *tail)
     assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("K", [13, 128])
+def test_exhaustive_uc_refuses_a_large_basis_file_before_reading_it(
+    tmp_path, monkeypatch, capsys, K
+):
+    # a file's basis need not be monomial, so its 2^(K+1) patterns would be
+    # listed; its one-entry columns would be a DimensionMismatch if read
+    def uninvertible(D, m):
+        raise AssertionError("integer_inverse called")
+
+    monkeypatch.setattr(basis_tools, "integer_inverse", uninvertible)
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"K": K, "columns": [["1"]] * (K + 1)}))
+    assert run_cli(capsys, "uc", "--basis", str(path)) == (
+        2, "", "input error: exhaustive sign enumeration limited to K <= 12\n"
+    )
+
+
+@pytest.mark.parametrize("K", [13, 64])
+def test_exhaustive_uc_searches_a_canonical_basis_at_any_k(capsys, K):
+    # --canonical K is monomial: searched by sign-change class, unrefused
+    code, out, err = run_cli(capsys, "--json", "uc", "--canonical", str(K))
+    assert code == 0
+    obj = json.loads(out)
+    assert Fraction(obj["lower_bound_sq"]) == (2 * K + 1 if K % 2 == 0 else 2 * K + 2)
+    assert obj["replay_matches"] is True
+    assert err == (
+        f"uc: searching {K + 1} sign-change classes by decreasing bound, "
+        "at most 3 exact replays per pattern\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -907,7 +936,8 @@ def test_uc_command(capsys):
     [
         (
             ["uc", "--canonical", "3"],
-            "uc: searching up to 16 sign patterns, at most 3 exact replays each",
+            "uc: searching 4 sign-change classes by decreasing bound, "
+            "at most 3 exact replays per pattern",
         ),
         (
             ["--budget", "1", "uc", "--canonical", "6", "--strategy", "anneal"],
@@ -923,15 +953,27 @@ def test_uc_states_its_search_size_on_stderr(capsys, argv, line):
     assert "sign patterns" not in out
 
 
+def test_uc_states_the_patterns_of_a_non_monomial_basis_on_stderr(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(random_invertible_basis(3, random.Random(5)).to_json_obj()))
+    code, out, err = run_cli(capsys, "uc", "--basis", str(path))
+    assert code == 0
+    assert err == "uc: searching up to 16 sign patterns, at most 3 exact replays each\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--budget", "0", "uc", "--canonical", "2"], "budget must be positive"),
-        (["uc", "--canonical", "13"], "exhaustive sign enumeration limited to K <= 12"),
+        # a random basis is not monomial: its 2^14 patterns are refused
+        (["uc", "--basis", "basis13.json"], "exhaustive sign enumeration limited to K <= 12"),
     ],
     ids=["budget", "dimension"],
 )
-def test_uc_refused_search_prints_only_the_error(capsys, argv, message):
+def test_uc_refused_search_prints_only_the_error(tmp_path, monkeypatch, capsys, argv, message):
+    basis = random_invertible_basis(13, random.Random(13))
+    (tmp_path / "basis13.json").write_text(json.dumps(basis.to_json_obj()))
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

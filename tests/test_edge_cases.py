@@ -137,10 +137,10 @@ def test_deep_hierarchy_breach_has_no_recursion_error():
 def test_exhaustive_pattern_guard():
     rng = random.Random(41)
     basis = random_invertible_basis(1, rng)
-    # guard applies to the strategy, not the basis size here; build a K=13
-    # canonical basis to trip it
+    # guard applies to the strategy on a basis that is not monomial; a
+    # random K=13 basis trips it (a monomial one is searched by class)
     with pytest.raises(DimensionTooLargeForPatterns):
-        uc_lower_bound(Basis.canonical(13), "exhaustive", budget=1, seed=0)
+        uc_lower_bound(random_invertible_basis(13, rng), "exhaustive", budget=1, seed=0)
     est = uc_lower_bound(basis, "anneal", budget=1, seed=0)
     assert est.lower_bound_sq >= 1
 
